@@ -15,18 +15,11 @@ history, per-SC utilities, equilibrium performance parameters, welfare —
 are serialized with ``float.hex`` (no tolerance, no rounding) and hashed.
 All nine digests must equal the serial/base reference digest exactly.
 
-K-sweep scenarios (``ksweep10``, ``ksweep20``) extend the same contract
-to the sharded and incremental evaluation modes of
-:class:`~repro.perf.approximate.ApproximateModel`: their matrix swaps the
-variant axis for::
-
-    modes:  monolithic | sharded | incremental
-
-and asserts every (backend, mode) cell's equilibrium digest equals the
-serial/monolithic reference bit-for-bit.  The federations are sized for
-K-scaling rather than load realism — a handful of active sharers with
-unit shares keeps every level's pool (and therefore its state space)
-small while the chain length grows with K.
+K-sweep scenarios (``ksweep10``, ``ksweep20``) run the same matrix on
+federations sized for K-scaling rather than load realism — a handful of
+active sharers with unit shares keeps every level's pool (and therefore
+its state space) small while the chain length grows with K, so the
+level-prefix memo's suffix reuse is exercised on long chains.
 
 Two further sections extend the contract to observability:
 
@@ -95,9 +88,6 @@ class DifferentialScenario:
         gamma: utilization exponent of Eq. (2).
         alpha: fairness level for the welfare observable.
         description: one line for reports.
-        matrix: ``"variants"`` (backend x memo/warm variants, the
-            original contract) or ``"modes"`` (backend x evaluation
-            modes of the approximate model — the K-sweep contract).
         spaces: optional explicit per-SC strategy spaces overriding the
             ``strategy_step`` grid; the K-sweep scenarios pin all but a
             few leading SCs to a single value so equilibrium search cost
@@ -110,14 +100,9 @@ class DifferentialScenario:
     gamma: float
     alpha: float
     description: str
-    matrix: str = "variants"
     spaces: tuple[tuple[int, ...], ...] | None = None
 
     def __post_init__(self) -> None:
-        if self.matrix not in ("variants", "modes"):
-            raise ValueError(
-                f"matrix must be 'variants' or 'modes', got {self.matrix!r}"
-            )
         if self.spaces is not None and len(self.spaces) != len(self.scenario):
             raise ValueError(
                 "spaces must list one strategy space per SC "
@@ -202,8 +187,8 @@ def _ksweep_scenario(k: int) -> DifferentialScenario:
 
     Unit shares on the first ``_KSWEEP_ACTIVE`` SCs bound every level's
     pool ``B_i`` by 3, so per-level state spaces stay constant while the
-    hierarchy deepens with K — the regime the sharded and incremental
-    evaluation modes exist for.
+    hierarchy deepens with K — the regime where the level-prefix memo
+    rebuilds only chain suffixes.
     """
     clouds = []
     spaces = []
@@ -228,9 +213,8 @@ def _ksweep_scenario(k: int) -> DifferentialScenario:
         alpha=1.0,
         description=(
             f"{k} SCs, {_KSWEEP_ACTIVE} active unit sharers - "
-            "backend x evaluation-mode K-scaling matrix"
+            "backend x variant K-scaling matrix"
         ),
-        matrix="modes",
         spaces=tuple(spaces),
     )
 
@@ -250,13 +234,8 @@ SCENARIOS: dict[str, DifferentialScenario] = {
 _BACKENDS = ("serial", "thread", "process")
 _VARIANTS = ("base", "nomemo", "warm")
 
-#: The variant axis of the ``matrix="modes"`` scenarios: evaluation
-#: modes of the approximate model instead of memo/warm-start variants.
-_MODES = ("monolithic", "sharded", "incremental")
-
 #: The cell every other cell must match bit-for-bit.
 _REFERENCE = ("serial", "base")
-_MODES_REFERENCE = ("serial", "monolithic")
 
 
 def _make_executor(backend: str) -> Executor:
@@ -275,17 +254,11 @@ def _run_cell(spec: DifferentialScenario, backend: str, variant: str) -> dict:
     digests.
     """
     executor = _make_executor(backend)
-    if spec.matrix == "modes":
-        # The variant axis names an evaluation mode of the approximate
-        # model; solver configuration stays at the defaults so the only
-        # degree of freedom per cell is how the chains are scheduled.
-        model = ApproximateModel(executor=executor, mode=variant)
-    else:
-        model = ApproximateModel(
-            executor=executor,
-            level_cache_size=0 if variant == "nomemo" else 64,
-            warm_start=(variant == "warm"),
-        )
+    model = ApproximateModel(
+        executor=executor,
+        level_cache_size=0 if variant == "nomemo" else 64,
+        warm_start=(variant == "warm"),
+    )
     evaluator = UtilityEvaluator(spec.scenario, model, gamma=spec.gamma)
     responder = BestResponder(
         evaluator,
@@ -382,27 +355,16 @@ def run_differential(spec: DifferentialScenario) -> dict:
     The serial/base cell is the reference; every other cell — the traced
     replay included — must match its digest exactly, and the
     metrics-merge section must agree across backends.
-
-    ``matrix="modes"`` scenarios swap the variant axis for the
-    approximate model's evaluation modes and reference serial/monolithic
-    instead; the traced and metrics-merge sections are omitted there
-    (the ``quick`` scenario already holds that part of the contract, and
-    K-sweep cells are expensive enough without replays).
     """
-    modes_matrix = spec.matrix == "modes"
-    variants = _MODES if modes_matrix else _VARIANTS
     cells = [
         _run_cell(spec, backend, variant)
         for backend in _BACKENDS
-        for variant in variants
+        for variant in _VARIANTS
     ]
     by_key = {(cell["backend"], cell["variant"]): cell for cell in cells}
-    reference = by_key[_MODES_REFERENCE if modes_matrix else _REFERENCE]
-    if modes_matrix:
-        metrics_merge = {"counters": {}, "mismatched_backends": [], "ok": True}
-    else:
-        cells.append(_run_traced_cell(spec))
-        metrics_merge = check_metrics_merge()
+    reference = by_key[_REFERENCE]
+    cells.append(_run_traced_cell(spec))
+    metrics_merge = check_metrics_merge()
     mismatches = [
         {
             "backend": cell["backend"],
@@ -417,7 +379,6 @@ def run_differential(spec: DifferentialScenario) -> dict:
         "format_version": 1,
         "scenario": spec.name,
         "description": spec.description,
-        "matrix": spec.matrix,
         "reference": {
             "backend": reference["backend"],
             "variant": reference["variant"],
@@ -467,17 +428,16 @@ def main(argv: Sequence[str] | None = None) -> int:
             f"{status:4s} {cell['backend']:8s} {cell['variant']:7s} "
             f"digest={cell['digest'][:16]} evals={cell['model_evaluations']}"
         )
-    if report["matrix"] == "variants":
-        merge = report["metrics_merge"]
-        merge_status = "ok" if merge["ok"] else "FAIL"
-        print(
-            f"{merge_status:4s} metrics-merge: counter totals "
-            + (
-                "identical across backends"
-                if merge["ok"]
-                else f"diverge on {', '.join(merge['mismatched_backends'])}"
-            )
+    merge = report["metrics_merge"]
+    merge_status = "ok" if merge["ok"] else "FAIL"
+    print(
+        f"{merge_status:4s} metrics-merge: counter totals "
+        + (
+            "identical across backends"
+            if merge["ok"]
+            else f"diverge on {', '.join(merge['mismatched_backends'])}"
         )
+    )
     if report["ok"]:
         print(
             f"all {len(report['cells'])} configurations bit-identical "

@@ -314,7 +314,6 @@ class _ToyModel(PerformanceModel):
         self,
         scenario: FederationScenario,
         target: int,
-        deviation: int | None = None,
     ) -> PerformanceParams:
         with self._calls_lock:
             self.target_calls += 1

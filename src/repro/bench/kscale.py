@@ -4,18 +4,21 @@ Measures how federation size K moves the two costs the market loop
 actually pays, on the :func:`~repro.bench.scenarios.kscale_scenario`
 family (chain length grows with K, per-level pools stay bounded):
 
-- ``evaluate`` — one full-federation ``evaluate`` (all K target
-  rotations) per evaluation mode: serial monolithic, sharded across an
-  executor, and incremental.  The sharded/monolithic ratio is the
-  headline parallel speedup; results are asserted bit-identical before
-  any timing is reported.
+Every section times two configurations of the approximate model and
+asserts their results bit-identical before any timing is reported:
+``memo`` (the default level-prefix LRU, ``level_cache_size="auto"``)
+and ``full_rebuild`` (level cache off, every level solved cold).
+
+- ``evaluate`` — one cold full-federation ``evaluate`` (all K target
+  rotations).  Rotation ``t`` reuses the first ``t`` levels the memo
+  already holds, so the memo builds about ``K^2/2`` levels instead of
+  ``K^2``.
 - ``deviation_resolve`` — the per-move cost of a warm re-solve: after a
   base solve, 20 single-SC arrival-rate drifts (cycling over the last
   chain positions) are each re-solved for the target SC.  The
-  ``full_rebuild`` configuration (level cache off, the pre-incremental
-  path) rebuilds all K levels per move; the memoized and incremental
-  configurations rebuild only the suffix at/after the deviating
-  position.  ``speedup_vs_full_rebuild`` is the acceptance number.
+  ``full_rebuild`` configuration rebuilds all K levels per move; the
+  memo rebuilds only the suffix at/after the drifted position.
+  ``speedup_vs_full_rebuild`` is the acceptance number.
 - ``sharing_sweep`` — 20 single-coordinate *sharing* neighbors scored
   through a :class:`~repro.market.evaluator.UtilityEvaluator`, the
   shape of a Tabu neighborhood.  Sharing moves change the federation
@@ -45,7 +48,6 @@ from repro.core.small_cloud import FederationScenario
 from repro.market.evaluator import UtilityEvaluator
 from repro.perf.approximate import ApproximateModel
 from repro.perf.params import PerformanceParams
-from repro.runtime.executor import make_executor
 
 SCHEMA_VERSION = 1
 
@@ -75,35 +77,38 @@ def _params_digestable(params: list[PerformanceParams]) -> list[tuple[str, ...]]
     ]
 
 
-def bench_evaluate(k: int, workers: int) -> dict[str, Any]:
-    """Full-federation evaluate per mode; bit-identity asserted first."""
-    scenario = kscale_scenario(k)
-    serial = ApproximateModel(mode="monolithic")
-    sharded = ApproximateModel(
-        executor=make_executor(workers, kind="thread"), mode="sharded"
-    )
-    incremental = ApproximateModel(mode="incremental")
-
-    serial_seconds, serial_params = _timed(lambda: serial.evaluate(scenario))
-    sharded_seconds, sharded_params = _timed(lambda: sharded.evaluate(scenario))
-    incr_seconds, incr_params = _timed(lambda: incremental.evaluate(scenario))
-
-    reference = _params_digestable(serial_params)
-    if _params_digestable(sharded_params) != reference:
-        raise AssertionError(f"sharded evaluate diverged at K={k}")
-    if _params_digestable(incr_params) != reference:
-        raise AssertionError(f"incremental evaluate diverged at K={k}")
+def _configs() -> dict[str, ApproximateModel]:
+    """Fresh models of the two timed configurations, reference first."""
     return {
-        "k": k,
-        "workers": workers,
-        "monolithic_seconds": serial_seconds,
-        "sharded_seconds": sharded_seconds,
-        "incremental_seconds": incr_seconds,
-        "sharded_speedup": (
-            serial_seconds / sharded_seconds if sharded_seconds > 0 else float("inf")
-        ),
-        "bit_identical": True,
+        "full_rebuild": ApproximateModel(level_cache_size=0),
+        "memo": ApproximateModel(),
     }
+
+
+def _speedup(entry: dict[str, Any], unit: str) -> None:
+    """Record the memo's ``speedup_vs_full_rebuild`` on ``unit`` time."""
+    memo = entry["memo"][unit]
+    entry["memo"]["speedup_vs_full_rebuild"] = (
+        entry["full_rebuild"][unit] / memo if memo > 0 else float("inf")
+    )
+
+
+def bench_evaluate(k: int) -> dict[str, Any]:
+    """Cold full-federation evaluate; bit-identity asserted first."""
+    scenario = kscale_scenario(k)
+    entry: dict[str, Any] = {"k": k}
+    reference: list[tuple[str, ...]] | None = None
+    for name, model in _configs().items():
+        seconds, params = _timed(lambda m=model: m.evaluate(scenario))
+        rendered = _params_digestable(params)
+        if reference is None:
+            reference = rendered
+        elif rendered != reference:
+            raise AssertionError(f"{name} evaluate diverged at K={k}")
+        entry[name] = {"seconds": seconds}
+    _speedup(entry, "seconds")
+    entry["bit_identical"] = True
+    return entry
 
 
 def _drifted(scenario: FederationScenario, position: int, step: int) -> FederationScenario:
@@ -119,22 +124,17 @@ def bench_deviation_resolve(k: int) -> dict[str, Any]:
 
     Move ``j`` drifts SC ``k - 1 - (j % 3) - 1``'s arrival rate (a fresh
     value each move, cycling over the last chain positions before the
-    target) and re-solves the target SC.  Every configuration answers
+    target) and re-solves the target SC.  Both configurations answer
     bit-identically; only the rebuilt-level count differs.
     """
     base = kscale_scenario(k)
-    configs = {
-        "full_rebuild": ApproximateModel(level_cache_size=0, mode="monolithic"),
-        "memo": ApproximateModel(mode="monolithic"),
-        "incremental": ApproximateModel(mode="incremental"),
-    }
     moves = [
         _drifted(base, k - 2 - (j % 3), j + 1) for j in range(MOVES)
     ]
     entry: dict[str, Any] = {"k": k, "moves": MOVES}
     reference: list[tuple[str, ...]] | None = None
-    for name, model in configs.items():
-        model.evaluate_target(base)  # warm the caches / chain state
+    for name, model in _configs().items():
+        model.evaluate_target(base)  # warm the level cache
         seconds, results = _timed(
             lambda m=model: [m.evaluate_target(s) for s in moves]
         )
@@ -146,16 +146,9 @@ def bench_deviation_resolve(k: int) -> dict[str, Any]:
         entry[name] = {
             "seconds": seconds,
             "per_move_seconds": seconds / MOVES,
+            "level_cache": model.level_cache_stats(),
         }
-        if name == "incremental":
-            entry[name]["incremental_stats"] = model.incremental_stats()
-    full = entry["full_rebuild"]["per_move_seconds"]
-    for name in ("memo", "incremental"):
-        entry[name]["speedup_vs_full_rebuild"] = (
-            full / entry[name]["per_move_seconds"]
-            if entry[name]["per_move_seconds"] > 0
-            else float("inf")
-        )
+    _speedup(entry, "per_move_seconds")
     entry["bit_identical"] = True
     return entry
 
@@ -191,16 +184,11 @@ def bench_sharing_sweep(k: int) -> dict[str, Any]:
     trials = _sharing_neighbors(base, sharers, vms)
     entry: dict[str, Any] = {"k": k, "trials": len(trials)}
     reference: list[str] | None = None
-    for name, model in (
-        ("full_rebuild", ApproximateModel(level_cache_size=0)),
-        ("memo", ApproximateModel()),
-        ("incremental", ApproximateModel(mode="incremental")),
-    ):
+    for name, model in _configs().items():
         evaluator = UtilityEvaluator(scenario, model, gamma=0.5)
         seconds, values = _timed(
             lambda e=evaluator: [
-                e.utility(trial, j % sharers, deviation=j % sharers)
-                for j, trial in enumerate(trials)
+                e.utility(trial, j % sharers) for j, trial in enumerate(trials)
             ]
         )
         rendered = [float(v).hex() for v in values]
@@ -212,20 +200,12 @@ def bench_sharing_sweep(k: int) -> dict[str, Any]:
             "seconds": seconds,
             "per_trial_seconds": seconds / len(trials),
         }
-    full = entry["full_rebuild"]["per_trial_seconds"]
-    for name in ("memo", "incremental"):
-        entry[name]["speedup_vs_full_rebuild"] = (
-            full / entry[name]["per_trial_seconds"]
-            if entry[name]["per_trial_seconds"] > 0
-            else float("inf")
-        )
+    _speedup(entry, "per_trial_seconds")
     entry["bit_identical"] = True
     return entry
 
 
-def run_kscale(
-    ks: tuple[int, ...] = DEFAULT_KS, workers: int = 4, quick: bool = False
-) -> dict[str, Any]:
+def run_kscale(ks: tuple[int, ...] = DEFAULT_KS, quick: bool = False) -> dict[str, Any]:
     """Run the sweep; per-K sections keyed ``"k=<K>"`` in the report."""
     if quick:
         ks = tuple(k for k in ks if k <= 20) or (10,)
@@ -233,7 +213,7 @@ def run_kscale(
     for k in ks:
         with obs.capture(tracing=False, metrics=True) as cap:
             section = {
-                "evaluate": bench_evaluate(k, workers),
+                "evaluate": bench_evaluate(k),
                 "deviation_resolve": bench_deviation_resolve(k),
             }
             if not quick:
@@ -241,21 +221,20 @@ def run_kscale(
         section["counters"] = {
             name: count
             for name, count in cap.snapshot().counter_view().items()
-            if name.startswith(("perf.incremental", "perf.sharded"))
+            if name.startswith("perf.level_cache")
         }
         results[f"k={k}"] = section
         print(
-            f"k={k}: evaluate mono {section['evaluate']['monolithic_seconds']:.2f}s"
-            f" / sharded {section['evaluate']['sharded_seconds']:.2f}s,"
+            f"k={k}: evaluate memo {section['evaluate']['memo']['seconds']:.2f}s"
+            f" / full rebuild {section['evaluate']['full_rebuild']['seconds']:.2f}s,"
             " deviation re-solve speedup "
-            f"{section['deviation_resolve']['incremental']['speedup_vs_full_rebuild']:.1f}x",
+            f"{section['deviation_resolve']['memo']['speedup_vs_full_rebuild']:.1f}x",
             flush=True,
         )
     return {
         "schema": SCHEMA_VERSION,
         "benchmark": "kscale",
         "quick": quick,
-        "workers": workers,
         "ks": list(ks),
         "python": platform.python_version(),
         "results": results,
@@ -267,9 +246,6 @@ def main(argv: "list[str] | None" = None) -> int:
     parser = argparse.ArgumentParser(description="K-scaling benchmark.")
     parser.add_argument(
         "--quick", action="store_true", help="trim to K<=20 and skip the sharing sweep"
-    )
-    parser.add_argument(
-        "--workers", type=int, default=4, help="executor width for the sharded mode"
     )
     parser.add_argument(
         "--ks",
@@ -288,7 +264,7 @@ def main(argv: "list[str] | None" = None) -> int:
         if args.ks
         else DEFAULT_KS
     )
-    report = run_kscale(ks=ks, workers=args.workers, quick=args.quick)
+    report = run_kscale(ks=ks, quick=args.quick)
     print(json.dumps(report, indent=2))
     if args.output is not None:
         out_dir = Path(args.output)

@@ -1,6 +1,6 @@
 """Microbenchmarks for the model hot path: ``python -m repro.bench.micro``.
 
-Three timed probes, each emitting one entry of a ``BENCH_micro.json``
+Timed probes, each emitting one entry of a ``BENCH_micro.json``
 artifact so the perf trajectory of the reproduction is recorded run over
 run:
 
@@ -15,9 +15,6 @@ run:
   each scored for one SC through a
   :class:`~repro.market.evaluator.UtilityEvaluator` the way the best
   responder scores trial profiles;
-- ``incremental`` — a warm single-SC deviation re-solve on a K-scaling
-  federation, surfacing the incremental mode's levels-reused /
-  levels-rebuilt stats and its speedup over the cold solve;
 - ``obs_overhead`` — prices the :mod:`repro.obs` hooks: the cost of one
   disabled hook call, the hook crossings a real solve performs, and the
   implied disabled-instrumentation overhead fraction (pinned below 2%
@@ -31,10 +28,11 @@ run:
   pins the asymptotic mechanism.
 - ``sim_throughput`` — engine events/sec under ``event`` vs ``batched``
   stepping (scalar and vectorized channel drains), plus the equivalence
-  gate: a federation simulated under all three step modes must produce
+  gate: a federation simulated under both step modes must produce
   identical metrics or the probe raises;
 - ``sim_failures`` — end-to-end cost of the failure-injection welfare
-  sweep (healthy + failed runs per scenario, one per failure class).
+  sweep (healthy + failed runs per scenario, one per failure class;
+  every horizon covers every failure window).
 
 The sim probes are additionally extracted into a ``BENCH_sim.json``
 artifact next to ``BENCH_micro.json``.
@@ -43,10 +41,11 @@ Every probe runs under a metrics capture, so each report entry carries
 the counters the workload produced alongside its timings.
 
 ``--reference`` runs every probe with the reference assembler and all
-caching disabled — the pre-optimization configuration — which is how the
-committed ``benchmarks/results/BENCH_baseline.json`` numbers were
-produced.  ``--compare PATH`` prints a *non-blocking* delta against such
-a file: CI surfaces regressions without going red on a noisy runner.
+caching disabled — the pre-optimization configuration.  The committed
+``benchmarks/results/BENCH_baseline.json`` is a ``--quick`` run in the
+default optimized configuration, so ``--compare PATH`` against it (a
+*non-blocking* delta: CI surfaces regressions without going red on a
+noisy runner) compares like with like.
 """
 
 from __future__ import annotations
@@ -242,58 +241,6 @@ def bench_obs_overhead(quick: bool, reference: bool) -> dict[str, Any]:
     }
 
 
-def bench_incremental(quick: bool, reference: bool) -> dict[str, Any]:
-    """Price a single-SC deviation re-solve under incremental mode.
-
-    A K-scaling federation is solved once to warm the chain state, then
-    one SC's arrival rate drifts and the target is re-solved.  Under
-    ``--reference`` (cache off, monolithic) the re-solve rebuilds every
-    level; incremental mode rebuilds only the suffix at/after the
-    drifted position.  The probe surfaces the model's own
-    ``incremental_stats()`` — levels reused vs rebuilt and chain-prefix
-    hits — alongside the ``perf.incremental.*`` / ``perf.warm_replay.*``
-    counters run_micro captures for every probe.
-    """
-    from dataclasses import replace as dc_replace
-
-    from repro.bench.scenarios import kscale_scenario
-    from repro.core.small_cloud import FederationScenario
-
-    k = 6 if quick else 10
-    base = kscale_scenario(k)
-    position = k - 3
-    clouds = list(base.clouds)
-    clouds[position] = dc_replace(
-        clouds[position], arrival_rate=clouds[position].arrival_rate + 0.001
-    )
-    drifted = FederationScenario(tuple(clouds))
-
-    if reference:
-        model = ApproximateModel(level_cache_size=0, mode="monolithic")
-    else:
-        model = ApproximateModel(level_cache_size=0, mode="incremental")
-    cold_seconds, _ = _timed(lambda: model.evaluate_target(base))
-    resolve_seconds, _ = _timed(
-        lambda: model.evaluate_target(drifted, deviation=position)
-    )
-    stats = (
-        model.incremental_stats()
-        if isinstance(model, ApproximateModel) and model.mode == "incremental"
-        else {}
-    )
-    return {
-        "scenario": f"kscale_{k}sc",
-        "deviation_position": position,
-        "cold_solve_seconds": cold_seconds,
-        "resolve_seconds": resolve_seconds,
-        "resolve_speedup": (
-            cold_seconds / resolve_seconds if resolve_seconds > 0 else float("inf")
-        ),
-        "incremental_stats": stats,
-        "seconds": resolve_seconds,
-    }
-
-
 def bench_sim_fifo(quick: bool, reference: bool) -> dict[str, Any]:
     """Price the simulator's FIFO queue discipline.
 
@@ -400,7 +347,7 @@ def bench_sim_throughput(quick: bool, reference: bool) -> dict[str, Any]:
     from dataclasses import asdict
 
     from repro.core.small_cloud import FederationScenario, SmallCloud
-    from repro.sim.engine import SimulationEngine
+    from repro.sim.engine import STEP_MODES, SimulationEngine
     from repro.sim.federation import FederationSimulator
     from repro.sim.stats import WelfordAccumulator
 
@@ -468,13 +415,10 @@ def bench_sim_throughput(quick: bool, reference: bool) -> dict[str, Any]:
 
     fed_seconds: dict[str, float] = {}
     fed_metrics: dict[str, list[dict[str, Any]]] = {}
-    for mode in ("event", "batched", "three_phase"):
+    for mode in STEP_MODES:
         fed_seconds[mode], fed_metrics[mode] = federation(mode)
-    for mode in ("batched", "three_phase"):
-        if fed_metrics[mode] != fed_metrics["event"]:
-            raise RuntimeError(
-                f"step_mode={mode!r} diverged from the event reference path"
-            )
+    if fed_metrics["batched"] != fed_metrics["event"]:
+        raise RuntimeError("step_mode='batched' diverged from the event reference path")
 
     event_eps = event_acc.mean()
     batched_eps = batched_acc.mean()
@@ -511,13 +455,16 @@ def bench_sim_failures(quick: bool, reference: bool) -> dict[str, Any]:
     with the failure machinery in place costs the same bytes and draws
     as one without, so the overhead is pure bookkeeping).
     ``--reference`` runs the sweep on the event-mode engine instead of
-    the batched one.
+    the batched one.  The quick horizon still covers every window of
+    the three scenarios (the last closes at 952.7 s);
+    :func:`failure_impact` refuses a window that opens at or after the
+    horizon.
     """
     from repro.scenarios.library import resolve
     from repro.sim.failures import failure_impact
 
     step_mode = "event" if reference else "batched"
-    horizon = 400.0 if quick else 1_500.0
+    horizon = 1_000.0 if quick else 1_500.0
     names = ("failure-000", "failure-001", "failure-002")
     reports = {}
     total_seconds = 0.0
@@ -548,7 +495,6 @@ BENCHES: dict[str, Callable[[bool, bool], dict[str, Any]]] = {
     "assembly": bench_assembly,
     "fig6_evaluate": bench_fig6,
     "tabu_sweep": bench_tabu_sweep,
-    "incremental": bench_incremental,
     "obs_overhead": bench_obs_overhead,
     "sim_fifo": bench_sim_fifo,
     "sim_throughput": bench_sim_throughput,

@@ -152,8 +152,8 @@ def kscale_scenario(
 
     Only the first ``sharers`` SCs share (one VM each), so every
     hierarchical level's pool stays bounded by ``sharers`` while the
-    chain deepens with K — the regime the sharded and incremental
-    evaluation paths exist for.  Loads are staggered slightly so no two
+    chain deepens with K — the regime where the level-prefix memo's
+    suffix-only rebuilds pay off.  Loads are staggered slightly so no two
     per-SC specs coincide (each level's memo key stays distinct).
     """
     return FederationScenario(

@@ -45,12 +45,8 @@ def _score_trial_task(
     re-solving the winning candidate at move time.
     """
     evaluator, trial, index = task
-    value = evaluator.utility(trial, index, deviation=index)
-    params = (
-        evaluator.params_target(trial, index, deviation=index)
-        if trial[index] != 0
-        else None
-    )
+    value = evaluator.utility(trial, index)
+    params = evaluator.params_target(trial, index) if trial[index] != 0 else None
     return value, params
 
 
@@ -107,7 +103,7 @@ class BestResponder:
         def objective(candidate: int) -> float:
             trial = list(profile)
             trial[index] = candidate
-            return self.evaluator.utility(trial, index, deviation=index)
+            return self.evaluator.utility(trial, index)
 
         with obs.span("game.respond", sc=index, method=self.method):
             obs.inc(self._respond_metric)
@@ -152,10 +148,7 @@ class BestResponder:
                 trial[index] = int(value)
                 trials.append(trial)
             if executor is None or executor.workers <= 1 or len(trials) <= 1:
-                return [
-                    self.evaluator.utility(trial, index, deviation=index)
-                    for trial in trials
-                ]
+                return [self.evaluator.utility(trial, index) for trial in trials]
             tasks = [(self.evaluator, tuple(trial), index) for trial in trials]
             results = obs.map_with_metrics(executor, _score_trial_task, tasks)
             scored: list[float] = []

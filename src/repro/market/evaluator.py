@@ -139,7 +139,6 @@ class UtilityEvaluator:
         self,
         sharing: Sequence[int],
         index: int,
-        deviation: int | None = None,
     ) -> PerformanceParams:
         """Performance parameters of SC ``index`` only (cached).
 
@@ -151,10 +150,6 @@ class UtilityEvaluator:
         cached vector is always preferred; target solves land in a
         separate per-``(vector, index)`` cache and are counted in
         ``target_evaluations``, not ``evaluations``.
-
-        ``deviation`` is the game layer's single-SC deviation hint,
-        forwarded to the model for incremental-reuse attribution; it is
-        observational and never part of any cache key.
         """
         key = tuple(int(s) for s in sharing)
         target = (key, int(index))
@@ -186,7 +181,6 @@ class UtilityEvaluator:
                 params = self.model.evaluate_target(
                     self.scenario.with_sharing(key),
                     target=int(index),
-                    deviation=deviation,
                 )
                 if sanitize.sanitize_enabled():
                     sanitize.check_params(params, label=f"params[{key}][{index}]")
@@ -227,22 +221,16 @@ class UtilityEvaluator:
         obs.inc("market.target.seeded")
         return True
 
-    def cost(
-        self, sharing: Sequence[int], index: int, deviation: int | None = None
-    ) -> float:
+    def cost(self, sharing: Sequence[int], index: int) -> float:
         """``C_i^{S_i}`` (Eq. 1) for SC ``index`` under ``sharing``."""
         cloud = self.scenario[index].with_shared(int(sharing[index]))
-        return operating_cost(cloud, self.params_target(sharing, index, deviation))
+        return operating_cost(cloud, self.params_target(sharing, index))
 
-    def utility(
-        self, sharing: Sequence[int], index: int, deviation: int | None = None
-    ) -> float:
+    def utility(self, sharing: Sequence[int], index: int) -> float:
         """``U_i^{S_i}`` (Eq. 2) for SC ``index`` under ``sharing``."""
         if sharing[index] == 0:
             return 0.0
-        return self._utility_from(
-            sharing, index, self.params_target(sharing, index, deviation)
-        )
+        return self._utility_from(sharing, index, self.params_target(sharing, index))
 
     def _utility_from(
         self, sharing: Sequence[int], index: int, params: PerformanceParams

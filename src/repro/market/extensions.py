@@ -102,21 +102,12 @@ class ExtendedUtilityEvaluator(UtilityEvaluator):
         )
         return self.cost_function(cloud, params)
 
-    def cost(
-        self, sharing: Sequence[int], index: int, deviation: int | None = None
-    ) -> float:
-        """Extended cost of SC ``index`` under ``sharing``.
-
-        ``deviation`` is the base evaluator's incremental-reuse hint; the
-        extended cost prices from the full parameter vector, so the hint
-        is accepted for interface compatibility but has nothing to skip.
-        """
+    def cost(self, sharing: Sequence[int], index: int) -> float:
+        """Extended cost of SC ``index`` under ``sharing``."""
         cloud = self.scenario[index].with_shared(int(sharing[index]))
         return self.cost_function(cloud, self.params(sharing)[index])
 
-    def utility(
-        self, sharing: Sequence[int], index: int, deviation: int | None = None
-    ) -> float:
+    def utility(self, sharing: Sequence[int], index: int) -> float:
         """Eq. (2) utility against the consistently extended baseline."""
         from repro.market.utility import utility as utility_fn
 

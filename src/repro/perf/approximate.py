@@ -47,7 +47,6 @@ this model hundreds of times per equilibrium search:
 
 from __future__ import annotations
 
-import threading
 from array import array
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
@@ -86,11 +85,6 @@ def _evaluate_target_task(
 #: Capacity floor of the ``level_cache_size="auto"`` policy; also the
 #: legacy fixed default, so small federations behave exactly as before.
 _AUTO_CACHE_FLOOR = 64
-
-#: How many recently built chains the incremental mode retains for
-#: longest-common-prefix reuse.  Each retained chain pins K solved
-#: levels, so this stays small; the level-prefix LRU is the bulk tier.
-_CHAIN_STATE_DEPTH = 8
 
 
 class _StateIndexer:
@@ -262,28 +256,6 @@ class ApproximateModel(PerformanceModel):
             default: the hint is only consumed by the iterative solvers,
             where it can move results at their convergence tolerance
             (~1e-12) and makes them dependent on evaluation order.
-        mode: evaluation strategy — results are bit-identical across all
-            three, which the differential K-sweep asserts per commit.
-
-            - ``"monolithic"`` (default): the historical path; every
-              query walks its chain front-to-back through the LRU.
-            - ``"sharded"``: :meth:`evaluate` partitions the per-SC level
-              builds of one *generation* (level index) across the
-              executor's workers, deduplicating rotations that share a
-              prefix, and exchanges the solved levels between generations
-              through the ordered-map interface
-              (:mod:`repro.perf.sharding`).
-            - ``"incremental"``: single-target queries
-              (:meth:`evaluate_target`, the best-response objective)
-              diff their chain's content keys against recently built
-              chains and rebuild only the suffix whose keys changed,
-              reusing the untouched prefix levels verbatim.  A deviation
-              in rates or SLA at position ``p`` rebuilds exactly the
-              levels at and after ``p``; a sharing deviation that moves
-              the federation total ``sum(S)`` changes every level's pool
-              and therefore honestly rebuilds from the front (same-total
-              deviations — the bulk of a Tabu neighborhood scored across
-              SCs — share prefixes).
     """
 
     def __init__(
@@ -296,7 +268,6 @@ class ApproximateModel(PerformanceModel):
         assembly: str = "vectorized",
         level_cache_size: int | str | None = "auto",
         warm_start: bool = False,
-        mode: str = "monolithic",
     ) -> None:
         self.tail_epsilon = check_positive(tail_epsilon, "tail_epsilon")  # fingerprint-input: _config_key
         self.transient_epsilon = check_positive(transient_epsilon, "transient_epsilon")  # fingerprint-input: _config_key
@@ -313,16 +284,11 @@ class ApproximateModel(PerformanceModel):
             or level_cache_size == "auto",
             "level_cache_size must be 'auto', None, or a non-negative integer",
         )
-        require(
-            mode in ("monolithic", "sharded", "incremental"),
-            f"mode must be 'monolithic', 'sharded', or 'incremental', got {mode!r}",
-        )
         self.warm_start = bool(warm_start)
         # Private plumbing (underscored so it stays out of the cache
-        # fingerprint: assemblers, cache sizes, and evaluation modes all
-        # produce bit-identical parameters).
+        # fingerprint: assemblers and cache sizes both produce
+        # bit-identical parameters).
         self._assembly = assembly
-        self._mode = mode
         self._level_cache_size = level_cache_size
         resolved = _AUTO_CACHE_FLOOR if auto_cache else level_cache_size
         self._auto_cache = auto_cache
@@ -332,37 +298,6 @@ class ApproximateModel(PerformanceModel):
             else None
         )
         self._warm: LRUCache = LRUCache(maxsize=16)
-        # Incremental chain state: most-recent-first list of
-        # (keys, levels) pairs for longest-common-prefix reuse.
-        self._chains: list[tuple[list[tuple], list[_Level]]] = []  # guarded-by: _state_lock
-        self._incremental_counts = {  # guarded-by: _state_lock
-            "levels_reused": 0,
-            "levels_rebuilt": 0,
-            "chain_prefix_hits": 0,
-        }
-        self._state_lock = threading.Lock()
-
-    @property
-    def mode(self) -> str:
-        """The evaluation strategy this instance was configured with."""
-        return self._mode
-
-    # -- pickling: executors ship worker copies into process pools ------ #
-    #
-    # A live lock is unpicklable and another process's chain state is
-    # useless, so workers start with fresh incremental state (the same
-    # cold-start rule the level-prefix LRU applies to itself).
-
-    def __getstate__(self) -> dict[str, object]:
-        state = dict(self.__dict__)
-        del state["_state_lock"]
-        state["_chains"] = []
-        state["_incremental_counts"] = dict.fromkeys(self._incremental_counts, 0)
-        return state
-
-    def __setstate__(self, state: dict[str, object]) -> None:
-        self.__dict__.update(state)
-        self._state_lock = threading.Lock()
 
     # ------------------------------------------------------------------ #
     # public interface
@@ -372,24 +307,15 @@ class ApproximateModel(PerformanceModel):
         self,
         scenario: FederationScenario,
         target: int | None = None,
-        deviation: int | None = None,
     ) -> PerformanceParams:
         """Evaluate one SC accurately by running the chain with it last.
 
         Args:
             scenario: the federation (sharing vector included).
             target: index of the SC of interest; defaults to the last.
-            deviation: optional index of the single SC whose decision
-                changed since the caller's previous query (the game layer
-                plumbs it through best-response scans).  Purely
-                observational — reuse is decided by content-key diffing,
-                never by trusting the hint — but it lets the metrics
-                attribute incremental effectiveness to deviation scans.
         """
         if target is not None and target != len(scenario) - 1:
             scenario = scenario.rotated_to_target(target)
-        if deviation is not None:
-            obs.inc("perf.incremental.deviation_query")
         with obs.span(
             "perf.solve", k=len(scenario), target=len(scenario) - 1
         ):
@@ -405,26 +331,9 @@ class ApproximateModel(PerformanceModel):
         path shares the level-prefix cache across rotations: rotation
         ``t`` reuses the first ``t`` levels of the deepest chain built so
         far instead of resolving them.
-
-        In ``mode="sharded"`` the parallel unit is one *level build*
-        rather than one rotation: each generation's distinct levels are
-        deduplicated across rotations and partitioned over the workers,
-        so the parallel path does the same total work as the memoized
-        serial walk (about ``K^2/2`` builds) instead of ``K^2`` cold
-        builds — see :mod:`repro.perf.sharding`.
         """
         k = len(scenario)
         executor = self.executor
-        if (
-            self._mode == "sharded"
-            and executor is not None
-            and executor.workers > 1
-            and k > 1
-        ):
-            from repro.perf.sharding import evaluate_sharded
-
-            with obs.span("perf.evaluate", k=k, backend="sharded"):
-                return evaluate_sharded(self, scenario, executor)
         if executor is None or executor.workers <= 1 or k == 1:
             with obs.span("perf.evaluate", k=k, backend="inline"):
                 return [self.evaluate_target(scenario, target=i) for i in range(k)]
@@ -438,7 +347,7 @@ class ApproximateModel(PerformanceModel):
 
     def _worker_clone(self) -> "ApproximateModel":
         """A copy with identical solve configuration but no executor (so
-        workers never nest pools) and default monolithic mode."""
+        workers never nest pools)."""
         return ApproximateModel(
             tail_epsilon=self.tail_epsilon,
             transient_epsilon=self.transient_epsilon,
@@ -493,9 +402,7 @@ class ApproximateModel(PerformanceModel):
         The key of level ``i`` is ``(config, spec_1..spec_i, B_i)``: the
         ordered prefix of SC specs plus the level's pool size.  All
         earlier pools are derivable from that content (``B_{j} = B_i +
-        S_i - S_j``), so equal keys imply bit-identical levels.  This is
-        the shared plan the monolithic walk, the incremental key diff,
-        and the sharded generation schedule all consume.
+        S_i - S_j``), so equal keys imply bit-identical levels.
         """
         keys: list[tuple] = []
         prefix: tuple = (self._config_key(),)
@@ -507,7 +414,7 @@ class ApproximateModel(PerformanceModel):
     def _ensure_auto_capacity(self, k: int) -> None:
         """Grow an ``"auto"``-sized level cache to fit federations of
         ``k`` SCs (one chain is ``k`` entries; a Tabu neighborhood scored
-        across same-total deviations touches several chains' worth)."""
+        across same-total moves touches several chains' worth)."""
         if self._auto_cache and self._level_cache is not None:
             self._level_cache.ensure_capacity(max(_AUTO_CACHE_FLOOR, 6 * k + 16))
 
@@ -515,15 +422,15 @@ class ApproximateModel(PerformanceModel):
         """Build (or recall) levels ``M^1 .. M^K`` for ``scenario``.
 
         Walking the chain front-to-back, only the suffix below the
-        deepest cached prefix is rebuilt.  ``mode="incremental"``
-        additionally diffs the plan against recently built chains and
-        reuses the longest common key prefix verbatim, without touching
-        the LRU at all for those levels.
+        deepest cached prefix is rebuilt.  A change at chain position
+        ``p`` that leaves the federation total ``sum(S)`` alone (a rate
+        or SLA drift, a compensated share move) keeps keys ``0..p-1``
+        equal, so only the ``K - p`` levels from ``p`` on are rebuilt;
+        a move of ``sum(S)`` changes every level's pool and rebuilds all
+        ``K``.
         """
         keys = self._chain_keys(scenario)
         self._ensure_auto_capacity(len(keys))
-        if self._mode == "incremental":
-            return self._build_chain_incremental(scenario, keys)
         cache = self._level_cache
         level: _Level | None = None
         for i, key in enumerate(keys):
@@ -540,93 +447,6 @@ class ApproximateModel(PerformanceModel):
             level = cached
         assert level is not None
         return level
-
-    def _build_chain_incremental(
-        self, scenario: FederationScenario, keys: list[tuple]
-    ) -> _Level:
-        """Rebuild only the suffix whose content keys changed.
-
-        Reuse is decided purely by key equality against the retained
-        recent chains, so it is exactly as sound as the LRU: a reused
-        level is the very object an identical cold build would have
-        produced.  A single-SC deviation at chain position ``p`` that
-        leaves the federation total unchanged (rate/SLA drift, or a
-        compensated share move) keeps keys ``0..p-1`` equal and
-        therefore rebuilds nothing before ``p`` — the property the
-        incremental test suite asserts.
-        """
-        prefix_levels = self._chain_prefix(keys)
-        g = len(prefix_levels)
-        levels: list[_Level] = list(prefix_levels)
-        level: _Level | None = levels[-1] if levels else None
-        cache = self._level_cache
-        cache_hits = 0
-        rebuilt = 0
-        for i in range(g, len(keys)):
-            cached = cache.get(keys[i]) if cache is not None else None
-            if cached is None:
-                with obs.span("perf.level_build", level=i):
-                    if i == 0:
-                        cached = self._build_first(scenario)
-                    else:
-                        assert level is not None
-                        cached = self._build_level(scenario, i, level)
-                if cache is not None:
-                    cache.put(keys[i], cached)
-                rebuilt += 1
-            else:
-                cache_hits += 1
-            levels.append(cached)
-            level = cached
-        self._remember_chain(keys, levels, prefix=g, cache_hits=cache_hits, rebuilt=rebuilt)
-        assert level is not None
-        return level
-
-    def _chain_prefix(self, keys: list[tuple]) -> list[_Level]:
-        """The longest key-equal level prefix among the retained chains."""
-        with self._state_lock:
-            best: list[_Level] = []
-            for held_keys, held_levels in self._chains:
-                g = 0
-                for a, b in zip(keys, held_keys):
-                    if a != b:
-                        break
-                    g += 1
-                if g > len(best):
-                    best = held_levels[:g]
-            return best
-
-    def _remember_chain(
-        self,
-        keys: list[tuple],
-        levels: list[_Level],
-        prefix: int,
-        cache_hits: int,
-        rebuilt: int,
-    ) -> None:
-        """Retain the finished chain (most recent first) and account for
-        how much of it was reused rather than rebuilt."""
-        reused = prefix + cache_hits
-        with self._state_lock:
-            self._chains = [
-                entry for entry in self._chains if entry[0] != keys
-            ]
-            self._chains.insert(0, (keys, levels))
-            del self._chains[_CHAIN_STATE_DEPTH:]
-            counts = self._incremental_counts
-            counts["levels_reused"] += reused
-            counts["levels_rebuilt"] += rebuilt
-            counts["chain_prefix_hits"] += prefix
-        if reused:
-            obs.inc("perf.incremental.level_reused", reused)
-        if rebuilt:
-            obs.inc("perf.incremental.level_rebuilt", rebuilt)
-
-    def incremental_stats(self) -> dict[str, int]:
-        """Effectiveness counters of the incremental re-solve tier
-        (all zero outside ``mode="incremental"``)."""
-        with self._state_lock:
-            return dict(self._incremental_counts)
 
     def _q_max(self, scenario: FederationScenario, index: int) -> int:
         cloud = scenario[index]

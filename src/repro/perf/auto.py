@@ -99,16 +99,13 @@ class AutoModel(PerformanceModel):
             calibrated for market sweeps: approximate unless provably
             unnecessary or insufficient).
         executor: optional executor handed to the approximate tier's
-            rotation/sharding parallelism.
+            rotation parallelism.
         detailed, approximate, pooled: optional pre-configured tier
             models; defaults are constructed lazily with each tier's
             default configuration.  When this model fronts a persistent
             params cache, keep the defaults — the cache fingerprints
             this model's public scalars (budget terms), not the
             sub-models' internals.
-        mode: evaluation mode forwarded to a default-constructed
-            approximate tier (``"monolithic"``, ``"sharded"``, or
-            ``"incremental"``; see :class:`ApproximateModel`).
     """
 
     def __init__(
@@ -118,12 +115,11 @@ class AutoModel(PerformanceModel):
         detailed: PerformanceModel | None = None,
         approximate: PerformanceModel | None = None,
         pooled: PerformanceModel | None = None,
-        mode: str = "monolithic",
     ) -> None:
         budget = budget if budget is not None else ErrorBudget()
         require(
-            mode in ("monolithic", "sharded", "incremental"),
-            f"mode must be 'monolithic', 'sharded', or 'incremental', got {mode!r}",
+            isinstance(budget, ErrorBudget),
+            f"budget must be an ErrorBudget, got {type(budget).__name__}",
         )
         self.budget = budget
         # Budget terms mirrored as public scalars: the disk cache's
@@ -132,7 +128,6 @@ class AutoModel(PerformanceModel):
         self.detailed_max_k = budget.detailed_max_k  # fingerprint via model_fingerprint
         self.detailed_max_pool = budget.detailed_max_pool  # fingerprint via model_fingerprint
         self._executor = executor
-        self._mode = mode
         self._detailed = detailed
         self._approximate = approximate
         self._pooled = pooled
@@ -187,9 +182,7 @@ class AutoModel(PerformanceModel):
         if self._approximate is None:
             from repro.perf.approximate import ApproximateModel
 
-            self._approximate = ApproximateModel(
-                executor=self._executor, mode=self._mode
-            )
+            self._approximate = ApproximateModel(executor=self._executor)
         return self._approximate
 
     def _pick(self, scenario: FederationScenario) -> tuple[str, PerformanceModel]:
@@ -217,9 +210,8 @@ class AutoModel(PerformanceModel):
         self,
         scenario: FederationScenario,
         target: int | None = None,
-        deviation: int | None = None,
     ) -> PerformanceParams:
         name, model = self._pick(scenario)
         index = len(scenario) - 1 if target is None else int(target)
         with obs.span("perf.auto.solve", k=len(scenario), tier=name):
-            return model.evaluate_target(scenario, index, deviation=deviation)
+            return model.evaluate_target(scenario, index)

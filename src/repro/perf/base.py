@@ -26,7 +26,6 @@ class PerformanceModel(abc.ABC):
         self,
         scenario: FederationScenario,
         target: int,
-        deviation: int | None = None,
     ) -> PerformanceParams:
         """Return the parameters of SC ``target`` only.
 
@@ -37,12 +36,5 @@ class PerformanceModel(abc.ABC):
         Args:
             scenario: the federation (sharing vector included).
             target: index of the SC of interest.
-            deviation: optional index of the single SC whose decision
-                changed since the caller's previous query on an otherwise
-                identical scenario.  Best-response and Tabu scans plumb
-                this through so incremental models can attribute reuse;
-                models are free to ignore it, and no model may let it
-                change results (reuse must be decided by content, not by
-                trusting the hint).
         """
         return self.evaluate(scenario)[target]

@@ -426,14 +426,10 @@ class CachedModel(PerformanceModel):
         self,
         scenario: FederationScenario,
         target: int | None = None,
-        deviation: int | None = None,
     ) -> PerformanceParams:
         from repro.core.serialization import params_to_dict
 
         index = len(scenario) - 1 if target is None else int(target)
-        # The deviation hint is observational (it may never change
-        # results), so it is forwarded to the inner model but excluded
-        # from the content hash.
         key = self._hash(scenario, target=index)
         payload = self.store.load(key)
         if payload is not None:
@@ -443,7 +439,7 @@ class CachedModel(PerformanceModel):
                 obs.inc("runtime.cached_model.hit")
                 return params[0]
             self.store.discard(key)
-        result = self.model.evaluate_target(scenario, index, deviation=deviation)
+        result = self.model.evaluate_target(scenario, index)
         self.misses += 1
         obs.inc("runtime.cached_model.miss")
         self.store.store(key, {"params": [params_to_dict(result)]})

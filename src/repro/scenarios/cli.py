@@ -30,6 +30,7 @@ from repro.analysis.sanitize import InvariantViolation, sanitize_enable
 from repro.scenarios import library, runner, sweep
 from repro.scenarios.generator import DEFAULT_SEED, library_manifest
 from repro.scenarios.schema import save_spec
+from repro.sim.engine import STEP_MODES
 
 
 def _cmd_list(args: argparse.Namespace) -> int:
@@ -215,9 +216,9 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--cache-dir", default=None, help="persistent model-solution cache")
     run.add_argument(
         "--step-mode",
-        choices=["event", "batched", "three_phase"],
+        choices=STEP_MODES,
         default="event",
-        help="simulator stepping mode for --mode simulate (all bit-identical)",
+        help="simulator stepping mode for --mode simulate (both bit-identical)",
     )
     add_obs_arguments(run)
     run.set_defaults(func=_cmd_run)

@@ -306,13 +306,13 @@ def _gen_largek(rng: np.random.Generator, seed: int, index: int) -> ScenarioSpec
     K grows to 100 SCs, but only a handful of leading SCs share (unit
     shares), so every hierarchical level's pool — which is what the
     per-level state space grows with — stays bounded while the chain
-    length tracks K.  This is the regime the sharded and incremental
-    evaluation paths target, so run configs pin the approximate model —
-    the tier those paths accelerate.  The pooled model is NOT a cheap
-    stand-in here: its borrower fixed point couples all K clouds to one
-    small pool and stops contracting when K far exceeds the pool (the
-    damped map plus df-sane fallback leaves residuals of ~1e-2 at
-    K=100).  Full market games at this scale are deliberately outside
+    length tracks K.  This is the regime the level-prefix memo serves
+    best (rotations and drifts rebuild only a chain suffix), so run
+    configs pin the approximate model — the tier the memo accelerates.
+    The pooled model is NOT a cheap stand-in here: its borrower fixed
+    point couples all K clouds to one small pool and stops contracting
+    when K far exceeds the pool (the damped map plus df-sane fallback
+    leaves residuals of ~1e-2 at K=100).  Full market games at this scale are deliberately outside
     the CI smoke sweep (``smoke_subset`` defers K>10 federations to the
     ``kscale-smoke`` job) and are long-haul interactively too — a K=20
     game is tens of minutes on one core.  The fast surfaces for this

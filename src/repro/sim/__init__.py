@@ -13,10 +13,9 @@ Rebuilds the paper's C++ validation simulator in Python:
   limplock VMs, flash crowds) and the welfare-under-failure sweep.
 - :mod:`repro.sim.trace` — event trace recording for debugging/replay.
 
-The engine steps in three modes — ``event`` (reference heap), ``batched``
-(list-heap + pre-drawn RNG blocks + typed dispatch), ``three_phase``
-(same-timestamp batches with deferred statistics) — all bit-identical;
-see :data:`repro.sim.engine.STEP_MODES`.
+The engine steps in two modes — ``event`` (reference heap) and ``batched``
+(list-heap + pre-drawn RNG blocks + typed dispatch) — bit-identical to
+each other; see :data:`repro.sim.engine.STEP_MODES`.
 """
 
 from repro.sim.engine import STEP_MODES, Event, SimulationEngine

@@ -1,6 +1,6 @@
 """Generic discrete-event simulation core.
 
-A small, dependency-free event core with three stepping modes:
+A small, dependency-free event core with two stepping modes:
 
 - ``step_mode="event"`` — the retained reference path: an event heap of
   :class:`Event` objects popped one at a time.  Callers schedule
@@ -14,26 +14,12 @@ A small, dependency-free event core with three stepping modes:
   keep pre-drawn event times in sorted NumPy arrays that the run loop
   drains in tight runs — including handing a whole run to a vectorized
   handler in one call.
-- ``step_mode="three_phase"`` — batched stepping that additionally
-  groups all events sharing one timestamp into a batch processed in
-  three sweeps: *collect* (pop every event at the current time),
-  *compute* (materialize their handlers, in execution order), *apply*
-  (run them), then fire :attr:`SimulationEngine.batch_hook` once.  The
-  federation simulator uses the hook to fold its per-event statistics
-  snapshots into one per (cloud, timestamp).
 
-All three modes execute events in the identical total order
+Both modes execute events in the identical total order
 ``(time, priority, sequence)`` — ties in time break by priority (lower
 first) then insertion order — so a deterministic workload produces
-bit-identical results under every mode; the engine-equivalence property
+bit-identical results under either mode; the engine-equivalence property
 suite (``tests/property/test_engine_equivalence.py``) pins this.
-
-Ordering contract of ``three_phase``: events *scheduled during* a batch
-join a later batch even when they land on the current timestamp, so a
-handler that schedules a zero-delay event with a lower priority than a
-not-yet-applied batch member observes batch order, not heap order.  No
-simulator workload schedules into its own timestamp; the property suite
-only exercises the shared total order under workloads honoring this.
 """
 
 from __future__ import annotations
@@ -47,7 +33,7 @@ from repro import obs
 from repro.exceptions import SimulationError
 
 #: Recognized stepping modes.
-STEP_MODES = ("event", "batched", "three_phase")
+STEP_MODES = ("event", "batched")
 
 _INF = float("inf")
 
@@ -60,7 +46,7 @@ class Event:
     events execute deterministically.  Implemented with ``__slots__`` and
     a hand-written ``__lt__`` because event comparison is the simulator's
     hottest operation (every heap push/pop) in ``event`` mode; the
-    batched modes sidestep it with list-shaped heap entries.
+    batched mode sidesteps it with list-shaped heap entries.
     """
 
     __slots__ = ("time", "priority", "sequence", "callback", "cancelled")
@@ -125,7 +111,7 @@ class _EventBlock:
 
 
 class SimulationEngine:
-    """An event simulator with deterministic tie-breaking and three
+    """An event simulator with deterministic tie-breaking and two
     stepping modes (see the module docstring)."""
 
     def __init__(self, step_mode: str = "event") -> None:
@@ -134,8 +120,8 @@ class SimulationEngine:
                 f"unknown step_mode {step_mode!r}; expected one of {STEP_MODES}"
             )
         self.step_mode = step_mode
-        # event mode: a heap of Event objects.  batched/three_phase: a
-        # heap of [time, priority, seq, event, code, a, b] lists — lists
+        # event mode: a heap of Event objects.  batched: a heap of
+        # [time, priority, seq, event, code, a, b] lists — lists
         # compare element-wise at C speed, and seq is unique so the
         # trailing payload slots are never compared.
         self._heap: list = []
@@ -144,10 +130,7 @@ class SimulationEngine:
         self.now = 0.0
         self.events_executed = 0
         self.batches_executed = 0
-        #: three_phase only: called with the batch timestamp after every
-        #: same-time batch has been applied.
-        self.batch_hook: Callable[[float], None] | None = None
-        #: batched modes only: receiver of typed events,
+        #: batched mode only: receiver of typed events,
         #: ``dispatch(code, a, b)``.  Installed by the simulator built on
         #: top of the engine (one bound method replaces per-event
         #: closures on the hot path).
@@ -194,7 +177,7 @@ class SimulationEngine:
 
     # hot-path: one call per scheduled simulator event in batched mode
     def schedule_typed(self, delay: float, code: int, a: int = 0, b: int = 0, priority: int = 0) -> None:
-        """Schedule a typed event ``(code, a, b)`` (batched modes only).
+        """Schedule a typed event ``(code, a, b)`` (batched mode only).
 
         Typed events dispatch through :attr:`typed_dispatch` and carry no
         callback or Event object — the allocation-free fast lane of the
@@ -309,8 +292,8 @@ class SimulationEngine:
     def step(self) -> bool:
         """Execute the next live event.  Returns False if none remain.
 
-        Works in every mode; the batched modes use it as the tie-breaking
-        slow path around their bulk drains.
+        Works in both modes; the batched mode uses it as the tie-breaking
+        slow path around its bulk drains.
         """
         if self.step_mode == "event":
             heap = self._heap
@@ -328,7 +311,7 @@ class SimulationEngine:
         return self._step_merged()
 
     def _step_merged(self) -> bool:
-        """One event off the merged heap + block sources (batched modes)."""
+        """One event off the merged heap + block sources (batched mode)."""
         hkey = self._heap_key()
         best_block: _EventBlock | None = None
         best_key = hkey
@@ -382,10 +365,8 @@ class SimulationEngine:
             raise SimulationError(f"horizon {horizon} is in the past (now={self.now})")
         if self.step_mode == "event":
             executed = self._run_event(horizon, max_events)
-        elif self.step_mode == "batched":
-            executed = self._run_batched(horizon, max_events)
         else:
-            executed = self._run_three_phase(horizon, max_events)
+            executed = self._run_batched(horizon, max_events)
         if executed:
             obs.inc("sim.engine.events", executed)
         self.now = max(self.now, horizon)
@@ -496,75 +477,6 @@ class SimulationEngine:
             executed += done
         return executed
 
-    def _run_three_phase(self, horizon: float, max_events: int | None) -> int:
-        """Collect -> compute -> apply, one batch per timestamp.
-
-        Phase 1 pops every event sharing the next timestamp (across the
-        heap and all blocks, in (priority, seq) order).  Phase 2
-        materializes their handlers into an apply list — the point where
-        a simulator layered on top has *collected all deliveries* for the
-        timestamp but not yet mutated state.  Phase 3 applies in order,
-        then :attr:`batch_hook` fires once for the whole batch.
-        """
-        executed = 0
-        while True:
-            if max_events is not None and executed >= max_events:
-                break
-            first = self._next_key()
-            if first is None or first[0] >= horizon:
-                break
-            batch_time = first[0]
-            # Phase 1+2 fused: popping in key order *is* the ordered
-            # compute list; entries hold everything needed to apply.
-            batch: list = []
-            while True:
-                if max_events is not None and executed + len(batch) >= max_events:
-                    break
-                key = self._next_key()
-                if key is None or key[0] != batch_time:
-                    break
-                batch.append(self._pop_one(key))
-            if not batch:
-                break
-            # Phase 3: apply in collected order.
-            self.now = max(self.now, batch_time)
-            self.events_executed += len(batch)
-            executed += len(batch)
-            self.batches_executed += 1
-            for thunk in batch:
-                thunk()
-            if self.batch_hook is not None:
-                self.batch_hook(batch_time)
-        return executed
-
-    def _pop_one(self, key: "tuple[float, int, int]") -> Callable[[], None]:
-        """Remove the event at ``key`` and return its apply thunk."""
-        hkey = self._heap_key()
-        if hkey == key:
-            entry = heapq.heappop(self._heap)
-            event = entry[3]
-            if event is not None:
-                callback: Callable[[], None] = event.callback
-                return callback
-            dispatch = self.typed_dispatch
-            if dispatch is None:
-                raise SimulationError("typed event scheduled without a typed_dispatch")
-            return _TypedCall(dispatch, entry[4], entry[5], entry[6])
-        for block in self._blocks:
-            if block.index < len(block.times):
-                bkey = (
-                    float(block.times[block.index]),
-                    block.priority,
-                    block.seq0 + block.index,
-                )
-                if bkey == key:
-                    index = block.index
-                    block.index = index + 1
-                    if block.vectorized:
-                        return _SliceCall(block.handler, float(block.times[index]))
-                    return _TimeCall(block.handler, float(block.times[index]))
-        raise SimulationError("event sources drifted during batch collection")
-
 
 class _TimeCall:
     """Deferred per-event handler call (bound early, no closure bugs)."""
@@ -590,20 +502,3 @@ class _SliceCall:
 
     def __call__(self) -> None:
         self.handler(np.asarray([self.time]))
-
-
-class _TypedCall:
-    """Deferred typed dispatch for the three-phase apply list."""
-
-    __slots__ = ("dispatch", "code", "a", "b")
-
-    def __init__(
-        self, dispatch: Callable[[int, int, int], None], code: int, a: int, b: int
-    ) -> None:
-        self.dispatch = dispatch
-        self.code = code
-        self.a = a
-        self.b = b
-
-    def __call__(self) -> None:
-        self.dispatch(self.code, self.a, self.b)

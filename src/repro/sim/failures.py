@@ -39,6 +39,7 @@ from typing import TYPE_CHECKING, Any
 
 from repro._validation import check_finite, check_non_negative, check_non_negative_int
 from repro.exceptions import ConfigurationError
+from repro.sim.engine import STEP_MODES
 
 if TYPE_CHECKING:
     from repro.scenarios.schema import ScenarioSpec
@@ -200,12 +201,22 @@ def failure_impact(
     Eq. (2) (no sharing, no cost reduction), so ``welfare_failed > 0``
     is exactly "sharing still beats the public cloud under this
     failure".
+
+    Raises:
+        ConfigurationError: a window starts at or after the horizon, so
+            the failed run would silently equal the healthy one.
     """
     from repro.market.fairness import welfare
     from repro.sim.federation import FederationSimulator
 
     scenario = spec.federation()
     span = float(horizon if horizon is not None else spec.run.horizon)
+    late = [w for w in spec.failures if w.start >= span]
+    if late:
+        raise ConfigurationError(
+            f"{spec.name}: failure window starting at {late[0].start} "
+            f"never opens before horizon {span}"
+        )
     warmup = span * 0.05
     healthy = FederationSimulator(
         scenario, seed=spec.run.seed, step_mode=step_mode
@@ -301,7 +312,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser.add_argument(
         "--step-mode",
         default="batched",
-        choices=("event", "batched", "three_phase"),
+        choices=STEP_MODES,
         help="simulator stepping mode (default: batched)",
     )
     parser.add_argument(

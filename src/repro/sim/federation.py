@@ -26,8 +26,6 @@ from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-import numpy as np
-
 from repro._validation import check_non_negative, check_positive
 from repro.core.small_cloud import FederationScenario
 from repro.exceptions import SimulationError
@@ -224,14 +222,12 @@ class FederationSimulator:
             Poisson defaults (Sect. VII extension).  When provided, the
             scenario's ``arrival_rate`` is only used by analytic models.
         trace: optional :class:`TraceRecorder` capturing every event.
-        step_mode: engine stepping mode (``event`` reference path,
-            ``batched`` throughput path, or ``three_phase``).  All modes
-            produce bit-identical metrics and traces: the batched paths
-            draw arrival/service/SLA randomness from pre-drawn stream
-            blocks (see :mod:`repro.sim.rng` for the mapping) and replace
-            per-event closures with typed dispatch, and ``three_phase``
-            additionally folds the per-event statistics snapshots of each
-            timestamp batch into one deferred ``record`` per cloud.
+        step_mode: engine stepping mode (``event`` reference path or
+            ``batched`` throughput path).  Both produce bit-identical
+            metrics and traces: the batched path draws arrival/service/SLA
+            randomness from pre-drawn stream blocks (see
+            :mod:`repro.sim.rng` for the mapping) and replaces per-event
+            closures with typed dispatch.
         failures: optional schedule of :class:`FailureWindow` injections
             (see :mod:`repro.sim.failures` for the semantics).
     """
@@ -277,13 +273,13 @@ class FederationSimulator:
         self._service_rng = [self.streams.stream(f"service[{i}]") for i in range(self.k)]
         self._choice_rng = self.streams.stream("choices")
         self._sla_rng = self.streams.stream("sla")
-        # Batched modes: pre-drawn stream blocks (bit-identical to the
+        # Batched mode: pre-drawn stream blocks (bit-identical to the
         # scalar draws, see repro.sim.rng) and typed event dispatch.
         # Blocks exist only where the scalar path would draw from the
         # same stream with a fixed one-draw routine: Poisson arrivals,
         # exponential service, SLA uniforms.  Everything else (choice
-        # tie-breaks, custom distributions) stays scalar in every mode.
-        batched = step_mode != "event"
+        # tie-breaks, custom distributions) stays scalar in both modes.
+        batched = step_mode == "batched"
         self._typed = batched
         self._arrival_block: list[ExponentialBlock | None] = [
             ExponentialBlock(rng) if batched and self.arrivals is None else None
@@ -300,15 +296,6 @@ class FederationSimulator:
         )
         if batched:
             self.engine.typed_dispatch = self._dispatch
-        # Deferred statistics snapshots: in three_phase mode, handlers
-        # mark clouds dirty and the engine's batch hook records each
-        # dirty cloud once per timestamp batch (float-identical to the
-        # per-event records because intermediate same-time records only
-        # perform dt=0 snapshot refreshes).
-        self._defer = step_mode == "three_phase"
-        self._dirty: set[int] = set()
-        if self._defer:
-            self.engine.batch_hook = self._flush_records
         # Failure injection: active-window state plus scheduled
         # transitions at priority -1 (before same-time arrivals).
         self.failures: tuple[FailureWindow, ...] = tuple(failures or ())
@@ -385,15 +372,6 @@ class FederationSimulator:
         else:  # pragma: no cover - engine schedules only the codes above
             raise SimulationError(f"unknown typed event code {code}")
 
-    def _flush_records(self, time: float) -> None:
-        """three_phase batch hook: one record per dirty cloud per batch."""
-        dirty = self._dirty
-        if dirty:
-            clouds = self.clouds
-            for index in dirty:
-                clouds[index].record(time)
-            dirty.clear()
-
     def _record_all(self) -> None:
         now = self.engine.now
         for state in self.clouds:
@@ -417,10 +395,7 @@ class FederationSimulator:
                 if self._measuring:
                     state.forwarded += flushed
                 self._emit("outage_flush", sc=sc, flushed=flushed)
-            if self._defer:
-                self._dirty.add(sc)
-            else:
-                state.record(self.engine.now)
+            state.record(self.engine.now)
         elif window.kind == "limplock":
             self._service_factor[sc] = window.factor
         else:
@@ -470,16 +445,10 @@ class FederationSimulator:
                 state.borrowed_count += 1
                 self._schedule_completion(sc, lender)
                 self._emit("serve_borrowed", sc=sc, host=lender)
-                if self._defer:
-                    self._dirty.add(lender)
-                else:
-                    host.record(now)
+                host.record(now)
             else:
                 self._queue_or_forward(sc)
-        if self._defer:
-            self._dirty.add(sc)
-        else:
-            state.record(now)
+        state.record(now)
 
     def _pick_lender(self, sc: int) -> int | None:
         """Lender with a free VM, sharing headroom, and minimum load."""
@@ -542,18 +511,11 @@ class FederationSimulator:
         self._emit("complete", owner=owner, host=host)
         extra = self._allocate_freed_vm(host)
         now = self.engine.now
-        if self._defer:
-            dirty = self._dirty
-            dirty.add(owner)
-            dirty.add(host)
-            if extra is not None:
-                dirty.add(extra)
-        else:
-            owner_state.record(now)
-            if host != owner:
-                host_state.record(now)
-            if extra is not None and extra not in (owner, host):
-                self.clouds[extra].record(now)
+        owner_state.record(now)
+        if host != owner:
+            host_state.record(now)
+        if extra is not None and extra not in (owner, host):
+            self.clouds[extra].record(now)
 
     def _allocate_freed_vm(self, host: int) -> int | None:
         """Dispatch the VM freed at ``host`` per the paper's return rules.

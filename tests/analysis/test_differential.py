@@ -84,7 +84,6 @@ class TestKsweepRegistry:
     def test_ksweep_scenarios_registered(self):
         for name, k in (("ksweep10", 10), ("ksweep20", 20)):
             spec = SCENARIOS[name]
-            assert spec.matrix == "modes"
             assert len(spec.scenario) == k
 
     def test_ksweep_pools_stay_bounded(self):
@@ -103,13 +102,6 @@ class TestKsweepRegistry:
         assert len(active) == 3
         assert all(space == [0] for space in spaces[3:])
 
-    def test_matrix_field_is_validated(self):
-        import dataclasses
-
-        spec = SCENARIOS["quick"]
-        with pytest.raises(ValueError):
-            dataclasses.replace(spec, matrix="nonsense")
-
     def test_spaces_length_is_validated(self):
         import dataclasses
 
@@ -120,20 +112,16 @@ class TestKsweepRegistry:
 
 @pytest.mark.slow
 class TestKsweepCells:
-    def test_mode_cells_match_reference(self):
-        # A 4-cell slice of the ksweep10 matrix: serial/monolithic as
-        # reference against each other mode and a threaded cell.  The
-        # full 9-cell matrix (including process backends) runs in the
-        # kscale-smoke CI job.
+    def test_variant_cells_match_reference(self):
+        # A 4-cell slice of the ksweep10 matrix: serial/base as reference
+        # against each other variant and a threaded cell.  The full
+        # matrix (including process backends) runs in the kscale-smoke
+        # CI job.
         spec = SCENARIOS["ksweep10"]
-        reference = _run_cell(spec, "serial", "monolithic")
-        assert (
-            _run_cell(spec, "serial", "sharded")["digest"] == reference["digest"]
-        )
-        assert (
-            _run_cell(spec, "serial", "incremental")["digest"]
-            == reference["digest"]
-        )
-        assert (
-            _run_cell(spec, "thread", "sharded")["digest"] == reference["digest"]
-        )
+        reference = _run_cell(spec, "serial", "base")
+        for backend, variant in (
+            ("serial", "nomemo"),
+            ("serial", "warm"),
+            ("thread", "base"),
+        ):
+            assert _run_cell(spec, backend, variant)["digest"] == reference["digest"]

@@ -152,9 +152,9 @@ class TestConfiguration:
         with pytest.raises(Exception):
             ErrorBudget(detailed_max_k=0)
 
-    def test_mode_validation(self):
-        with pytest.raises(Exception):
-            AutoModel(mode="turbo")
+    def test_mode_keyword_is_gone(self):
+        with pytest.raises(TypeError):
+            AutoModel(mode="monolithic")
 
     def test_pickle_resets_counts(self):
         auto = AutoModel()

@@ -10,12 +10,18 @@ change to a prefix (or the model configuration) invalidates reuse.
 from __future__ import annotations
 
 import pickle
+from dataclasses import replace
 
 import pytest
 
+from repro.bench.scenarios import kscale_scenario
 from repro.core.small_cloud import FederationScenario, SmallCloud
 from repro.exceptions import ConfigurationError
 from repro.perf.approximate import ApproximateModel
+
+
+#: Chain length of the prefix-reuse cases.
+K_MEMO = 6
 
 
 def scenario_3sc(rates=(3.0, 3.5, 2.5)) -> FederationScenario:
@@ -84,14 +90,32 @@ class TestInvalidation:
         model.evaluate_target(changed)
         assert model.level_cache_stats()["misses"] == misses + len(base)
 
-    def test_shared_prefix_reused_when_only_tail_changes(self):
+    @pytest.mark.parametrize(
+        "field, step, position, rebuilt",
+        # A rate or SLA drift at position p leaves sum(S), and so every
+        # pool, alone: the p-level prefix is reused, the K - p suffix
+        # rebuilt.  A share move changes sum(S), re-keying all K pools.
+        [("arrival_rate", 0.001, p, K_MEMO - p) for p in range(K_MEMO)]
+        + [("sla_bound", 0.5, p, K_MEMO - p) for p in (1, 3, K_MEMO - 1)]
+        + [("shared_vms", 1, p, K_MEMO) for p in (0, 2, K_MEMO - 1)],
+    )
+    def test_shared_prefix_reused_when_only_tail_changes(
+        self, field, step, position, rebuilt
+    ):
+        base = kscale_scenario(K_MEMO, sharers=3, vms=2)
+        clouds = list(base.clouds)
+        cloud = clouds[position]
+        clouds[position] = replace(cloud, **{field: getattr(cloud, field) + step})
+        moved = FederationScenario(tuple(clouds))
+        assert (moved.total_shared() != base.total_shared()) == (field == "shared_vms")
+
         model = ApproximateModel(level_cache_size=64)
-        model.evaluate_target(scenario_3sc(rates=(3.0, 3.5, 2.5)))
+        model.evaluate_target(base)
         misses = model.level_cache_stats()["misses"]
-        # Only the last SC's rate changes; sharing is untouched, so every
-        # pool size is unchanged and the first K-1 levels are reused.
-        model.evaluate_target(scenario_3sc(rates=(3.0, 3.5, 2.8)))
-        assert model.level_cache_stats()["misses"] == misses + 1
+        warm = model.evaluate_target(moved)
+        assert model.level_cache_stats()["misses"] == misses + rebuilt
+        # The reused prefix answers exactly what a cold build would.
+        assert warm == ApproximateModel(level_cache_size=0).evaluate_target(moved)
 
     def test_different_config_never_shares(self):
         scenario = scenario_3sc()

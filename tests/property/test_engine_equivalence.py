@@ -1,15 +1,11 @@
-"""Property-based tests: the three stepping modes are bit-identical.
+"""Property-based tests: the two stepping modes are bit-identical.
 
 Random raw-engine schedules and random federation workloads (healthy and
 failure-injected) must produce identical event logs, final statistics,
-and trace-event sequences under ``event``, ``batched``, and
-``three_phase`` stepping — and replication experiments must reduce to
-identical confidence intervals on every executor backend.  This is the
-engine-equivalence guarantee :mod:`repro.sim.engine` documents.
-
-Generated workloads honor the three-phase ordering contract: handlers
-never schedule into their own timestamp (follow-up delays are strictly
-positive).
+and trace-event sequences under ``event`` and ``batched`` stepping — and
+replication experiments must reduce to identical confidence intervals on
+every executor backend.  This is the engine-equivalence guarantee
+:mod:`repro.sim.engine` documents.
 """
 
 from dataclasses import asdict
@@ -33,13 +29,13 @@ pytestmark = pytest.mark.slow
 # raw-engine schedules
 # --------------------------------------------------------------------- #
 
-# One root event: (delay, priority, follow-up delays).  Follow-ups are
-# strictly positive so the workload honors the three-phase contract.
+# One root event: (delay, priority, follow-up delays).  Zero follow-up
+# delays schedule into the current timestamp.
 root_event = hyp.tuples(
     hyp.floats(min_value=0.0, max_value=8.0),
     hyp.integers(min_value=-2, max_value=2),
     hyp.lists(
-        hyp.floats(min_value=1e-3, max_value=4.0),
+        hyp.floats(min_value=0.0, max_value=4.0),
         min_size=0,
         max_size=3,
     ),
@@ -85,8 +81,7 @@ def run_schedule(mode, roots, block_offsets, vectorized):
 def test_random_schedules_identical_across_modes(roots, block_offsets):
     """Callback + block schedules log identically in every mode."""
     reference = run_schedule("event", roots, block_offsets, vectorized=False)
-    for mode in ("batched", "three_phase"):
-        assert run_schedule(mode, roots, block_offsets, vectorized=False) == reference
+    assert run_schedule("batched", roots, block_offsets, vectorized=False) == reference
 
 
 @given(
@@ -116,7 +111,6 @@ def test_vectorized_blocks_cover_the_same_events(roots, block_offsets):
         log, executed, now = run_schedule(mode, roots, block_offsets, vectorized=True)
         results[mode] = (flatten(log), executed, now)
     assert results["batched"] == results["event"]
-    assert results["three_phase"] == results["event"]
 
 
 # --------------------------------------------------------------------- #
@@ -162,8 +156,7 @@ def test_federation_metrics_and_traces_identical(specs, seed):
     """Random federations: metrics and trace sequences match bit-for-bit."""
     scenario = build_scenario(specs)
     reference = simulate(scenario, seed, "event")
-    for mode in ("batched", "three_phase"):
-        assert simulate(scenario, seed, mode) == reference
+    assert simulate(scenario, seed, "batched") == reference
 
 
 window_strategy = hyp.tuples(
@@ -198,8 +191,7 @@ def test_failure_injection_identical_across_modes(specs, seed, windows):
     horizon = 250.0 * len(windows) + 50.0
     reference = simulate(scenario, seed, "event", failures, horizon)
     assert sum(len(m) for m in reference[0]) > 0
-    for mode in ("batched", "three_phase"):
-        assert simulate(scenario, seed, mode, failures, horizon) == reference
+    assert simulate(scenario, seed, "batched", failures, horizon) == reference
 
 
 # --------------------------------------------------------------------- #
@@ -243,5 +235,5 @@ def test_replications_identical_across_modes_and_backends(seed):
 
 
 def test_modes_constant_matches_engine():
-    assert STEP_MODES == ("event", "batched", "three_phase")
+    assert STEP_MODES == ("event", "batched")
     assert np.asarray([1.0]).dtype == float  # numpy available for blocks

@@ -159,18 +159,6 @@ class TestMergedStepping:
         assert log == ["kept"]
         assert engine.events_executed == 1
 
-    def test_three_phase_batch_hook_fires_once_per_timestamp(self):
-        engine = SimulationEngine(step_mode="three_phase")
-        hooks = []
-        engine.batch_hook = hooks.append
-        for _ in range(3):
-            engine.schedule(1.0, lambda: None)
-        engine.schedule(2.0, lambda: None)
-        engine.run_until(10.0)
-        assert hooks == [1.0, 2.0]
-        assert engine.batches_executed == 2
-        assert engine.events_executed == 4
-
 
 class TestRngBlocks:
     def test_exponential_block_matches_scalar_draws(self):

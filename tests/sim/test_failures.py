@@ -13,7 +13,9 @@ import pytest
 from repro.core.small_cloud import FederationScenario, SmallCloud
 from repro.analysis.sanitize import InvariantViolation
 from repro.exceptions import ConfigurationError, SimulationError
+from repro.scenarios.library import resolve
 from repro.scenarios.schema import RunConfig, ScenarioSpec, spec_from_dict
+from repro.sim.engine import STEP_MODES
 from repro.sim.failures import (
     FAILURE_KINDS,
     FailureWindow,
@@ -327,12 +329,17 @@ class TestSweep:
         spec = small_failure_spec()
         reports = {
             mode: failure_impact(spec, step_mode=mode)
-            for mode in ("event", "batched", "three_phase")
+            for mode in STEP_MODES
         }
         for report in reports.values():
             report.pop("step_mode")
         assert reports["batched"] == reports["event"]
-        assert reports["three_phase"] == reports["event"]
+
+    def test_failure_impact_rejects_windows_past_the_horizon(self):
+        # failure-000's outage opens at 567.2 s: a 400 s run would report
+        # the healthy federation as the failed one.
+        with pytest.raises(ConfigurationError, match="never opens"):
+            failure_impact(resolve("failure-000"), horizon=400.0)
 
     def test_sweep_over_explicit_specs(self):
         report = sweep([small_failure_spec()], horizon=200.0)
@@ -343,7 +350,7 @@ class TestSweep:
     def test_cli_writes_report(self, tmp_path, capsys):
         out = tmp_path / "failures.json"
         code = main(
-            ["--scenario", "failure-000", "--horizon", "120", "--output", str(out)]
+            ["--scenario", "failure-000", "--horizon", "600", "--output", str(out)]
         )
         assert code == 0
         captured = capsys.readouterr().out
