@@ -6,39 +6,22 @@ probability vectors being valid distributions, Fox–Glynn windows
 normalizing, utilities staying finite.  This package makes those
 invariants mechanical:
 
-- :mod:`repro.analysis.lint` — a standalone AST checker
-  (``python -m repro.analysis.lint src``) with domain-specific rules
-  (unseeded randomness, float equality on probabilities, mutation of
-  frozen configuration objects, unvalidated public entry points,
+- :mod:`repro.analysis.lint` — an AST checker with domain-specific
+  rules (unseeded randomness, float equality on probabilities, mutation
+  of frozen configuration objects, unvalidated public entry points,
   nondeterministic cache keys), plus the concurrency rules of
   :mod:`repro.analysis.concurrency` (lock discipline over
   ``# guarded-by:`` attributes, check-then-act, lock ordering, pickle
   hooks for sync state, module-level mutable state).  Each rule has a
   stable ``RPRxxx`` code and a ``# repro: noqa[CODE]`` escape hatch.
 - :mod:`repro.analysis.dataflow` — an interprocedural dataflow/taint
-  checker (``python -m repro.analysis.dataflow src``) built on
-  :mod:`repro.analysis.summaries`: cache-key omission against
-  ``# fingerprint-input:`` declarations, unordered-iteration order
-  feeding float sums or digests, environment/thread taint reaching
-  fingerprints and persisted payloads, post-fingerprint mutation, and
-  unversioned payload formats (RPR301–RPR306).  Its ``--self-test``
-  seeds fingerprint-omission mutants and demands 100% RPR301 recall.
-- :mod:`repro.analysis.perf_lint` — a profile-guided hot-path
-  performance lint (``python -m repro.analysis.perf_lint src``):
-  RPR401–RPR406 flag dense materialization, unvectorized element
-  loops, loop-invariant expensive calls, allocation churn, eager
-  observability formatting, and per-element lock/cache traffic — but
-  *only* inside the hot region computed by
-  :mod:`repro.analysis.hotness` (a static hotness index over the
-  may-call graph from ``# hot-path`` annotations, fused with the
-  committed cProfile evidence).  Its ``--self-test`` injects one
-  anti-pattern mutant per rule into real hot functions and demands
-  100% detection.
-- :mod:`repro.analysis.hotspots` — the hotness report and CI agreement
-  gate (``python -m repro.analysis.hotspots --check``): ranks
-  functions by fused static/profile score, re-collects the committed
-  evidence (``--collect``), and flags blind spots — code under an
-  annotated root the profiled workload never executed.
+  checker built on :mod:`repro.analysis.summaries`: cache-key omission
+  against ``# fingerprint-input:`` declarations, unordered-iteration
+  order feeding float sums or digests, environment/thread taint
+  reaching fingerprints and persisted payloads, post-fingerprint
+  mutation, and unversioned payload formats (RPR301–RPR306).  Its
+  mutation self-test seeds fingerprint-omission mutants and demands
+  100% RPR301 recall.
 - :mod:`repro.analysis.sanitize` — a runtime "stochastic sanitizer":
   debug-mode contracts over generators, distributions, interaction
   vectors, performance parameters, and cache payloads, enabled with
@@ -54,9 +37,10 @@ invariants mechanical:
   asserting bitwise-identical game results across
   serial/thread/process execution and caching variants.
 
-``python -m repro.analysis check`` runs all four static rule families
-(RPR1xx/RPR2xx/RPR3xx/RPR4xx) in one pass with a shared ``--select``
-and a common JSON report format (see :mod:`repro.analysis.__main__`).
+``python -m repro.analysis check`` is the one command line over both
+static rule families (RPR1xx/RPR2xx/RPR3xx): one pass with a shared
+``--select``, a common JSON report format, and ``--self-test`` for the
+RPR301 recall run (see :mod:`repro.analysis.__main__`).
 
 All layers are dependency-free (stdlib ``ast``/``threading`` plus
 numpy) and cheap when disabled: every sanitizer hook is guarded by one

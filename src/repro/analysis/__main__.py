@@ -1,22 +1,22 @@
-"""Umbrella CLI over every static rule family.
+"""The one command line over every static rule family.
 
-``python -m repro.analysis check`` runs all four families in one pass:
+``python -m repro.analysis check`` runs both families in one pass:
 
 - RPR1xx/RPR2xx — domain + concurrency lint (:mod:`repro.analysis.lint`),
 - RPR3xx — interprocedural fingerprint/determinism dataflow
-  (:mod:`repro.analysis.dataflow`),
-- RPR4xx — profile-guided hot-path performance lint
-  (:mod:`repro.analysis.perf_lint`).
+  (:mod:`repro.analysis.dataflow`).
 
 ``--select`` accepts codes from any family and routes each code to the
-checker that owns it; families with no selected codes are skipped
-entirely (the RPR3xx/RPR4xx passes build whole-project summaries, so
-skipping them matters).  ``--format json`` emits the shared
+checker that owns it; a family with no selected codes is skipped
+entirely (the RPR3xx pass builds whole-project summaries, so skipping
+it matters).  ``--format json`` emits the shared
 ``repro.analysis.lint-report`` payload with violations from every
-family merged and sorted; ``--list-rules`` prints one consistent table.
+family merged and sorted; ``--list-rules`` prints one rule table.
+``--self-test`` measures RPR301 recall instead of linting: it seeds one
+fingerprint-omission mutant per flowing cache-key input under the given
+paths and demands every one is caught.
 
-Exit codes match the per-family CLIs: 0 clean, 1 violations, 2 usage
-error.
+Exit codes: 0 clean, 1 violations or a missed mutant, 2 usage error.
 """
 
 from __future__ import annotations
@@ -24,29 +24,20 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
-from repro.analysis import dataflow, lint, perf_lint
-from repro.analysis.hotness import DEFAULT_PROFILE_PATH, ProfileEvidence
+from repro.analysis import dataflow, lint
 from repro.analysis.lintbase import LintRule, Violation, render_json
 
 __all__ = ["main"]
 
-#: family name -> (rule table, how to run it).  Order is report order.
-_FAMILIES: tuple[tuple[str, tuple[LintRule, ...]], ...] = (
-    ("lint", lint.LINT_RULES),
-    ("dataflow", dataflow.DATAFLOW_RULES),
-    ("perf_lint", perf_lint.PERF_RULES),
+#: family name -> (rule table, checker).  Order is report order.
+_FAMILIES: tuple[
+    tuple[str, tuple[LintRule, ...], Callable[..., list[Violation]]], ...
+] = (
+    ("lint", lint.LINT_RULES, lint.lint_paths),
+    ("dataflow", dataflow.DATAFLOW_RULES, dataflow.analyze_paths),
 )
-
-
-def _rule_owner() -> dict[str, str]:
-    """Map every known RPR code to the family that owns it."""
-    owner: dict[str, str] = {}
-    for family, rules in _FAMILIES:
-        for rule in rules:
-            owner[rule.code] = family
-    return owner
 
 
 def _split_select(
@@ -60,8 +51,8 @@ def _split_select(
     :class:`ValueError` on unknown codes.
     """
     if raw is None:
-        return {family: None for family, _ in _FAMILIES}
-    owner = _rule_owner()
+        return {name: None for name, _rules, _run in _FAMILIES}
+    owner = {rule.code: name for name, rules, _run in _FAMILIES for rule in rules}
     codes = [code.strip().upper() for code in raw.split(",") if code.strip()]
     unknown = [code for code in codes if code not in owner]
     if unknown:
@@ -71,38 +62,19 @@ def _split_select(
         )
     routed: dict[str, list[str] | None] = {}
     for code in codes:
-        family = owner[code]
-        bucket = routed.setdefault(family, [])
+        bucket = routed.setdefault(owner[code], [])
         assert bucket is not None  # buckets are always lists here
         bucket.append(code)
     return routed
 
 
-def _run_family(
-    family: str,
-    paths: Sequence[Path],
-    select: list[str] | None,
-    profile: ProfileEvidence | None,
-) -> list[Violation]:
-    if family == "lint":
-        return lint.lint_paths(paths, select=select)
-    if family == "dataflow":
-        return dataflow.analyze_paths(paths, select=select)
-    return perf_lint.analyze_paths(paths, select=select, profile=profile)
-
-
-def check(
-    paths: Sequence[Path],
-    select: str | None = None,
-    profile: ProfileEvidence | None = None,
-) -> list[Violation]:
+def check(paths: Sequence[Path], select: str | None = None) -> list[Violation]:
     """Run every (selected) rule family over ``paths``; merged findings."""
     routed = _split_select(select)
     violations: list[Violation] = []
-    for family, _ in _FAMILIES:
-        if family not in routed:
-            continue
-        violations.extend(_run_family(family, paths, routed[family], profile))
+    for name, _rules, run in _FAMILIES:
+        if name in routed:
+            violations.extend(run(paths, select=routed[name]))
     violations.sort(key=lambda v: (v.path, v.line, v.col, v.code))
     return violations
 
@@ -110,15 +82,14 @@ def check(
 def main(argv: Sequence[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis",
-        description="Umbrella over the repro static checkers: domain/"
-        "concurrency lint (RPR1xx/2xx), fingerprint dataflow (RPR3xx), "
-        "and hot-path performance lint (RPR4xx).",
+        description="The repro static checker: domain/concurrency lint "
+        "(RPR1xx/2xx) and fingerprint dataflow (RPR3xx).",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     checker = sub.add_parser(
         "check",
         help="run all rule families over the given paths",
-        description="Run RPR1xx/2xx/3xx/4xx in one pass; --select routes "
+        description="Run RPR1xx/2xx/3xx in one pass; --select routes "
         "codes to the owning family and skips families with none selected.",
     )
     checker.add_argument(
@@ -145,19 +116,13 @@ def main(argv: Sequence[str] | None = None) -> int:
         help="violation output format (default: text)",
     )
     checker.add_argument(
-        "--profile",
-        metavar="FILE",
-        help="profile evidence for the RPR4xx hotness fusion "
-        f"(default: {DEFAULT_PROFILE_PATH} when present)",
-    )
-    checker.add_argument(
-        "--no-profile",
+        "--self-test",
         action="store_true",
-        help="ignore committed profile evidence (annotation-only hotness)",
+        help="seed fingerprint-omission mutants and verify RPR301 recall",
     )
     options = parser.parse_args(argv)
     if options.list_rules:
-        for _, rules in _FAMILIES:
+        for _name, rules, _run in _FAMILIES:
             for rule in rules:
                 print(f"{rule.code}  {rule.name:32s} {rule.summary}")
         return 0
@@ -166,13 +131,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     if missing:
         print(f"error: no such path(s): {', '.join(missing)}", file=sys.stderr)
         return 2
+    if options.self_test:
+        return dataflow.run_self_test(paths)
     try:
-        profile = perf_lint._load_profile(options.profile, options.no_profile)
-    except (OSError, ValueError) as exc:
-        print(f"error: cannot load profile: {exc}", file=sys.stderr)
-        return 2
-    try:
-        violations = check(paths, select=options.select, profile=profile)
+        violations = check(paths, select=options.select)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -44,9 +44,9 @@ Conventions introduced here:
   instead.
 
 Suppression uses the standard ``# repro: noqa[RPR2xx]`` comment.  Run
-through the unified CLI::
+through the analyzer's command line::
 
-    python -m repro.analysis.lint --select RPR201,RPR202,RPR203,RPR204,RPR205 src
+    python -m repro.analysis check --select RPR201,RPR202,RPR203,RPR204,RPR205 src
 """
 
 from __future__ import annotations

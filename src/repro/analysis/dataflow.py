@@ -1,11 +1,11 @@
 """Interprocedural fingerprint-soundness & determinism lint (RPR3xx).
 
-Run as a module::
+Run through the analyzer's command line::
 
-    python -m repro.analysis.dataflow src
-    python -m repro.analysis.dataflow --list-rules
-    python -m repro.analysis.dataflow --select RPR301 src
-    python -m repro.analysis.dataflow --self-test src
+    python -m repro.analysis check src
+    python -m repro.analysis check --list-rules
+    python -m repro.analysis check --select RPR301 src
+    python -m repro.analysis check --self-test src
 
 The system's correctness rests on content-hash caches at three tiers
 (level-prefix memo, warm-start replay, disk params cache) and on
@@ -46,7 +46,6 @@ other rule families.
 
 from __future__ import annotations
 
-import argparse
 import ast
 import sys
 from dataclasses import dataclass
@@ -59,7 +58,7 @@ from repro.analysis.dataflow_fingerprint import (
     check_fingerprints,
     required_inputs,
 )
-from repro.analysis.lintbase import LintRule, Violation, apply_noqa, render_json
+from repro.analysis.lintbase import LintRule, Violation, apply_noqa
 from repro.analysis.summaries import (
     FunctionInfo,
     ModuleInfo,
@@ -72,7 +71,6 @@ __all__ = [
     "MutantOutcome",
     "analyze_paths",
     "analyze_sources",
-    "main",
     "run_self_test",
 ]
 
@@ -80,8 +78,6 @@ __all__ = [
 DATAFLOW_RULES: tuple[LintRule, ...] = tuple(
     sorted((*FINGERPRINT_RULES, *DETERMINISM_RULES), key=lambda rule: rule.code)
 )
-
-_RULE_BY_CODE = {rule.code: rule for rule in DATAFLOW_RULES}
 
 
 def analyze_sources(
@@ -245,94 +241,3 @@ def run_self_test(paths: Sequence[Path], stream: TextIO | None = None) -> int:
         print("self-test: no fingerprint functions found", file=stream)
         return 1
     return 0 if caught_count == total else 1
-
-
-# -- CLI -----------------------------------------------------------------
-
-
-def _parse_select(raw: str | None) -> list[str] | None:
-    """Parse ``--select``; raises :class:`ValueError` on unknown codes."""
-    if raw is None:
-        return None
-    codes = [code.strip().upper() for code in raw.split(",") if code.strip()]
-    unknown = [code for code in codes if code not in _RULE_BY_CODE]
-    if unknown:
-        raise ValueError(
-            f"unknown rule code(s): {', '.join(unknown)} "
-            f"(known: {', '.join(sorted(_RULE_BY_CODE))}; RPR1xx/RPR2xx "
-            "run through python -m repro.analysis.lint, RPR4xx through "
-            "python -m repro.analysis.perf_lint)"
-        )
-    return codes
-
-
-def main(argv: Sequence[str] | None = None) -> int:
-    """CLI entry point; returns the process exit code (0 clean, 1
-    violations or self-test misses, 2 usage error)."""
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.analysis.dataflow",
-        description="Interprocedural fingerprint-soundness and "
-        "determinism lint (RPR301-RPR306): cache-key omission, "
-        "unordered-order leaks, environment/thread taint, "
-        "post-fingerprint mutation, unversioned payloads.",
-    )
-    parser.add_argument(
-        "paths",
-        nargs="*",
-        type=Path,
-        default=[Path("src")],
-        help="files or directories to analyze (default: src)",
-    )
-    parser.add_argument(
-        "--select",
-        metavar="CODES",
-        help="comma-separated RPR3xx codes to run (default: all)",
-    )
-    parser.add_argument(
-        "--list-rules",
-        action="store_true",
-        help="print the rule table and exit",
-    )
-    parser.add_argument(
-        "--self-test",
-        action="store_true",
-        help="seed fingerprint-omission mutants and verify RPR301 recall",
-    )
-    parser.add_argument(
-        "--format",
-        choices=("text", "json"),
-        default="text",
-        help="violation output format (default: text)",
-    )
-    options = parser.parse_args(argv)
-    if options.list_rules:
-        for rule in DATAFLOW_RULES:
-            print(f"{rule.code}  {rule.name:32s} {rule.summary}")
-        return 0
-    try:
-        select = _parse_select(options.select)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    paths = options.paths or [Path("src")]
-    missing = [str(p) for p in paths if not p.exists()]
-    if missing:
-        print(f"error: no such path(s): {', '.join(missing)}", file=sys.stderr)
-        return 2
-    if options.self_test:
-        return run_self_test(paths)
-    violations = analyze_paths(paths, select=select)
-    if options.format == "json":
-        print(render_json(violations))
-        return 1 if violations else 0
-    for violation in violations:
-        print(violation.render())
-    if violations:
-        count = len(violations)
-        print(f"found {count} violation{'s' if count != 1 else ''}", file=sys.stderr)
-        return 1
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -1,10 +1,10 @@
 """Domain-specific AST lint rules for the SC-Share reproduction.
 
-Run as a module::
+Run through the analyzer's command line::
 
-    python -m repro.analysis.lint src tests
-    python -m repro.analysis.lint --list-rules
-    python -m repro.analysis.lint --select RPR101,RPR105 src
+    python -m repro.analysis check src tests
+    python -m repro.analysis check --list-rules
+    python -m repro.analysis check --select RPR101,RPR105 src
 
 Generic linters cannot know that this codebase's correctness depends on
 seeded randomness, tolerance-based float comparison, immutable scenario
@@ -40,8 +40,8 @@ RPR105   Deterministic cache keys: fingerprint/hash/key-building
 
 The RPR2xx lock-discipline rules (guarded-by attributes, check-then-act,
 lock ordering, process-unsafe state, mutable module state) live in
-:mod:`repro.analysis.concurrency` and run through this same CLI; see
-that module for their contract table.
+:mod:`repro.analysis.concurrency` and run through :func:`lint_source`
+too; see that module for their contract table.
 
 Suppression: append ``# repro: noqa[RPR101]`` (or a comma-separated
 list, or bare ``# repro: noqa`` for all rules) to the offending line.
@@ -51,16 +51,14 @@ without silently widening.
 
 from __future__ import annotations
 
-import argparse
 import ast
 import re
-import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
 from repro.analysis.concurrency import CONCURRENCY_RULES, check_concurrency
-from repro.analysis.lintbase import LintRule, Violation, apply_noqa, render_json
+from repro.analysis.lintbase import LintRule, Violation, apply_noqa
 
 __all__ = [
     "LINT_RULES",
@@ -69,7 +67,6 @@ __all__ = [
     "lint_file",
     "lint_paths",
     "lint_source",
-    "main",
 ]
 
 
@@ -108,7 +105,6 @@ LINT_RULES: tuple[LintRule, ...] = (
     RPR105,
 ) + CONCURRENCY_RULES
 
-_RULE_BY_CODE = {rule.code: rule for rule in LINT_RULES}
 
 #: Files (path suffixes) where direct randomness is the point.
 RANDOMNESS_ALLOWED_SUFFIXES: tuple[str, ...] = (
@@ -577,85 +573,3 @@ def lint_paths(
     for file_path in iter_python_files(paths):
         violations.extend(lint_file(file_path, select=select))
     return violations
-
-
-def _parse_select(raw: str | None) -> list[str] | None:
-    """Parse ``--select``; raises :class:`ValueError` on unknown codes."""
-    if raw is None:
-        return None
-    codes = [code.strip().upper() for code in raw.split(",") if code.strip()]
-    unknown = [code for code in codes if code not in _RULE_BY_CODE]
-    if unknown:
-        hint = ""
-        if any(code.startswith("RPR3") for code in unknown):
-            hint = "; RPR3xx rules run through python -m repro.analysis.dataflow"
-        elif any(code.startswith("RPR4") for code in unknown):
-            hint = "; RPR4xx rules run through python -m repro.analysis.perf_lint"
-        raise ValueError(
-            f"unknown rule code(s): {', '.join(unknown)} "
-            f"(known: {', '.join(sorted(_RULE_BY_CODE))}{hint})"
-        )
-    return codes
-
-
-def main(argv: Sequence[str] | None = None) -> int:
-    """CLI entry point; returns the process exit code."""
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.analysis.lint",
-        description="SC-Share domain lint: seeded randomness, tolerance "
-        "comparisons, frozen configs, validated entry points, "
-        "deterministic cache keys.",
-    )
-    parser.add_argument(
-        "paths",
-        nargs="*",
-        type=Path,
-        default=[Path("src")],
-        help="files or directories to lint (default: src)",
-    )
-    parser.add_argument(
-        "--select",
-        metavar="CODES",
-        help="comma-separated rule codes to run (default: all)",
-    )
-    parser.add_argument(
-        "--list-rules",
-        action="store_true",
-        help="print the rule table and exit",
-    )
-    parser.add_argument(
-        "--format",
-        choices=("text", "json"),
-        default="text",
-        help="violation output format (default: text)",
-    )
-    options = parser.parse_args(argv)
-    if options.list_rules:
-        for rule in LINT_RULES:
-            print(f"{rule.code}  {rule.name:32s} {rule.summary}")
-        return 0
-    try:
-        select = _parse_select(options.select)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    paths = options.paths or [Path("src")]
-    missing = [str(p) for p in paths if not p.exists()]
-    if missing:
-        print(f"error: no such path(s): {', '.join(missing)}", file=sys.stderr)
-        return 2
-    violations = lint_paths(paths, select=select)
-    if options.format == "json":
-        print(render_json(violations))
-        return 1 if violations else 0
-    for violation in violations:
-        print(violation.render())
-    if violations:
-        count = len(violations)
-        print(f"found {count} violation{'s' if count != 1 else ''}", file=sys.stderr)
-        return 1
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

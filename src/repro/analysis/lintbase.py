@@ -1,6 +1,6 @@
 """Shared plumbing of the domain lint framework.
 
-:mod:`repro.analysis.lint` (the RPR1xx domain rules and the CLI) and
+:mod:`repro.analysis.lint` (the RPR1xx domain rules) and
 :mod:`repro.analysis.concurrency` (the RPR2xx lock-discipline rules)
 both build on the same three pieces: the rule descriptor, the violation
 record, and the per-line ``# repro: noqa[CODE]`` suppression protocol.

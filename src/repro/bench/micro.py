@@ -21,8 +21,8 @@ run:
   by ``tests/obs/test_overhead.py``), plus the traced/untraced ratio;
 - ``sim_fifo`` — prices the simulator's FIFO queue discipline: an
   end-to-end deep-backlog federation simulation, plus a steady-state
-  FIFO replay at the backlog depth comparing ``list.pop(0)`` (the
-  RPR404 anti-pattern the perf lint flagged) against the
+  FIFO replay at the backlog depth comparing ``list.pop(0)`` (an O(n)
+  FIFO the simulator's wait queue once used) against the
   ``deque.popleft()`` the simulator now uses.  At equilibrium depths
   the end-to-end delta is within run-to-run noise — the replay is what
   pins the asymptotic mechanism.
@@ -247,11 +247,10 @@ def bench_sim_fifo(quick: bool, reference: bool) -> dict[str, Any]:
     Two measurements:
 
     - an end-to-end deep-backlog federation simulation (every cloud
-      overloaded and forwarding, so the wait queues stay populated) —
-      the workload whose profile evidence drives the hot-path lint;
+      overloaded and forwarding, so the wait queues stay populated);
     - a steady-state FIFO replay at a representative backlog depth:
       prefill to the depth, then alternate push/pop, timed once with a
-      ``list`` using ``pop(0)`` (the RPR404 anti-pattern
+      ``list`` using ``pop(0)`` (the O(n) FIFO
       ``_CloudState.queue_arrival_times`` used to be) and once with a
       ``deque`` using ``popleft()`` (what it is now).
 
@@ -552,7 +551,7 @@ def compare(report: dict[str, Any], baseline: dict[str, Any]) -> list[str]:
 
 def main(argv: "list[str] | None" = None) -> int:
     """CLI entry point."""
-    parser = argparse.ArgumentParser(description="Model hot-path microbenchmarks.")
+    parser = argparse.ArgumentParser(description="Model microbenchmarks.")
     parser.add_argument(
         "--quick", action="store_true", help="small scenarios for a CI smoke run"
     )

@@ -90,7 +90,7 @@ def steady_state_direct(q: sp.spmatrix) -> np.ndarray:
     a = qt[1:, 1:]
     # Densifying one n-1 column (the RHS the solver needs dense anyway)
     # is O(n), not an O(n^2) matrix materialization.
-    b = -qt[1:, 0].toarray().ravel()  # repro: noqa[RPR401]
+    b = -qt[1:, 0].toarray().ravel()
     try:
         lu = spla.splu(sp.csc_matrix(a))
         tail = lu.solve(b)
@@ -132,7 +132,7 @@ def steady_state_gmres(
     qt = sp.csc_matrix(q.transpose())
     a = sp.csc_matrix(qt[1:, 1:])
     # One dense n-1 column for the RHS: O(n), not a matrix blow-up.
-    b = -qt[1:, 0].toarray().ravel()  # repro: noqa[RPR401]
+    b = -qt[1:, 0].toarray().ravel()
     preconditioner = None
     try:
         ilu = spla.spilu(a, drop_tol=1e-6, fill_factor=20)
@@ -160,7 +160,7 @@ def steady_state_gmres(
     return pi
 
 
-# hot-path: power-iteration inner loop; dominates chain solves
+# Power-iteration inner loop; dominates chain solves.
 def stationary_power(
     p: sp.spmatrix,
     tol: float = 1e-12,
@@ -223,7 +223,7 @@ _LARGE_CHAIN_THRESHOLD = 20_000
 
 #: Pre-built per-solver metric names: steady_state is hot, and building
 #: "markov.solve." + name on every call formats eagerly even with
-#: metrics disabled (RPR405).
+#: metrics disabled.
 _SOLVE_METRICS = {
     name: "markov.solve." + name for name in ("direct", "gmres", "power")
 }

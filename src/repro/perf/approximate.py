@@ -470,7 +470,6 @@ class ApproximateModel(PerformanceModel):
     # level 1
     # ------------------------------------------------------------------ #
 
-    # hot-path: level-1 CTMC assembly
     def _build_first(self, scenario: FederationScenario) -> _Level:
         """``M^1``: the first SC has uncontended access to the pool."""
         cloud = scenario[0]
@@ -592,7 +591,7 @@ class ApproximateModel(PerformanceModel):
     # levels 2..K
     # ------------------------------------------------------------------ #
 
-    # hot-path: per-level CTMC assembly; the model's dominant cost at K>2
+    # Per-level CTMC assembly: the model's dominant cost at K>2.
     def _build_level(
         self, scenario: FederationScenario, index: int, prev: _Level
     ) -> _Level:

@@ -56,7 +56,7 @@ APPROXIMATE_ACCURACY_FLOOR = 0.01
 _NEGLIGIBLE_FORWARDING = 1e-12
 
 #: Pre-built per-tier metric names: _pick runs once per model query, and
-#: an f-string there formats eagerly even with metrics disabled (RPR405).
+#: an f-string there formats eagerly even with metrics disabled.
 _TIER_METRICS = {
     name: f"perf.auto.{name}" for name in ("pooled", "approximate", "detailed")
 }

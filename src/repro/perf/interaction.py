@@ -191,7 +191,7 @@ def conditional_initials(
     return result
 
 
-# hot-path: shared transient sweep behind every level's coupling terms
+# The shared transient sweep behind every level's coupling terms.
 def transient_outcomes(
     ctmc: CTMC,
     initials: np.ndarray,

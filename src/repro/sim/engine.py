@@ -67,7 +67,7 @@ class Event:
         self.callback = callback
         self.cancelled = False
 
-    # hot-path: every heap push/pop compares events; see analysis.hotness
+    # Every heap push/pop compares events.
     def __lt__(self, other: "Event") -> bool:
         if self.time != other.time:
             return self.time < other.time
@@ -175,7 +175,7 @@ class SimulationEngine:
         """Schedule ``callback`` at an absolute simulation time."""
         return self.schedule(time - self.now, callback, priority)
 
-    # hot-path: one call per scheduled simulator event in batched mode
+    # One call per scheduled simulator event in batched mode.
     def schedule_typed(self, delay: float, code: int, a: int = 0, b: int = 0, priority: int = 0) -> None:
         """Schedule a typed event ``(code, a, b)`` (batched mode only).
 
@@ -288,7 +288,7 @@ class SimulationEngine:
     # stepping
     # ------------------------------------------------------------------ #
 
-    # hot-path: the event dispatch loop; one call per simulated event
+    # The event dispatch loop: one call per simulated event.
     def step(self) -> bool:
         """Execute the next live event.  Returns False if none remain.
 
@@ -383,7 +383,6 @@ class SimulationEngine:
             executed += 1
         return executed
 
-    # hot-path: the batched drain loop; see analysis.hotness
     def _run_batched(self, horizon: float, max_events: int | None) -> int:
         """Merged drain: bulk runs off block channels, heap interleaved.
 

@@ -168,7 +168,7 @@ class _CloudState:
         """The load-balancing metric ``q_i + s_{i,i}`` of the paper."""
         return self.own_running + len(self.queue_arrival_times) + self.lent_total
 
-    # hot-path: called on every arrival/departure/forward event
+    # Called on every arrival/departure/forward event.
     def record(self, time: float) -> None:
         """Integrate the previous snapshot up to ``time`` and re-snapshot."""
         dt = time - self._last_time
@@ -329,7 +329,7 @@ class FederationSimulator:
     # event machinery
     # ------------------------------------------------------------------ #
 
-    # hot-path: one call per simulated arrival
+    # One call per simulated arrival.
     def _schedule_arrival(self, sc: int) -> None:
         if self.arrivals is not None:
             delay = float(self.arrivals[sc].next_interarrival())
@@ -348,7 +348,7 @@ class FederationSimulator:
         else:
             self.engine.schedule(delay, lambda: self._on_arrival(sc))
 
-    # hot-path: one call per service start
+    # One call per service start.
     def _schedule_completion(self, owner: int, host: int) -> None:
         block = self._service_block[host]
         if block is not None:

@@ -92,7 +92,7 @@ class ExponentialBlock:
         self._index = 0
         self.refills = 1
 
-    # hot-path: one call per simulated arrival/service draw in batched mode
+    # One call per simulated arrival/service draw in batched mode.
     def next(self, scale: float) -> float:
         """The next variate, distributed ``Exponential(mean=scale)``."""
         index = self._index
@@ -120,7 +120,7 @@ class UniformBlock:
         self._index = 0
         self.refills = 1
 
-    # hot-path: one call per SLA admission decision in batched mode
+    # One call per SLA admission decision in batched mode.
     def next(self) -> float:
         """The next variate, uniform on [0, 1)."""
         index = self._index

@@ -6,9 +6,11 @@ framework (rule registry, `--select`, noqa semantics) is covered too.
 """
 
 import textwrap
+from pathlib import Path
 
+from repro.analysis.__main__ import main
 from repro.analysis.concurrency import CONCURRENCY_RULES
-from repro.analysis.lint import LINT_RULES, lint_source, main
+from repro.analysis.lint import LINT_RULES, lint_paths, lint_source
 
 
 def codes(source, path="module.py", select=None):
@@ -25,7 +27,7 @@ class TestRegistry:
             assert rule.code in registered
 
     def test_list_rules_cli_shows_concurrency_rules(self, capsys):
-        assert main(["--list-rules"]) == 0
+        assert main(["check", "--list-rules"]) == 0
         out = capsys.readouterr().out
         for rule in CONCURRENCY_RULES:
             assert rule.code in out
@@ -470,7 +472,6 @@ class TestRepositoryIsClean:
     def test_src_tree_passes_concurrency_rules(self):
         # The acceptance bar for the rules themselves: the repository's
         # own runtime must come out clean under them.
-        exit_code = main(
-            ["--select", "RPR201,RPR202,RPR203,RPR204,RPR205", "src"]
-        )
-        assert exit_code == 0
+        root = Path(__file__).resolve().parents[2] / "src"
+        violations = lint_paths([root], select=[rule.code for rule in CONCURRENCY_RULES])
+        assert violations == [], "\n".join(v.render() for v in violations)

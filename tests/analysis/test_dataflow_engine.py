@@ -3,7 +3,8 @@
 Covers the project index (call-graph resolution across modules),
 backward slices (parameters, attributes, guards, comprehensions,
 f-strings), the taint lattice with its launderers, fixpoint function
-summaries, annotation parsing, and both CLIs' exit codes.
+summaries, annotation parsing, and the RPR3xx exit codes of the
+`python -m repro.analysis check` CLI.
 """
 
 import ast
@@ -12,7 +13,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import dataflow, lint
+from repro.analysis import dataflow
+from repro.analysis.__main__ import main
 from repro.analysis.summaries import (
     TAINT_ENV,
     TAINT_UNORDERED,
@@ -321,43 +323,51 @@ class TestCLI:
         path.write_text("def evaluate(x):\n    return x\n")
         return path
 
-    def test_clean_tree_exits_zero(self, tmp_path):
-        assert dataflow.main([str(self._clean_file(tmp_path))]) == 0
-
-    def test_violations_exit_one(self, tmp_path):
+    def _bad_file(self, tmp_path):
         path = tmp_path / "bad.py"
         path.write_text(
             "def make_key(scenario, tolerance):\n    return str(scenario)\n"
         )
-        assert dataflow.main([str(path)]) == 1
+        return path
+
+    def test_clean_tree_exits_zero(self, tmp_path):
+        path = str(self._clean_file(tmp_path))
+        assert main(["check", "--select", "RPR301", path]) == 0
+
+    def test_violations_exit_one(self, tmp_path, capsys):
+        assert main(["check", str(self._bad_file(tmp_path))]) == 1
+        captured = capsys.readouterr()
+        assert "RPR301" in captured.out
+        assert "found 1 violation" in captured.err
 
     def test_unknown_select_code_exits_two(self, tmp_path, capsys):
-        code = dataflow.main(["--select", "RPR999", str(self._clean_file(tmp_path))])
+        code = main(["check", "--select", "RPR999", str(self._clean_file(tmp_path))])
         assert code == 2
         assert "unknown rule code" in capsys.readouterr().err
 
     def test_lint_cli_unknown_select_code_exits_two(self, tmp_path, capsys):
-        code = lint.main(["--select", "RPR301", str(self._clean_file(tmp_path))])
-        assert code == 2
+        # RPR3xx codes pass through the same CLI as RPR1xx/2xx; only a code
+        # no family owns is a usage error, and it is named in the message.
+        path = str(self._clean_file(tmp_path))
+        assert main(["check", "--select", "RPR101,RPR301", path]) == 0
+        assert main(["check", "--select", "RPR101,RPR399", path]) == 2
         err = capsys.readouterr().err
-        assert "unknown rule code" in err
-        assert "repro.analysis.dataflow" in err
+        assert "unknown rule code(s): RPR399" in err
+        assert "RPR301" in err
 
     def test_missing_path_exits_two(self):
-        assert dataflow.main(["definitely/not/here"]) == 2
+        assert main(["check", "definitely/not/here"]) == 2
 
     def test_list_rules_prints_all_six(self, capsys):
-        assert dataflow.main(["--list-rules"]) == 0
+        assert main(["check", "--list-rules"]) == 0
         out = capsys.readouterr().out
         for code in ("RPR301", "RPR302", "RPR303", "RPR304", "RPR305", "RPR306"):
             assert code in out
 
     def test_select_filters_codes(self, tmp_path):
-        path = tmp_path / "bad.py"
-        path.write_text(
-            "def make_key(scenario, tolerance):\n    return str(scenario)\n"
-        )
-        assert dataflow.main(["--select", "RPR306", str(path)]) == 0
+        path = str(self._bad_file(tmp_path))
+        assert main(["check", "--select", "RPR306", path]) == 0
+        assert main(["check", "--select", "RPR301", path]) == 1
 
 
 class TestRepositoryIsClean:

@@ -85,10 +85,3 @@ class TestRunSelfTest:
         stream = io.StringIO()
         assert run_self_test([tmp_path], stream=stream) == 1
         assert "no fingerprint functions" in stream.getvalue()
-
-    def test_cli_flag_runs_self_test(self, capsys):
-        from repro.analysis.dataflow import main
-
-        assert main(["--self-test", str(REPO_SRC / "repro" / "runtime")]) == 0
-        out = capsys.readouterr().out
-        assert "caught by RPR301 (100%)" in out

@@ -8,7 +8,8 @@ import textwrap
 from pathlib import Path
 
 from repro.analysis import lint
-from repro.analysis.lint import LINT_RULES, lint_source, main
+from repro.analysis.__main__ import main
+from repro.analysis.lint import LINT_RULES, lint_source
 
 
 def codes(source, path="module.py", select=None):
@@ -282,35 +283,6 @@ class TestHarness:
         ]
         assert all(rule.name and rule.summary for rule in LINT_RULES)
 
-
-class TestCli:
-    def test_clean_tree_exits_zero(self, tmp_path, capsys):
-        (tmp_path / "clean.py").write_text("x = 1\n")
-        assert main([str(tmp_path)]) == 0
-        assert capsys.readouterr().out == ""
-
-    def test_violations_exit_one(self, tmp_path, capsys):
-        (tmp_path / "dirty.py").write_text("import random\n")
-        assert main([str(tmp_path)]) == 1
-        captured = capsys.readouterr()
-        assert "RPR101" in captured.out
-        assert "1 violation" in captured.err
-
-    def test_missing_path_exits_two(self, tmp_path, capsys):
-        assert main([str(tmp_path / "nope")]) == 2
-        assert "no such path" in capsys.readouterr().err
-
-    def test_list_rules(self, capsys):
-        assert main(["--list-rules"]) == 0
-        out = capsys.readouterr().out
-        for rule in LINT_RULES:
-            assert rule.code in out
-
-    def test_select_flag(self, tmp_path):
-        (tmp_path / "dirty.py").write_text("import random\n")
-        assert main(["--select", "RPR103", str(tmp_path)]) == 0
-        assert main(["--select", "RPR101", str(tmp_path)]) == 1
-
     def test_iter_python_files_mixes_files_and_dirs(self, tmp_path):
         (tmp_path / "a.py").write_text("x = 1\n")
         sub = tmp_path / "pkg"
@@ -320,6 +292,35 @@ class TestCli:
         files = lint.iter_python_files([tmp_path / "a.py", sub])
         assert [p.name for p in files] == ["a.py", "b.py"]
         assert all(isinstance(p, Path) for p in files)
+
+
+class TestCli:
+    def test_clean_tree_exits_zero(self, tmp_path, capsys):
+        (tmp_path / "clean.py").write_text("x = 1\n")
+        assert main(["check", "--select", "RPR101,RPR205", str(tmp_path)]) == 0
+        assert capsys.readouterr().out == ""
+
+    def test_violations_exit_one(self, tmp_path, capsys):
+        (tmp_path / "dirty.py").write_text("import random\n")
+        assert main(["check", str(tmp_path)]) == 1
+        captured = capsys.readouterr()
+        assert "RPR101" in captured.out
+        assert "1 violation" in captured.err
+
+    def test_missing_path_exits_two(self, tmp_path, capsys):
+        assert main(["check", str(tmp_path / "nope")]) == 2
+        assert "no such path" in capsys.readouterr().err
+
+    def test_list_rules(self, capsys):
+        assert main(["check", "--list-rules"]) == 0
+        out = capsys.readouterr().out
+        for rule in LINT_RULES:
+            assert rule.code in out
+
+    def test_select_flag(self, tmp_path):
+        (tmp_path / "dirty.py").write_text("import random\n")
+        assert main(["check", "--select", "RPR103", str(tmp_path)]) == 0
+        assert main(["check", "--select", "RPR101", str(tmp_path)]) == 1
 
 
 class TestRepositoryIsClean:

@@ -6,7 +6,7 @@ to the solve's wall-clock is the *disabled overhead fraction* this test
 pins below 2% — the hooks are free to exist everywhere on the hot path
 only while that holds.  The enabled-tracing ratio is reported (printed
 by the bench harness and CI) but deliberately not asserted: tracing is
-an opt-in debugging mode, not a hot-path configuration.
+an opt-in debugging mode, not a configuration for hot paths.
 """
 
 from __future__ import annotations
