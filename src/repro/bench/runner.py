@@ -95,9 +95,10 @@ def _run_fig7(quick: bool, executor: Executor, cache_dir: str | None) -> str:
 
 def _run_fig8(quick: bool, executor: Executor, cache_dir: str | None) -> str:
     sizes_a = (2, 3, 4) if quick else (2, 3, 4, 6, 8, 10)
-    # The pooled model's fixed point grows steeply with K x VMs (K=4 at
-    # 20 VMs runs for many minutes), so the quick 8b game plays 5-VM SCs
-    # at K=2,3 with the two extreme search distances only.
+    # The pooled model's fixed point grows steeply with K x VMs (one K=4
+    # game of 20-VM SCs at search distance 1 takes about 3.5 minutes on
+    # 2 cores), so the quick 8b game plays 5-VM SCs at K=2,3 with the two
+    # extreme search distances only.
     sizes_b = (2, 3) if quick else (2, 3, 4, 6, 8)
     distances = (1, 4) if quick else (1, 2, 4)
     vms = 5 if quick else 20

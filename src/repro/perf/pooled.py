@@ -25,56 +25,106 @@ iteration tolerance.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING, Any
+
 import numpy as np
 
 from repro._validation import check_in_range, check_positive, check_positive_int
 from repro.core.small_cloud import FederationScenario, SmallCloud
 from repro.exceptions import ConvergenceError
-from repro.markov.state_space import StateSpace
 from repro.perf.base import PerformanceModel
 from repro.perf.params import PerformanceParams
 from repro.queueing.forwarding import queue_truncation_level
 from repro.queueing.sla import prob_no_forward
 
+if TYPE_CHECKING:
+    from numpy.typing import ArrayLike
+
+
+def _pnf_table(
+    max_waiting: int, max_busy: int, service_rate: float, sla_bound: float
+) -> np.ndarray:
+    """``T[w, b] = prob_no_forward(w, b, service_rate, sla_bound)`` for
+    ``0 <= w <= max_waiting`` and ``0 <= b <= max_busy``."""
+    table = np.empty((max_waiting + 1, max_busy + 1))
+    for w in range(max_waiting + 1):
+        for b in range(max_busy + 1):
+            table[w, b] = prob_no_forward(w, b, service_rate, sla_bound)
+    return table
+
 
 def _fractional_prob_no_forward(
-    waiting: float, busy: float, service_rate: float, sla_bound: float
-) -> float:
+    waiting: ArrayLike,
+    busy: ArrayLike,
+    service_rate: float,
+    sla_bound: float,
+    table: np.ndarray | None = None,
+) -> Any:
     """``P^NF`` allowing fractional waiting and busy-server counts.
 
-    Bilinear interpolation of the integer-argument tail.  Continuity in
-    both arguments matters: the fixed point perturbs the effective
-    capacity continuously, and any jump in the chain's rates as capacity
-    crosses an integer turns the coupling map discontinuous (producing
-    limit cycles instead of a fixed point).
+    Bilinear interpolation of the integer-argument tail, elementwise over
+    arrays; a scalar pair returns a float.  Continuity in both arguments
+    matters: the fixed point perturbs the effective capacity continuously,
+    and any jump in the chain's rates as capacity crosses an integer turns
+    the coupling map discontinuous (producing limit cycles instead of a
+    fixed point).  An integer argument takes the tabulated value itself,
+    not an interpolation that could round differently.
+
+    ``table`` is a :func:`_pnf_table` of the same rate and bound covering
+    the ceiling of every argument; without one, a large enough table is
+    built.
     """
-    if waiting < 0.0:
-        return 1.0
-    if busy <= 0.0:
-        return 0.0
+    waiting = np.asarray(waiting, dtype=float)
+    busy = np.asarray(busy, dtype=float)
+    w_lo = np.floor(waiting)
+    w_hi = np.ceil(waiting)
+    b_lo = np.floor(busy)
+    b_hi = np.ceil(busy)
+    # Negative arguments are answered by the guards at the end; clamp their
+    # indices so that the lookups stay inside the table.
+    w_lo_i, w_hi_i, b_lo_i, b_hi_i = (
+        np.maximum(x, 0.0).astype(np.intp) for x in (w_lo, w_hi, b_lo, b_hi)
+    )
+    if table is None:
+        table = _pnf_table(
+            int(w_hi_i.max(initial=0)), int(b_hi_i.max(initial=0)), service_rate, sla_bound
+        )
+    frac_w = waiting - w_lo
+    whole_w = w_hi == w_lo
 
-    def at_busy(b: int) -> float:
-        w_lo = int(np.floor(waiting))
-        w_hi = int(np.ceil(waiting))
-        lo = prob_no_forward(w_lo, b, service_rate, sla_bound)
-        if w_hi == w_lo:
-            return lo
-        hi = prob_no_forward(w_hi, b, service_rate, sla_bound)
-        frac = waiting - w_lo
-        return (1.0 - frac) * lo + frac * hi
+    def at_busy(b: np.ndarray) -> np.ndarray:
+        lo = table[w_lo_i, b]
+        hi = table[w_hi_i, b]
+        return np.where(whole_w, lo, (1.0 - frac_w) * lo + frac_w * hi)
 
-    b_lo = int(np.floor(busy))
-    b_hi = int(np.ceil(busy))
-    low_val = at_busy(b_lo)
-    if b_hi == b_lo:
-        return low_val
-    high_val = at_busy(b_hi)
-    frac = busy - b_lo
-    return (1.0 - frac) * low_val + frac * high_val
+    low_val = at_busy(b_lo_i)
+    high_val = at_busy(b_hi_i)
+    frac_b = busy - b_lo
+    value = np.where(b_hi == b_lo, low_val, (1.0 - frac_b) * low_val + frac_b * high_val)
+    value = np.where(busy <= 0.0, 0.0, value)
+    value = np.where(waiting < 0.0, 1.0, value)
+    return float(value) if value.ndim == 0 else value
+
+
+def _running_sum(terms: np.ndarray) -> float:
+    """``0.0 + t[0] + t[1] + ...`` summed left to right, as a loop would.
+
+    ``np.sum`` and ``dot`` add pairwise and round differently.
+    """
+    return float(np.cumsum(np.concatenate(([0.0], terms.ravel())))[-1])
 
 
 class _CloudChain:
-    """The per-SC (q, o) chain solved inside each fixed-point sweep."""
+    """The per-SC (q, o) chain solved inside each fixed-point sweep.
+
+    The (q, o) grid is rectangular: state ``(q, o)`` has index
+    ``q * (pool_size + 1) + o`` and every rate is a whole-array expression
+    over the grid.  :meth:`solve` gives the bits of a per-state loop (the
+    test suite keeps one as its oracle): it emits each transition under the
+    loop's guards, since a stored zero would change the sparsity pattern
+    and with it the LU ordering; it multiplies each rate's operands in the
+    loop's order; and it sums each moment left to right in state order.
+    """
 
     def __init__(self, cloud: SmallCloud, pool_size: int, tail_epsilon: float) -> None:
         self.cloud = cloud
@@ -83,87 +133,76 @@ class _CloudChain:
         self.q_max = queue_truncation_level(
             max(capacity, 1), cloud.service_rate, cloud.sla_bound, tail_epsilon
         )
-        states = [
-            (q, o) for q in range(self.q_max + 1) for o in range(pool_size + 1)
-        ]
-        self.space = StateSpace(states)
+        #: Own requests down the grid (a column) and borrowed VMs across it.
+        self.q = np.arange(self.q_max + 1, dtype=float)[:, None]
+        self.o = np.arange(pool_size + 1, dtype=float)
+        self.index = np.arange(self.q.size * self.o.size).reshape(self.q.size, self.o.size)
+        #: Waiting stays within ``q_max`` and busy within ``capacity``; the
+        #: spare row and column cover a lent mean a rounding error below 0.
+        self.pnf_table = _pnf_table(
+            self.q_max + 1, capacity + 1, cloud.service_rate, cloud.sla_bound
+        )
 
     def solve(self, ell: float, beta: float) -> dict[str, float]:
         """Solve the chain for given lending level and pool availability.
 
-        The (q, o) grid is rectangular, so state indices are computed
-        arithmetically and the generator is assembled straight into COO
-        arrays — this method runs once per SC per fixed-point iteration
-        and dominates the pooled model's cost.
+        This runs once per SC per fixed-point iteration and dominates the
+        pooled model's cost.
         """
         cloud = self.cloud
         mu = cloud.service_rate
         lam = cloud.arrival_rate
         pool = self.pool_size
-        width = pool + 1
-        n_states = (self.q_max + 1) * width
+        q, o, index = self.q, self.o, self.index
+        width = o.size
+        n_states = index.size
         capacity = cloud.vms - ell  # fractional effective own capacity
-        rows: list[int] = []
-        cols: list[int] = []
-        vals: list[float] = []
-        forward_flow = np.zeros(n_states)
-        pnf_cache: dict[float, float] = {}
 
-        def add(src_idx: int, dst_idx: int, rate: float) -> None:
-            rows.append(src_idx)
-            cols.append(dst_idx)
-            vals.append(rate)
+        # Columns: each depends on q only and broadcasts across o.
+        own_running = np.where(q < capacity, q, capacity)
+        waiting = q - capacity
+        waiting = np.where(waiting < 0.0, 0.0, waiting)
+        w_local = capacity - q
+        w_local = np.where(w_local > 1.0, 1.0, np.where(w_local < 0.0, 0.0, w_local))
+        saturated = 1.0 - w_local
+        w_keep = np.where(waiting < 1.0, waiting, 1.0)
+        arrives = q < self.q_max  # at q_max every arrival is forwarded
+        spills = arrives & (saturated > 0.0)
 
-        for q in range(self.q_max + 1):
-            own_running = q if q < capacity else capacity
-            waiting = q - capacity
-            if waiting < 0.0:
-                waiting = 0.0
-            w_local = capacity - q
-            if w_local > 1.0:
-                w_local = 1.0
-            elif w_local < 0.0:
-                w_local = 0.0
-            saturated = 1.0 - w_local
-            for o in range(width):
-                idx = q * width + o
-                # Arrivals (split continuously at the fractional capacity).
-                if q + 1 <= self.q_max:
-                    if w_local > 0.0:
-                        add(idx, idx + width, lam * w_local)
-                    if saturated > 0.0:
-                        if o < pool and beta > 0.0:
-                            add(idx, idx + 1, lam * saturated * beta)
-                        blocked = saturated * (1.0 if o >= pool else 1.0 - beta)
-                        if blocked > 0.0:
-                            busy = own_running + o
-                            key = waiting * 4096.0 + busy
-                            p_queue = pnf_cache.get(key)
-                            if p_queue is None:
-                                p_queue = _fractional_prob_no_forward(
-                                    waiting, busy, mu, cloud.sla_bound
-                                )
-                                pnf_cache[key] = p_queue
-                            if p_queue > 0.0:
-                                add(idx, idx + width, lam * blocked * p_queue)
-                            forward_flow[idx] = lam * blocked * (1.0 - p_queue)
-                else:
-                    forward_flow[idx] = lam
-                # Local departures.
-                if own_running > 0:
-                    add(idx, idx - width, own_running * mu)
-                # Remote departures (continuous keep/return split).
-                if o > 0:
-                    w_keep = waiting if waiting < 1.0 else 1.0
-                    if w_keep > 0.0:
-                        add(idx, idx - width, o * mu * w_keep)
-                    if w_keep < 1.0:
-                        add(idx, idx - 1, o * mu * (1.0 - w_keep))
+        sources: list[np.ndarray] = []
+        targets: list[np.ndarray] = []
+        rates: list[np.ndarray] = []
+
+        def add(mask: np.ndarray, step: int, grid_rates: np.ndarray) -> None:
+            mask = np.broadcast_to(mask, index.shape)
+            sources.append(index[mask])
+            targets.append(sources[-1] + step)
+            rates.append(np.broadcast_to(grid_rates, index.shape)[mask])
+
+        # Arrivals (split continuously at the fractional capacity).
+        add(arrives & (w_local > 0.0), width, lam * w_local)
+        if beta > 0.0:
+            add(spills & (o < pool), 1, (lam * saturated) * beta)
+        blocked = saturated * np.where(o < pool, 1.0 - beta, 1.0)
+        blocked_flow = lam * blocked
+        p_queue = _fractional_prob_no_forward(
+            waiting, own_running + o, mu, cloud.sla_bound, table=self.pnf_table
+        )
+        queue_or_forward = spills & (blocked > 0.0)
+        add(queue_or_forward & (p_queue > 0.0), width, blocked_flow * p_queue)
+        forward_flow = np.where(queue_or_forward, blocked_flow * (1.0 - p_queue), 0.0)
+        forward_flow[-1] = lam
+        # Local departures.
+        add(own_running > 0.0, -width, own_running * mu)
+        # Remote departures (continuous keep/return split).
+        add((w_keep > 0.0) & (o > 0.0), -width, (o * mu) * w_keep)
+        add((w_keep < 1.0) & (o > 0.0), -1, (o * mu) * (1.0 - w_keep))
 
         import scipy.sparse as sp
 
         q_matrix = sp.coo_matrix(
-            (vals, (rows, cols)), shape=(n_states, n_states)
+            (np.concatenate(rates), (np.concatenate(sources), np.concatenate(targets))),
+            shape=(n_states, n_states),
         ).tocsr()
         q_matrix = q_matrix - sp.diags(
             np.asarray(q_matrix.sum(axis=1)).ravel(), format="csr"
@@ -172,35 +211,22 @@ class _CloudChain:
 
         pi = steady_state(q_matrix)
 
-        borrowed = 0.0
-        busy_own = 0.0
-        idle_sharable = 0.0
-        free_prob = 0.0
-        forward_rate = float(forward_flow @ pi)
+        forward_rate = float(forward_flow.ravel() @ pi)
         share_room = cloud.shared_vms - ell
         if share_room < 0.0:
             share_room = 0.0
-        for q in range(self.q_max + 1):
-            own_running = q if q < capacity else capacity
-            idle = capacity - q
-            if idle < 0.0:
-                idle = 0.0
-            sharable = idle if idle < share_room else share_room
-            free_frac = idle if idle < 1.0 else 1.0
-            base = q * width
-            for o in range(width):
-                p = pi[base + o]
-                borrowed += o * p
-                busy_own += own_running * p
-                idle_sharable += sharable * p
-                free_prob += free_frac * p
+        idle = capacity - q
+        idle = np.where(idle < 0.0, 0.0, idle)
+        sharable = np.where(idle < share_room, idle, share_room)
+        free_frac = np.where(idle < 1.0, idle, 1.0)
+        grid_pi = pi.reshape(index.shape)
         headroom = share_room if share_room < 1.0 else 1.0
         return {
-            "borrowed": borrowed,
-            "busy_own": busy_own,
-            "idle_sharable": idle_sharable,
+            "borrowed": _running_sum(o * grid_pi),
+            "busy_own": _running_sum(own_running * grid_pi),
+            "idle_sharable": _running_sum(sharable * grid_pi),
             "forward_rate": forward_rate,
-            "avail_prob": free_prob * headroom,
+            "avail_prob": _running_sum(free_frac * grid_pi) * headroom,
         }
 
 
