@@ -7,8 +7,8 @@ Run through the analyzer's command line::
     python -m repro.analysis check --select RPR301 src
     python -m repro.analysis check --self-test src
 
-The system's correctness rests on content-hash caches at three tiers
-(level-prefix memo, warm-start replay, disk params cache) and on
+The system's correctness rests on content-hash caches at two tiers
+(level-prefix memo, disk params cache) and on
 bitwise-identical equilibria across serial/thread/process backends.
 The RPR3xx family makes those contracts statically checkable:
 

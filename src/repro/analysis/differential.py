@@ -2,18 +2,17 @@
 
 The runtime promises that parallelism and caching are *performance*
 knobs, never *semantics* knobs: a game run under any executor backend,
-with or without level-prefix memoization, with or without warm-started
-solves, must produce bit-identical results.  This module checks that
-promise end to end.  One scenario is played through Algorithm 1 under a
-matrix of configurations::
+with or without level-prefix memoization, must produce bit-identical
+results.  This module checks that promise end to end.  One scenario is
+played through Algorithm 1 under a matrix of configurations::
 
     backends:  serial | thread | process
-    variants:  base (memo on, warm-start off) | nomemo | warm
+    variants:  base (level memo on) | nomemo
 
 and every configuration's observables — equilibrium profile, round
 history, per-SC utilities, equilibrium performance parameters, welfare —
 are serialized with ``float.hex`` (no tolerance, no rounding) and hashed.
-All nine digests must equal the serial/base reference digest exactly.
+All six digests must equal the serial/base reference digest exactly.
 
 K-sweep scenarios (``ksweep10``, ``ksweep20``) run the same matrix on
 federations sized for K-scaling rather than load realism — a handful of
@@ -23,7 +22,7 @@ level-prefix memo's suffix reuse is exercised on long chains.
 
 Two further sections extend the contract to observability:
 
-- a tenth *traced* cell replays the serial/base configuration with
+- a seventh *traced* cell replays the serial/base configuration with
   :mod:`repro.obs` tracing and metrics fully enabled — its digest must
   equal the reference, proving instrumentation observes without
   participating;
@@ -33,9 +32,8 @@ Two further sections extend the contract to observability:
   serial, thread, and process executors.
 
 Small scenarios are deliberate: the direct steady-state solver used for
-small chains is a pure function of the chain (warm-start seeds are
-ignored on the direct path), which is what makes bitwise identity an
-achievable contract rather than an aspiration.
+small chains is a pure function of the chain, which is what makes
+bitwise identity an achievable contract rather than an aspiration.
 
 Run from the command line::
 
@@ -232,7 +230,7 @@ SCENARIOS: dict[str, DifferentialScenario] = {
 
 #: The configuration matrix: (backend, variant) per cell.
 _BACKENDS = ("serial", "thread", "process")
-_VARIANTS = ("base", "nomemo", "warm")
+_VARIANTS = ("base", "nomemo")
 
 #: The cell every other cell must match bit-for-bit.
 _REFERENCE = ("serial", "base")
@@ -254,11 +252,7 @@ def _run_cell(spec: DifferentialScenario, backend: str, variant: str) -> dict:
     digests.
     """
     executor = _make_executor(backend)
-    model = ApproximateModel(
-        executor=executor,
-        level_cache_size=0 if variant == "nomemo" else 64,
-        warm_start=(variant == "warm"),
-    )
+    model = ApproximateModel(executor=executor, level_cache=variant != "nomemo")
     evaluator = UtilityEvaluator(spec.scenario, model, gamma=spec.gamma)
     responder = BestResponder(
         evaluator,

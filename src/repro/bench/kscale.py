@@ -6,8 +6,8 @@ family (chain length grows with K, per-level pools stay bounded):
 
 Every section times two configurations of the approximate model and
 asserts their results bit-identical before any timing is reported:
-``memo`` (the default level-prefix LRU, ``level_cache_size="auto"``)
-and ``full_rebuild`` (level cache off, every level solved cold).
+``memo`` (the default level-prefix LRU) and ``full_rebuild``
+(``level_cache=False``, every level solved cold).
 
 - ``evaluate`` — one cold full-federation ``evaluate`` (all K target
   rotations).  Rotation ``t`` reuses the first ``t`` levels the memo
@@ -80,7 +80,7 @@ def _params_digestable(params: list[PerformanceParams]) -> list[tuple[str, ...]]
 def _configs() -> dict[str, ApproximateModel]:
     """Fresh models of the two timed configurations, reference first."""
     return {
-        "full_rebuild": ApproximateModel(level_cache_size=0),
+        "full_rebuild": ApproximateModel(level_cache=False),
         "memo": ApproximateModel(),
     }
 

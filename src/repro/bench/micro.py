@@ -4,9 +4,6 @@ Timed probes, each emitting one entry of a ``BENCH_micro.json``
 artifact so the perf trajectory of the reproduction is recorded run over
 run:
 
-- ``assembly`` — one chain built twice, with the retained per-state
-  reference assembler and with the vectorized assembler, asserting the
-  two generators are bit-identical and reporting the speedup;
 - ``fig6_evaluate`` — end-to-end ``evaluate`` / ``evaluate_target`` on a
   Fig. 6 scenario (the 10-SC federation in full mode, the 2-SC one with
   ``--quick``);
@@ -40,12 +37,12 @@ artifact next to ``BENCH_micro.json``.
 Every probe runs under a metrics capture, so each report entry carries
 the counters the workload produced alongside its timings.
 
-``--reference`` runs every probe with the reference assembler and all
-caching disabled — the pre-optimization configuration.  The committed
-``benchmarks/results/BENCH_baseline.json`` is a ``--quick`` run in the
-default optimized configuration, so ``--compare PATH`` against it (a
-*non-blocking* delta: CI surfaces regressions without going red on a
-noisy runner) compares like with like.
+The committed ``benchmarks/results/BENCH_baseline.json`` is a
+``--quick`` run, so ``--compare PATH`` against it (a *non-blocking*
+delta: CI surfaces regressions without going red on a noisy runner)
+compares like with like.  The vectorized assemblers' bit-identity with
+the per-state loop is a test (``tests/perf/test_vectorized_assembly.py``),
+not a probe.
 """
 
 from __future__ import annotations
@@ -65,18 +62,11 @@ from repro.bench.scenarios import (
     fig6_2sc_scenario,
     fig6_10sc_scenario,
     fig7_scenario,
-    fig8_perf_scenario,
 )
 from repro.market.evaluator import UtilityEvaluator
 from repro.perf.approximate import ApproximateModel
 
 SCHEMA_VERSION = 1
-
-
-def _make_model(reference: bool) -> ApproximateModel:
-    if reference:
-        return ApproximateModel(assembly="reference", level_cache_size=0)
-    return ApproximateModel()
 
 
 def _timed(fn: Callable[[], Any]) -> tuple[float, Any]:
@@ -85,34 +75,7 @@ def _timed(fn: Callable[[], Any]) -> tuple[float, Any]:
     return time.perf_counter() - start, result
 
 
-def bench_assembly(quick: bool, reference: bool) -> dict[str, Any]:
-    """Time chain assembly for both assemblers and check bit-identity."""
-    scenario = fig8_perf_scenario(3 if quick else 5)
-    ref_model = ApproximateModel(assembly="reference", level_cache_size=0)
-    vec_model = ApproximateModel(assembly="vectorized", level_cache_size=0)
-    ref_seconds, ref_level = _timed(lambda: ref_model._build_chain(scenario))
-    vec_seconds, vec_level = _timed(lambda: vec_model._build_chain(scenario))
-    ref_gen = ref_level.ctmc.generator
-    vec_gen = vec_level.ctmc.generator
-    identical = (
-        np.array_equal(ref_gen.indptr, vec_gen.indptr)
-        and np.array_equal(ref_gen.indices, vec_gen.indices)
-        and np.array_equal(ref_gen.data, vec_gen.data)
-        and np.array_equal(ref_level.forward_flow, vec_level.forward_flow)
-    )
-    return {
-        "scenario": f"fig8_perf_{len(scenario)}sc",
-        "n_states": ref_level.ctmc.n_states,
-        "reference_seconds": ref_seconds,
-        "vectorized_seconds": vec_seconds,
-        "speedup": ref_seconds / vec_seconds if vec_seconds > 0 else float("inf"),
-        "generators_identical": identical,
-        # The probe's headline number follows the requested configuration.
-        "seconds": ref_seconds if reference else vec_seconds,
-    }
-
-
-def bench_fig6(quick: bool, reference: bool) -> dict[str, Any]:
+def bench_fig6(quick: bool) -> dict[str, Any]:
     """End-to-end evaluation cost of a Fig. 6 scenario."""
     if quick:
         scenario = fig6_2sc_scenario(target_share=5, target_rate=6.0)
@@ -120,7 +83,7 @@ def bench_fig6(quick: bool, reference: bool) -> dict[str, Any]:
     else:
         scenario = fig6_10sc_scenario(target_share=5, target_rate=6.0)
         label = "fig6_10sc"
-    model = _make_model(reference)
+    model = ApproximateModel()
     target_seconds, _ = _timed(lambda: model.evaluate_target(scenario))
     evaluate_seconds, _ = _timed(lambda: model.evaluate(scenario))
     return {
@@ -149,30 +112,23 @@ def _neighbor_vectors(base: tuple[int, ...], count: int) -> list[tuple[int, ...]
     return vectors
 
 
-def bench_tabu_sweep(quick: bool, reference: bool) -> dict[str, Any]:
+def bench_tabu_sweep(quick: bool) -> dict[str, Any]:
     """Score a Tabu-style neighborhood of sharing vectors end to end.
 
     Mirrors the best-response objective: each trial vector is scored for
-    a single SC via ``utility(vector, index)``.  Optimized, that is one
-    target rotation of the hierarchical chain; under ``--reference``
-    every query is answered the pre-optimization way — a full-federation
-    ``params`` solve — and the utility is read off the cached vector.
-    The recorded utilities are identical either way, which the committed
-    baseline documents.
+    a single SC via ``utility(vector, index)``, one target rotation of
+    the hierarchical chain.
     """
     scenario = fig7_scenario("spread")
-    model = _make_model(reference)
+    model = ApproximateModel()
     evaluator = UtilityEvaluator(scenario, model, gamma=0.0)
     vectors = _neighbor_vectors((5, 5, 5), 6 if quick else 20)
 
     def sweep() -> list[float]:
-        values = []
-        for j, vector in enumerate(vectors):
-            index = j % len(scenario)
-            if reference:
-                evaluator.params(vector)
-            values.append(evaluator.utility(vector, index))
-        return values
+        return [
+            evaluator.utility(vector, j % len(scenario))
+            for j, vector in enumerate(vectors)
+        ]
 
     seconds, values = _timed(sweep)
     return {
@@ -185,7 +141,7 @@ def bench_tabu_sweep(quick: bool, reference: bool) -> dict[str, Any]:
     }
 
 
-def bench_obs_overhead(quick: bool, reference: bool) -> dict[str, Any]:
+def bench_obs_overhead(quick: bool) -> dict[str, Any]:
     """Price the observability hooks.
 
     Three measurements:
@@ -216,7 +172,7 @@ def bench_obs_overhead(quick: bool, reference: bool) -> dict[str, Any]:
     def solve() -> Any:
         # A fresh model per run: no level cache carries over, so the
         # plain and instrumented runs do identical work.
-        return _make_model(reference).evaluate_target(scenario)
+        return ApproximateModel().evaluate_target(scenario)
 
     with obs.suspended():
         plain_seconds, _ = _timed(solve)
@@ -241,7 +197,7 @@ def bench_obs_overhead(quick: bool, reference: bool) -> dict[str, Any]:
     }
 
 
-def bench_sim_fifo(quick: bool, reference: bool) -> dict[str, Any]:
+def bench_sim_fifo(quick: bool) -> dict[str, Any]:
     """Price the simulator's FIFO queue discipline.
 
     Two measurements:
@@ -258,8 +214,6 @@ def bench_sim_fifo(quick: bool, reference: bool) -> dict[str, Any]:
     forwarding bound sustains, pop cost is a small fraction of event
     handling, so the end-to-end delta sits within noise; the replay
     isolates the O(n)-vs-O(1) mechanism the triage fix removed.
-    ``--reference`` changes nothing here: the queue discipline is not
-    configurable, the replay always times both.
     """
     from collections import deque
 
@@ -324,7 +278,7 @@ def bench_sim_fifo(quick: bool, reference: bool) -> dict[str, Any]:
     }
 
 
-def bench_sim_throughput(quick: bool, reference: bool) -> dict[str, Any]:
+def bench_sim_throughput(quick: bool) -> dict[str, Any]:
     """Engine events/sec: batched stepping vs the event-heap reference.
 
     Two measurements:
@@ -337,11 +291,9 @@ def bench_sim_throughput(quick: bool, reference: bool) -> dict[str, Any]:
       headline ``speedup``) and once with a vectorized handler receiving
       whole runs (``vectorized_speedup``).  Timings repeat and reduce
       through a :class:`~repro.sim.stats.WelfordAccumulator`.
-    - the equivalence gate: a federation scenario simulated under all
-      three step modes; any difference in any per-SC metric raises,
-      so every bench run re-proves the bit-identity the property suite
-      pins.  ``--reference`` changes nothing: the event path *is* the
-      reference and is always timed.
+    - the equivalence gate: a federation scenario simulated under both
+      step modes; any difference in any per-SC metric raises, so every
+      bench run re-proves the bit-identity the property suite pins.
     """
     from dataclasses import asdict
 
@@ -444,7 +396,7 @@ def bench_sim_throughput(quick: bool, reference: bool) -> dict[str, Any]:
     }
 
 
-def bench_sim_failures(quick: bool, reference: bool) -> dict[str, Any]:
+def bench_sim_failures(quick: bool) -> dict[str, Any]:
     """Price the failure-injection layer end to end.
 
     Times :func:`repro.sim.failures.failure_impact` — two federation
@@ -452,9 +404,8 @@ def bench_sim_failures(quick: bool, reference: bool) -> dict[str, Any]:
     library scenario per failure class, and reports the injected
     overhead on a healthy run (a failure-free simulation constructed
     with the failure machinery in place costs the same bytes and draws
-    as one without, so the overhead is pure bookkeeping).
-    ``--reference`` runs the sweep on the event-mode engine instead of
-    the batched one.  The quick horizon still covers every window of
+    as one without, so the overhead is pure bookkeeping), on the
+    batched engine.  The quick horizon still covers every window of
     the three scenarios (the last closes at 952.7 s);
     :func:`failure_impact` refuses a window that opens at or after the
     horizon.
@@ -462,7 +413,7 @@ def bench_sim_failures(quick: bool, reference: bool) -> dict[str, Any]:
     from repro.scenarios.library import resolve
     from repro.sim.failures import failure_impact
 
-    step_mode = "event" if reference else "batched"
+    step_mode = "batched"
     horizon = 1_000.0 if quick else 1_500.0
     names = ("failure-000", "failure-001", "failure-002")
     reports = {}
@@ -490,8 +441,7 @@ def bench_sim_failures(quick: bool, reference: bool) -> dict[str, Any]:
     }
 
 
-BENCHES: dict[str, Callable[[bool, bool], dict[str, Any]]] = {
-    "assembly": bench_assembly,
+BENCHES: dict[str, Callable[[bool], dict[str, Any]]] = {
     "fig6_evaluate": bench_fig6,
     "tabu_sweep": bench_tabu_sweep,
     "obs_overhead": bench_obs_overhead,
@@ -504,24 +454,19 @@ BENCHES: dict[str, Callable[[bool, bool], dict[str, Any]]] = {
 _SIM_PROBES = ("sim_fifo", "sim_throughput", "sim_failures")
 
 
-def run_micro(
-    quick: bool = False,
-    reference: bool = False,
-    only: "list[str] | None" = None,
-) -> dict[str, Any]:
+def run_micro(quick: bool = False, only: "list[str] | None" = None) -> dict[str, Any]:
     """Run the selected microbenchmarks and return the report payload."""
     names = list(BENCHES) if not only else [n for n in BENCHES if n in only]
     results = {}
     for name in names:
         with obs.capture(tracing=False, metrics=True) as cap:
-            results[name] = BENCHES[name](quick, reference)
+            results[name] = BENCHES[name](quick)
         results[name]["metrics"] = cap.snapshot().to_dict()
         print(f"{name}: {results[name]['seconds']:.3f} s", flush=True)
     return {
         "schema": SCHEMA_VERSION,
         "benchmark": "micro",
         "quick": quick,
-        "reference": reference,
         "python": platform.python_version(),
         "results": results,
     }
@@ -556,12 +501,6 @@ def main(argv: "list[str] | None" = None) -> int:
         "--quick", action="store_true", help="small scenarios for a CI smoke run"
     )
     parser.add_argument(
-        "--reference",
-        action="store_true",
-        help="run with the reference assembler and caching disabled "
-        "(the pre-optimization configuration)",
-    )
-    parser.add_argument(
         "--only",
         action="append",
         choices=sorted(BENCHES),
@@ -580,7 +519,7 @@ def main(argv: "list[str] | None" = None) -> int:
         help="print a non-blocking delta against a previous report",
     )
     args = parser.parse_args(argv)
-    report = run_micro(quick=args.quick, reference=args.reference, only=args.only)
+    report = run_micro(quick=args.quick, only=args.only)
     print(json.dumps(report, indent=2))
     if args.output is not None:
         out_dir = Path(args.output)

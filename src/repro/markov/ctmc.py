@@ -123,15 +123,14 @@ class CTMC:
             return 1.0
         return max_rate * slack
 
-    def steady_state(self, method: str = "auto", x0: np.ndarray | None = None) -> np.ndarray:
+    def steady_state(self, method: str = "auto") -> np.ndarray:
         """Solve ``pi Q = 0`` with ``sum(pi) = 1``.
 
-        See :func:`repro.markov.solvers.steady_state` for methods; ``x0``
-        optionally warm-starts the iterative solvers.
+        See :func:`repro.markov.solvers.steady_state` for methods.
         """
         from repro.markov.solvers import steady_state
 
-        pi = steady_state(self.generator, method=method, x0=x0)
+        pi = steady_state(self.generator, method=method)
         sanitize.check_distribution(pi, label=f"steady-state[{method}]")
         return pi
 

@@ -13,15 +13,6 @@ Three strategies, selectable explicitly or via ``method='auto'``:
 All solvers return a probability row vector ``pi`` with ``pi Q = 0`` and
 ``sum(pi) = 1``; tiny negative entries from round-off are clipped and the
 vector renormalized.
-
-The iterative solvers (``gmres``, ``power``) accept an optional warm
-start ``x0`` — a previously solved stationary vector of a *similar*
-chain (same state space, perturbed rates).  A good warm start cuts the
-iteration count; it never changes what the solver converges to beyond
-its tolerance, and the direct solver ignores it entirely.  Malformed
-guesses (wrong length, non-finite, non-positive mass) are silently
-discarded rather than rejected, so callers can pass whatever neighbor
-vector they have without pre-validating it.
 """
 
 from __future__ import annotations
@@ -57,18 +48,6 @@ def _check_residual(q: sp.spmatrix, pi: np.ndarray, tol: float = 1e-7) -> None:
     residual = np.abs(pi @ q).max() / scale
     if residual > tol:
         raise SolverError(f"steady-state residual too large: {residual:.3e}")
-
-
-def _usable_warm_start(x0: np.ndarray | None, n: int) -> np.ndarray | None:
-    """Validate a warm-start vector; return it ravelled or ``None``."""
-    if x0 is None:
-        return None
-    x0 = np.asarray(x0, dtype=float).ravel()
-    if x0.shape != (n,) or not np.all(np.isfinite(x0)):
-        return None
-    if x0.min(initial=0.0) < 0.0 or x0.sum() <= 0.0:
-        return None
-    return x0
 
 
 def steady_state_direct(q: sp.spmatrix) -> np.ndarray:
@@ -107,7 +86,6 @@ def steady_state_gmres(
     q: sp.spmatrix,
     tol: float = 1e-12,
     max_iter: int = 20_000,
-    x0: np.ndarray | None = None,
 ) -> np.ndarray:
     """Solve the steady state with preconditioned GMRES.
 
@@ -121,10 +99,6 @@ def steady_state_gmres(
         q: the generator.
         tol: relative GMRES tolerance.
         max_iter: GMRES iteration budget.
-        x0: optional warm start — a (possibly unnormalized) stationary
-            vector of a similar chain.  Ignored if its first entry
-            carries no mass (the pinned system needs ``x0[0] > 0`` to
-            rescale).
     """
     n = q.shape[0]
     if n == 1:
@@ -141,15 +115,8 @@ def steady_state_gmres(
         preconditioner = None
     # In the pinned system the unknowns are pi[1:] / pi[0]; a uniform
     # distribution therefore corresponds to a tail of ones.
-    guess = np.ones(n - 1)
-    warm = _usable_warm_start(x0, n)
-    if warm is not None and warm[0] > 0.0:
-        guess = warm[1:] / warm[0]
-        obs.inc("markov.warm_start.hit")
-    elif x0 is not None:
-        obs.inc("markov.warm_start.miss")
     tail, info = spla.gmres(
-        a, b, x0=guess, rtol=tol, atol=0.0, maxiter=max_iter, M=preconditioner
+        a, b, x0=np.ones(n - 1), rtol=tol, atol=0.0, maxiter=max_iter, M=preconditioner
     )
     if info != 0:
         raise ConvergenceError(f"GMRES did not converge (info={info})")
@@ -165,23 +132,11 @@ def stationary_power(
     p: sp.spmatrix,
     tol: float = 1e-12,
     max_iter: int = 1_000_000,
-    x0: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Power iteration for the stationary distribution of a DTMC matrix.
-
-    ``x0`` warm-starts the iteration from a (renormalized) previous
-    stationary vector; a guess near the fixed point saves most of the
-    iterations without changing the fixed point itself.
-    """
+    """Power iteration for the stationary distribution of a DTMC matrix,
+    started from the uniform distribution."""
     n = p.shape[0]
-    warm = _usable_warm_start(x0, n)
-    if warm is not None:
-        pi = warm / warm.sum()
-        obs.inc("markov.warm_start.hit")
-    else:
-        if x0 is not None:
-            obs.inc("markov.warm_start.miss")
-        pi = np.full(n, 1.0 / n)
+    pi = np.full(n, 1.0 / n)
     for iteration in range(max_iter):
         nxt = np.asarray(pi @ p).ravel()
         delta = np.abs(nxt - pi).max()
@@ -200,7 +155,6 @@ def steady_state_power(
     q: sp.spmatrix,
     tol: float = 1e-12,
     max_iter: int = 1_000_000,
-    x0: np.ndarray | None = None,
 ) -> np.ndarray:
     """Steady state via power iteration on the uniformized DTMC."""
     exit_rates = -q.diagonal()
@@ -209,7 +163,7 @@ def steady_state_power(
         n = q.shape[0]
         return np.full(n, 1.0 / n)
     p = sp.eye(q.shape[0], format="csr") + q.multiply(1.0 / gamma)
-    pi = stationary_power(sp.csr_matrix(p), tol=tol, max_iter=max_iter, x0=x0)
+    pi = stationary_power(sp.csr_matrix(p), tol=tol, max_iter=max_iter)
     _check_residual(q, pi, tol=1e-6)
     sanitize.check_distribution(pi, label="steady-state[power]")
     return pi
@@ -229,23 +183,19 @@ _SOLVE_METRICS = {
 }
 
 
-def steady_state(
-    q: sp.spmatrix, method: str = "auto", x0: np.ndarray | None = None
-) -> np.ndarray:
+def steady_state(q: sp.spmatrix, method: str = "auto") -> np.ndarray:
     """Solve the CTMC steady state with the requested ``method``.
 
     ``auto`` picks a solver order by chain size (direct LU first for
     small chains, power iteration first for large ones); the first solver
-    that produces a residual-checked distribution wins.  ``x0`` is an
-    optional warm start forwarded to the iterative solvers (the direct
-    solver ignores it).
+    that produces a residual-checked distribution wins.
     """
     q = sp.csr_matrix(q)
     with obs.span("markov.steady_state", n=q.shape[0], method=method):
         methods = {
-            "direct": lambda m: steady_state_direct(m),
-            "gmres": lambda m: steady_state_gmres(m, x0=x0),
-            "power": lambda m: steady_state_power(m, x0=x0),
+            "direct": steady_state_direct,
+            "gmres": steady_state_gmres,
+            "power": steady_state_power,
         }
         if method in methods:
             pi = methods[method](q)
@@ -257,18 +207,16 @@ def steady_state(
             order: list[tuple] = [
                 (
                     "power",
-                    lambda m: steady_state_power(
-                        m, tol=1e-13, max_iter=100_000, x0=x0
-                    ),
+                    lambda m: steady_state_power(m, tol=1e-13, max_iter=100_000),
                 ),
                 ("direct", steady_state_direct),
-                ("gmres", lambda m: steady_state_gmres(m, x0=x0)),
+                ("gmres", steady_state_gmres),
             ]
         else:
             order = [
                 ("direct", steady_state_direct),
-                ("gmres", lambda m: steady_state_gmres(m, x0=x0)),
-                ("power", lambda m: steady_state_power(m, x0=x0)),
+                ("gmres", steady_state_gmres),
+                ("power", steady_state_power),
             ]
         errors: list[str] = []
         for name, solver in order:

@@ -27,9 +27,9 @@ this model hundreds of times per equilibrium search:
   emitted in NumPy batches grouped by ``(event type, interaction level
   s + a, outcome)`` instead of a per-state Python loop; the batches are
   then permuted back into the exact order the per-state loop would have
-  produced, so the assembled sparse generator is *bit-identical* to the
-  retained reference implementation (``assembly="reference"``), which the
-  test suite asserts.
+  produced, so the assembled sparse generator is *bit-identical* to that
+  loop.  The per-state loop lives in the test suite
+  (``tests/perf/assembly_oracle.py``) as the bitwise oracle.
 - **Level-prefix memoization.**  A solved level depends only on the model
   configuration, the ordered prefix of per-SC performance specs
   ``(N, lambda, mu, Q, S)``, and its pool size ``B_i``; an in-memory LRU
@@ -37,17 +37,10 @@ this model hundreds of times per equilibrium search:
   lets target rotations and repeated scenario sweeps rebuild only the
   levels whose prefix actually changed.  Cache hits return the very
   arrays a cold build would produce, so memoized runs stay bit-identical.
-  ``warm_start=True`` additionally seeds each level's steady-state solve
-  with the stationary vector of the most recent same-shape chain — the
-  iterative solvers then converge in far fewer sweeps (the direct solver
-  ignores the hint).  Warm starting is opt-in because it can perturb
-  results at the solver-tolerance level (~1e-12) on chains large enough
-  to use the iterative solvers.
 """
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
@@ -58,7 +51,7 @@ if TYPE_CHECKING:
     from repro.runtime.executor import Executor
 
 from repro import obs
-from repro._validation import check_positive, require
+from repro._validation import check_positive, check_positive_int
 from repro.core.small_cloud import FederationScenario, SmallCloud
 from repro.markov.ctmc import CTMC
 from repro.markov.solvers import steady_state
@@ -82,9 +75,9 @@ def _evaluate_target_task(
     return model.evaluate_target(scenario, target=target)
 
 
-#: Capacity floor of the ``level_cache_size="auto"`` policy; also the
-#: legacy fixed default, so small federations behave exactly as before.
-_AUTO_CACHE_FLOOR = 64
+#: Capacity floor of the level cache, which grows to ``6 K + 16`` entries
+#: with the largest federation evaluated.
+_CACHE_FLOOR = 64
 
 
 class _StateIndexer:
@@ -93,28 +86,17 @@ class _StateIndexer:
     The level state spaces enumerate ``q``, then ``s``, then the
     triangular ``(o, a)`` block with ``o + a <= pool``; this mirrors that
     enumeration arithmetically so transition assembly avoids per-lookup
-    dict hashing of tuples.  All per-instance quantities (including the
-    total ``(o, a)`` pair count ``per_s``) are precomputed once — this
-    sits on the hottest loop in the repo.
+    dict hashing of tuples.
     """
 
-    __slots__ = ("shares", "pool", "_tri_base", "_tri_np", "_per_s", "_block")
+    __slots__ = ("_tri", "_per_s", "_block")
 
-    def __init__(self, q_max: int, shares: int, pool: int) -> None:
-        self.shares = shares
-        self.pool = pool
-        # _tri_base[o] = first index of row o inside the (o, a) triangle.
-        self._tri_base = [0] * (pool + 1)
-        offset = 0
-        for o in range(pool + 1):
-            self._tri_base[o] = offset
-            offset += pool - o + 1
-        self._per_s = offset  # total (o, a) pairs
-        self._block = (shares + 1) * offset  # states per q level
-        self._tri_np = np.asarray(self._tri_base, dtype=np.int64)
-
-    def __call__(self, q: int, s: int, o: int, a: int) -> int:
-        return q * self._block + s * self._per_s + self._tri_base[o] + a
+    def __init__(self, shares: int, pool: int) -> None:
+        row_sizes = np.arange(pool + 1, 0, -1, dtype=np.int64)  # pool - o + 1
+        # _tri[o] = first index of row o inside the (o, a) triangle.
+        self._tri = np.concatenate(([0], np.cumsum(row_sizes)[:-1]))
+        self._per_s = int(row_sizes.sum())  # total (o, a) pairs
+        self._block = (shares + 1) * self._per_s  # states per q level
 
     def index_arrays(
         self,
@@ -123,8 +105,8 @@ class _StateIndexer:
         o: "np.ndarray | int",
         a: "np.ndarray | int",
     ) -> np.ndarray:
-        """Vectorized :meth:`__call__` over (broadcastable) index arrays."""
-        return q * self._block + s * self._per_s + self._tri_np[o] + a
+        """State indices of (broadcastable) coordinate arrays."""
+        return q * self._block + s * self._per_s + self._tri[o] + a
 
 
 def _state_arrays(
@@ -149,12 +131,12 @@ def _state_arrays(
 
 
 class _EntrySink:
-    """Accumulates generator entries with their reference emission keys.
+    """Accumulates generator entries with their per-state emission keys.
 
     The vectorized assembler emits entries grouped by ``(event, level,
-    outcome)``; the reference loop emits them grouped by state.  Each
+    outcome)``; a per-state loop would emit them grouped by state.  Each
     entry's key ``(row, event, outcome position)`` is unique, so sorting
-    by it reproduces the reference order exactly — and therefore the
+    by it reproduces the per-state order exactly — and therefore the
     exact floating-point duplicate-summation order inside
     ``coo_matrix(...).tocsr()``.
     """
@@ -177,7 +159,7 @@ class _EntrySink:
         outcome_pos: int,
     ) -> None:
         """Queue a batch of entries; self-loops are dropped (the diagonal
-        is derived from row sums afterwards, as in the reference)."""
+        is derived from row sums afterwards)."""
         val = np.broadcast_to(val, src.shape)
         keep = dst != src
         if not keep.all():
@@ -190,7 +172,7 @@ class _EntrySink:
         self._keys.append((src * 3 + np.int64(event)) * self._omax + np.int64(outcome_pos))
 
     def sorted_entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """All entries permuted into reference (state-major) order."""
+        """All entries permuted into per-state (state-major) order."""
         if not self._rows:
             empty = np.empty(0)
             return empty.astype(np.int32), empty.astype(np.int32), empty
@@ -238,24 +220,16 @@ class ApproximateModel(PerformanceModel):
             chains in parallel.  Each rotation is a pure function of the
             scenario, so any executor (including process pools) returns
             results bit-identical to a serial run.
-        assembly: ``"vectorized"`` (default) or ``"reference"`` — the
-            retained per-state Python loop.  Both produce bit-identical
-            generators; the reference exists as the equality oracle and
-            is orders of magnitude slower.
-        level_cache_size: capacity of the level-prefix LRU (``None`` for
-            unbounded, ``0`` to disable memoization entirely).  The
-            default ``"auto"`` starts at the legacy capacity of 64 and
-            grows monotonically with the largest federation evaluated
+        level_cache: keep the level-prefix LRU (default) or solve every
+            level cold.  The LRU starts at 64 entries and grows
+            monotonically with the largest federation evaluated
             (``6 K + 16``) — a fixed capacity that is generous at
             ``K=10`` thrashes at ``K=50``, where one chain already needs
             ``K`` live entries and a Tabu neighborhood several chains'
             worth.  Cached levels are exactly the objects a cold build
-            produces, so capacity never changes results, only wall-clock.
-        warm_start: seed each level's steady-state solve with the most
-            recently solved same-shape chain's stationary vector.  Off by
-            default: the hint is only consumed by the iterative solvers,
-            where it can move results at their convergence tolerance
-            (~1e-12) and makes them dependent on evaluation order.
+            produces, so the switch never changes results, only
+            wall-clock; it is stored privately so that both settings
+            share one disk-cache namespace.
     """
 
     def __init__(
@@ -265,39 +239,20 @@ class ApproximateModel(PerformanceModel):
         outcome_threshold: float = 1e-7,
         max_outcomes: int = 48,
         executor: "Executor | None" = None,
-        assembly: str = "vectorized",
-        level_cache_size: int | str | None = "auto",
-        warm_start: bool = False,
+        level_cache: bool = True,
     ) -> None:
         self.tail_epsilon = check_positive(tail_epsilon, "tail_epsilon")  # fingerprint-input: _config_key
         self.transient_epsilon = check_positive(transient_epsilon, "transient_epsilon")  # fingerprint-input: _config_key
         self.outcome_threshold = check_positive(outcome_threshold, "outcome_threshold")  # fingerprint-input: _config_key
-        self.max_outcomes = int(max_outcomes)  # fingerprint-input: _config_key
+        self.max_outcomes = check_positive_int(max_outcomes, "max_outcomes")  # fingerprint-input: _config_key
         self.executor = executor
-        require(
-            assembly in ("vectorized", "reference"),
-            f"assembly must be 'vectorized' or 'reference', got {assembly!r}",
-        )
-        auto_cache = isinstance(level_cache_size, str)
-        require(
-            (not auto_cache and (level_cache_size is None or int(level_cache_size) >= 0))  # type: ignore[arg-type]
-            or level_cache_size == "auto",
-            "level_cache_size must be 'auto', None, or a non-negative integer",
-        )
-        self.warm_start = bool(warm_start)
-        # Private plumbing (underscored so it stays out of the cache
-        # fingerprint: assemblers and cache sizes both produce
-        # bit-identical parameters).
-        self._assembly = assembly
-        self._level_cache_size = level_cache_size
-        resolved = _AUTO_CACHE_FLOOR if auto_cache else level_cache_size
-        self._auto_cache = auto_cache
+        # Private (underscored) so it stays out of the cache fingerprint:
+        # memoized and cold levels are bit-identical.
         self._level_cache: LRUCache | None = (
-            LRUCache(maxsize=resolved, name="perf.level_cache")  # type: ignore[arg-type]
-            if resolved != 0
+            LRUCache(maxsize=_CACHE_FLOOR, name="perf.level_cache")
+            if level_cache
             else None
         )
-        self._warm: LRUCache = LRUCache(maxsize=16)
 
     # ------------------------------------------------------------------ #
     # public interface
@@ -353,9 +308,7 @@ class ApproximateModel(PerformanceModel):
             transient_epsilon=self.transient_epsilon,
             outcome_threshold=self.outcome_threshold,
             max_outcomes=self.max_outcomes,
-            assembly=self._assembly,
-            level_cache_size=self._level_cache_size,
-            warm_start=self.warm_start,
+            level_cache=self._level_cache is not None,
         )
 
     def level_cache_stats(self) -> dict[str, int | None]:
@@ -411,12 +364,12 @@ class ApproximateModel(PerformanceModel):
             keys.append((prefix, scenario.shared_by_others(i)))
         return keys
 
-    def _ensure_auto_capacity(self, k: int) -> None:
-        """Grow an ``"auto"``-sized level cache to fit federations of
-        ``k`` SCs (one chain is ``k`` entries; a Tabu neighborhood scored
-        across same-total moves touches several chains' worth)."""
-        if self._auto_cache and self._level_cache is not None:
-            self._level_cache.ensure_capacity(max(_AUTO_CACHE_FLOOR, 6 * k + 16))
+    def _ensure_capacity(self, k: int) -> None:
+        """Grow the level cache to fit federations of ``k`` SCs (one
+        chain is ``k`` entries; a Tabu neighborhood scored across
+        same-total moves touches several chains' worth)."""
+        if self._level_cache is not None:
+            self._level_cache.ensure_capacity(max(_CACHE_FLOOR, 6 * k + 16))
 
     def _build_chain(self, scenario: FederationScenario) -> _Level:
         """Build (or recall) levels ``M^1 .. M^K`` for ``scenario``.
@@ -430,7 +383,7 @@ class ApproximateModel(PerformanceModel):
         ``K``.
         """
         keys = self._chain_keys(scenario)
-        self._ensure_auto_capacity(len(keys))
+        self._ensure_capacity(len(keys))
         cache = self._level_cache
         level: _Level | None = None
         for i, key in enumerate(keys):
@@ -455,17 +408,6 @@ class ApproximateModel(PerformanceModel):
             capacity, cloud.service_rate, cloud.sla_bound, self.tail_epsilon
         )
 
-    def _solve_steady(self, ctmc: CTMC, shape_key: tuple) -> np.ndarray:
-        """Steady-state solve, optionally warm-started from the last
-        solved chain of identical shape."""
-        x0 = self._warm.get(shape_key) if self.warm_start else None
-        if self.warm_start:
-            obs.inc("perf.warm_replay.hit" if x0 is not None else "perf.warm_replay.miss")
-        pi = steady_state(ctmc.generator, x0=x0)
-        if self.warm_start:
-            self._warm.put(shape_key, pi)
-        return pi
-
     # ------------------------------------------------------------------ #
     # level 1
     # ------------------------------------------------------------------ #
@@ -480,16 +422,11 @@ class ApproximateModel(PerformanceModel):
         lam = cloud.arrival_rate
         states = [(q, 0, o, 0) for q in range(q_max + 1) for o in range(pool + 1)]
         space = StateSpace(states)
-        if self._assembly == "reference":
-            rows, cols, vals, forward = self._assemble_first_reference(
-                n, mu, lam, pool, q_max, cloud.sla_bound
-            )
-        else:
-            rows, cols, vals, forward = self._assemble_first_vectorized(
-                n, mu, lam, pool, q_max, cloud.sla_bound
-            )
+        rows, cols, vals, forward = self._assemble_first(
+            n, mu, lam, pool, q_max, cloud.sla_bound
+        )
         ctmc = CTMC(space, self._generator(len(space), rows, cols, vals))
-        pi = self._solve_steady(ctmc, ("first", q_max, pool))
+        pi = steady_state(ctmc.generator)
         q_arr = np.repeat(np.arange(q_max + 1, dtype=np.int64), pool + 1)
         o_arr = np.tile(np.arange(pool + 1, dtype=np.int64), q_max + 1)
         return _Level(
@@ -505,51 +442,11 @@ class ApproximateModel(PerformanceModel):
             cloud=cloud,
         )
 
-    def _assemble_first_reference(
+    def _assemble_first(
         self, n: int, mu: float, lam: float, pool: int, q_max: int, sla: float
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Per-state loop for ``M^1`` — the equality oracle."""
-        n_states = (q_max + 1) * (pool + 1)
-        rows = array("i")
-        cols = array("i")
-        vals = array("d")
-        forward = np.zeros(n_states)
-
-        def add(src: int, dst: int, rate: float) -> None:
-            rows.append(src)
-            cols.append(dst)
-            vals.append(rate)
-
-        width = pool + 1
-        for idx in range(n_states):
-            q, o = divmod(idx, width)
-            if q < n:
-                add(idx, idx + width, lam)
-            elif o < pool:
-                add(idx, idx + 1, lam)
-            else:
-                p_queue = prob_no_forward(q - n, n + o, mu, sla)
-                if q + 1 <= q_max and p_queue > 0.0:
-                    add(idx, idx + width, lam * p_queue)
-                    forward[idx] = lam * (1.0 - p_queue)
-                else:
-                    forward[idx] = lam
-            running = min(q, n)
-            if running > 0:
-                add(idx, idx - width, running * mu)
-            if o > 0:
-                add(idx, idx - 1, o * mu)
-        return (
-            np.frombuffer(rows, dtype=np.int32),
-            np.frombuffer(cols, dtype=np.int32),
-            np.frombuffer(vals, dtype=float),
-            forward,
-        )
-
-    def _assemble_first_vectorized(
-        self, n: int, mu: float, lam: float, pool: int, q_max: int, sla: float
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Batch assembly of ``M^1`` (bit-identical to the reference)."""
+        """Batch assembly of ``M^1``: COO entries in per-state order plus
+        the per-state forwarding rates."""
         width = pool + 1
         n_states = (q_max + 1) * width
         q_arr = np.repeat(np.arange(q_max + 1, dtype=np.int64), width)
@@ -660,19 +557,11 @@ class ApproximateModel(PerformanceModel):
             return outcome_cache[key]
 
         # --- transition assembly -----------------------------------------
-        index_of = _StateIndexer(q_max, shares, pool)
-        if self._assembly == "reference":
-            rows, cols, vals, forward = self._assemble_level_reference(
-                space, n, mu, lam, shares, pool, q_max, cloud.sla_bound,
-                outcomes_for, index_of,
-            )
-        else:
-            rows, cols, vals, forward = self._assemble_level_vectorized(
-                n, mu, lam, shares, pool, q_max, cloud.sla_bound,
-                outcomes_for, index_of,
-            )
+        rows, cols, vals, forward = self._assemble_level(
+            n, mu, lam, shares, pool, q_max, cloud.sla_bound, outcomes_for
+        )
         ctmc = CTMC(space, self._generator(len(space), rows, cols, vals))
-        pi = self._solve_steady(ctmc, ("level", q_max, shares, pool))
+        pi = steady_state(ctmc.generator)
         q_arr, s_arr, o_arr, a_arr = _state_arrays(q_max, shares, pool)
         return _Level(
             space=space,
@@ -691,7 +580,7 @@ class ApproximateModel(PerformanceModel):
     def _generator(
         n_states: int, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray
     ) -> sp.csr_matrix:
-        """COO entries (reference emission order) -> zero-row-sum CSR."""
+        """COO entries (per-state emission order) -> zero-row-sum CSR."""
         q_matrix = sp.coo_matrix(
             (vals, (rows, cols)), shape=(n_states, n_states)
         ).tocsr()
@@ -699,95 +588,7 @@ class ApproximateModel(PerformanceModel):
             np.asarray(q_matrix.sum(axis=1)).ravel(), format="csr"
         )
 
-    def _assemble_level_reference(
-        self,
-        space: StateSpace,
-        n: int,
-        mu: float,
-        lam: float,
-        shares: int,
-        pool: int,
-        q_max: int,
-        sla: float,
-        outcomes_for: Callable[[float, int], list],
-        index_of: _StateIndexer,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """The per-state assembly loop, retained verbatim as the equality
-        oracle for the vectorized assembler.
-
-        Destinations are resolved to dense indices immediately and
-        accumulated in compact typed arrays: a tuple-based transition
-        list at this fan-out (states x outcomes) costs gigabytes.
-        """
-        rows = array("i")
-        cols = array("i")
-        vals = array("d")
-
-        def add(src: int, q2: int, s2: int, o2: int, a2: int, rate: float) -> None:
-            dst = index_of(q2, s2, o2, a2)
-            if dst != src:
-                rows.append(src)
-                cols.append(dst)
-                vals.append(rate)
-
-        forward = np.zeros(len(space))
-        tau_arrival = 1.0 / lam
-        for idx, (q, s, o, a) in enumerate(space):
-            level = s + a
-            # Arrivals (cases C1-C3).
-            for a_loc, a_rem_raw, _bk, p in outcomes_for(tau_arrival, level):
-                rate = lam * p
-                if q + a_loc < n:
-                    add(idx, q + 1, a_loc, o, min(a_rem_raw, pool - o), rate)
-                elif o + a_rem_raw + 1 <= pool:
-                    add(idx, q, a_loc, o + 1, a_rem_raw, rate)
-                else:
-                    a_rem = pool - o
-                    waiting = q - (n - a_loc)
-                    capacity = n - a_loc + o
-                    p_queue = prob_no_forward(waiting, capacity, mu, sla)
-                    if q + 1 <= q_max and p_queue > 0.0:
-                        add(idx, q + 1, a_loc, o, a_rem, rate * p_queue)
-                        forward[idx] += rate * (1.0 - p_queue)
-                    else:
-                        # Queue truncated (or SLA surely violated): the
-                        # arrival is forwarded, but the group-allocation
-                        # refresh still happens — without it, corner
-                        # states like (q_max, s=N, o=0) would have no
-                        # outgoing transition at all (all VMs lent, no
-                        # local service), making the chain reducible.
-                        forward[idx] += rate
-                        add(idx, q, a_loc, o, a_rem, rate)
-            # Local departures (case C4).
-            running = min(q, n - s)
-            if running > 0:
-                tau = 1.0 / (running * mu)
-                for a_loc, a_rem_raw, bk, p in outcomes_for(tau, level):
-                    rate = running * mu * p
-                    a_rem = min(a_rem_raw, pool - o)
-                    if q + a_loc <= n and bk and a_loc < shares:
-                        add(idx, q - 1, a_loc + 1, o, a_rem, rate)
-                    else:
-                        add(idx, q - 1, a_loc, o, a_rem, rate)
-            # Remote departures (case C5).
-            if o > 0:
-                tau = 1.0 / (o * mu)
-                for a_loc, a_rem_raw, bk, p in outcomes_for(tau, level):
-                    rate = o * mu * p
-                    if bk:
-                        add(idx, q, a_loc, o - 1, min(a_rem_raw + 1, pool - (o - 1)), rate)
-                    elif q + a_loc > n:
-                        add(idx, q - 1, a_loc, o, min(a_rem_raw, pool - o), rate)
-                    else:
-                        add(idx, q, a_loc, o - 1, min(a_rem_raw, pool - (o - 1)), rate)
-        return (
-            np.frombuffer(rows, dtype=np.int32),
-            np.frombuffer(cols, dtype=np.int32),
-            np.frombuffer(vals, dtype=float),
-            forward,
-        )
-
-    def _assemble_level_vectorized(
+    def _assemble_level(
         self,
         n: int,
         mu: float,
@@ -797,7 +598,6 @@ class ApproximateModel(PerformanceModel):
         q_max: int,
         sla: float,
         outcomes_for: Callable[[float, int], list],
-        index_of: _StateIndexer,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Batch assembly of one level's generator.
 
@@ -808,8 +608,9 @@ class ApproximateModel(PerformanceModel):
         broadcast through the closed-form indexer arithmetic.  The SLA
         race probabilities are precomputed as a ``(waiting, busy)`` table
         from the same scalar :func:`prob_no_forward`, so every float
-        matches the reference bit for bit.
+        matches the per-state loop bit for bit.
         """
+        index_of = _StateIndexer(shares, pool)
         q_arr, s_arr, o_arr, a_arr = _state_arrays(q_max, shares, pool)
         n_states = q_arr.size
         level_arr = s_arr + a_arr

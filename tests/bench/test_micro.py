@@ -4,29 +4,38 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from repro.bench import micro
+from repro.bench.scenarios import fig8_perf_scenario
+from repro.perf.approximate import ApproximateModel
+from tests.perf.assembly_oracle import OracleModel, assert_matches_oracle
 
 
 class TestProbes:
+    # The retired ``assembly`` probe built the 3-SC Fig. 8a chain (1,530
+    # states at the last level) with the per-state loop and the vectorized
+    # assembler on every run and checked the two agreed; the per-state
+    # loop is now the test oracle.
     def test_assembly_probe_reports_identity(self):
-        result = micro.bench_assembly(quick=True, reference=False)
-        assert result["generators_identical"] is True
-        assert result["vectorized_seconds"] > 0.0
-        assert result["reference_seconds"] > 0.0
-        assert result["seconds"] == result["vectorized_seconds"]
+        assert_matches_oracle(fig8_perf_scenario(3))
 
     def test_assembly_probe_reference_headline(self):
-        result = micro.bench_assembly(quick=True, reference=True)
-        assert result["seconds"] == result["reference_seconds"]
+        # The old ``--reference`` configuration (per-state assembly, no
+        # level cache) and the default one report the same parameters.
+        scenario = fig8_perf_scenario(3)
+        assert OracleModel(level_cache=False).evaluate_target(
+            scenario
+        ) == ApproximateModel().evaluate_target(scenario)
 
     def test_fig6_probe_quick(self):
-        result = micro.bench_fig6(quick=True, reference=False)
+        result = micro.bench_fig6(quick=True)
         assert result["scenario"] == "fig6_2sc"
         assert result["evaluate_seconds"] > 0.0
         assert result["level_cache"]["misses"] > 0
 
     def test_sim_fifo_probe_quick(self):
-        result = micro.bench_sim_fifo(quick=True, reference=False)
+        result = micro.bench_sim_fifo(quick=True)
         assert result["scenario"] == "deep_backlog_2sc"
         assert result["sim_seconds"] > 0.0
         assert result["jobs_forwarded"] > 0  # the backlog actually forwards
@@ -50,7 +59,7 @@ class TestCli:
     def test_run_and_compare(self, tmp_path, capsys):
         baseline = {
             "schema": micro.SCHEMA_VERSION,
-            "results": {"assembly": {"seconds": 1e9}},
+            "results": {"fig6_evaluate": {"seconds": 1e9}},
         }
         baseline_path = tmp_path / "BENCH_baseline.json"
         baseline_path.write_text(json.dumps(baseline))
@@ -58,7 +67,7 @@ class TestCli:
             [
                 "--quick",
                 "--only",
-                "assembly",
+                "fig6_evaluate",
                 "--output",
                 str(tmp_path),
                 "--compare",
@@ -68,17 +77,22 @@ class TestCli:
         assert code == 0
         report = json.loads((tmp_path / "BENCH_micro.json").read_text())
         assert report["quick"] is True
-        assert "assembly" in report["results"]
+        assert list(report["results"]) == ["fig6_evaluate"]
         out = capsys.readouterr().out
         assert "faster" in out  # 1e9s baseline: anything looks faster
 
     def test_compare_is_non_blocking_on_missing_baseline(self, tmp_path):
         code = micro.main(
-            ["--quick", "--only", "assembly", "--compare", str(tmp_path / "nope.json")]
+            ["--quick", "--only", "fig6_evaluate", "--compare", str(tmp_path / "nope.json")]
         )
         assert code == 0
 
     def test_compare_handles_missing_entries(self):
-        report = {"results": {"assembly": {"seconds": 1.0}}}
+        report = {"results": {"fig6_evaluate": {"seconds": 1.0}}}
         lines = micro.compare(report, {"results": {}})
-        assert lines == ["assembly: no baseline entry"]
+        assert lines == ["fig6_evaluate: no baseline entry"]
+
+    @pytest.mark.parametrize("argv", [["--reference"], ["--only", "assembly"]])
+    def test_retired_reference_options_are_rejected(self, argv):
+        with pytest.raises(SystemExit):
+            micro.main(["--quick", *argv])

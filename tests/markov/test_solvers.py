@@ -13,7 +13,6 @@ from hypothesis import strategies as hyp
 from repro.exceptions import SolverError
 from repro.markov.birth_death import mmc_chain
 from repro.markov.solvers import (
-    _usable_warm_start,
     steady_state,
     steady_state_direct,
     steady_state_gmres,
@@ -86,55 +85,8 @@ class TestDispatch:
         with pytest.raises(SolverError):
             steady_state(q, method="magic")
 
-
-class TestWarmStart:
-    @pytest.mark.parametrize("method", ["gmres", "power"])
-    def test_warm_start_converges_to_same_solution(self, method):
-        q = random_ergodic_generator(25, 11)
-        cold = steady_state(q, method=method)
-        warm = steady_state(q, method=method, x0=cold)
-        np.testing.assert_allclose(warm, cold, atol=1e-10)
-
-    @pytest.mark.parametrize("method", ["gmres", "power"])
-    def test_perturbed_neighbor_guess_is_safe(self, method):
-        exact = steady_state_direct(random_ergodic_generator(20, 12))
-        q = random_ergodic_generator(20, 13)  # a *different* chain
-        warm = steady_state(q, method=method, x0=exact)
-        np.testing.assert_allclose(warm, steady_state_direct(q), atol=1e-7)
-
-    def test_direct_ignores_warm_start(self):
-        q = random_ergodic_generator(15, 14)
-        cold = steady_state(q, method="direct")
-        warm = steady_state(q, method="direct", x0=np.ones(15))
-        assert np.array_equal(cold, warm)
-
-    @pytest.mark.parametrize(
-        "bad",
-        [
-            np.ones(7),  # wrong length
-            np.full(20, np.nan),  # non-finite
-            -np.ones(20),  # negative mass
-            np.zeros(20),  # zero mass
-        ],
-    )
-    def test_malformed_guesses_discarded(self, bad):
-        assert _usable_warm_start(bad, 20) is None
-        # And the solvers still converge when handed one.
-        q = random_ergodic_generator(20, 15)
-        pi = steady_state(q, method="power", x0=bad)
-        np.testing.assert_allclose(pi, steady_state_direct(q), atol=1e-7)
-
-    def test_usable_guess_passes_through(self):
-        guess = np.full(10, 0.1)
-        out = _usable_warm_start(guess, 10)
-        assert out is not None
-        np.testing.assert_array_equal(out, guess)
-
-    def test_gmres_rejects_zero_mass_pin(self):
-        # A guess whose pinned entry carries no mass cannot be rescaled;
-        # gmres must fall back to its default guess, not divide by zero.
-        q = random_ergodic_generator(12, 16)
-        guess = np.ones(12)
-        guess[0] = 0.0
-        pi = steady_state_gmres(q, x0=guess)
-        np.testing.assert_allclose(pi, steady_state_direct(q), atol=1e-7)
+    @pytest.mark.parametrize("method", ["auto", "direct", "gmres", "power"])
+    def test_warm_start_keyword_is_gone(self, method):
+        # Every solve starts cold: its result depends on the chain alone.
+        with pytest.raises(TypeError):
+            steady_state(random_ergodic_generator(5, 6), method=method, x0=np.ones(5))

@@ -23,7 +23,7 @@ MAX_DISABLED_OVERHEAD = 0.02
 @pytest.mark.slow
 class TestDisabledOverhead:
     def test_disabled_overhead_fraction_under_two_percent(self):
-        entry = micro.bench_obs_overhead(quick=True, reference=False)
+        entry = micro.bench_obs_overhead(quick=True)
         assert entry["solve_crossings"] > 0  # the solve is instrumented
         assert entry["per_hook_seconds"] < 5e-6  # sanity: no-op, not work
         assert entry["disabled_overhead_fraction"] < MAX_DISABLED_OVERHEAD, (
@@ -36,7 +36,7 @@ class TestDisabledOverhead:
         # The probe manages its own captures; it must leave global
         # instrumentation exactly as it found it.
         assert not obs.tracing_active()
-        micro.bench_obs_overhead(quick=True, reference=False)
+        micro.bench_obs_overhead(quick=True)
         assert not obs.tracing_active()
         assert not obs.metrics_active()
 

@@ -1,10 +1,11 @@
-"""Level-prefix memoization and warm-start semantics of the approximate model.
+"""Level-prefix memoization semantics of the approximate model.
 
 The cache key of a level is ``(model config, ordered prefix of SC specs,
 pool size)`` — complete by construction, so hits can only return what a
 cold build would have produced.  These tests pin that: memoized results
-equal cold results bitwise, rotations actually share prefixes, and any
-change to a prefix (or the model configuration) invalidates reuse.
+equal cold results bitwise, rotations actually share prefixes, any
+change to a prefix (or the model configuration) invalidates reuse, and
+the cache's capacity follows the largest federation evaluated.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from repro.bench.scenarios import kscale_scenario
 from repro.core.small_cloud import FederationScenario, SmallCloud
 from repro.exceptions import ConfigurationError
 from repro.perf.approximate import ApproximateModel
+from repro.runtime.cache import model_fingerprint
 
 
 #: Chain length of the prefix-reuse cases.
@@ -38,13 +40,13 @@ def scenario_3sc(rates=(3.0, 3.5, 2.5)) -> FederationScenario:
 class TestMemoizedEquality:
     def test_memoized_evaluate_equals_cold(self):
         scenario = scenario_3sc()
-        cold = ApproximateModel(level_cache_size=0)
-        memo = ApproximateModel(level_cache_size=64)
+        cold = ApproximateModel(level_cache=False)
+        memo = ApproximateModel()
         assert memo.evaluate(scenario) == cold.evaluate(scenario)
 
     def test_repeated_evaluate_target_hits_cache(self):
         scenario = scenario_3sc()
-        model = ApproximateModel(level_cache_size=64)
+        model = ApproximateModel()
         first = model.evaluate_target(scenario)
         misses_after_first = model.level_cache_stats()["misses"]
         second = model.evaluate_target(scenario)
@@ -56,7 +58,7 @@ class TestMemoizedEquality:
 
     def test_rotations_share_prefixes(self):
         scenario = scenario_3sc()
-        model = ApproximateModel(level_cache_size=64)
+        model = ApproximateModel()
         model.evaluate(scenario)
         stats = model.level_cache_stats()
         # K rotations of K levels would be K^2 cold builds; shared
@@ -67,7 +69,7 @@ class TestMemoizedEquality:
 
     def test_disabled_cache_never_counts(self):
         scenario = scenario_3sc()
-        model = ApproximateModel(level_cache_size=0)
+        model = ApproximateModel(level_cache=False)
         model.evaluate_target(scenario)
         assert model.level_cache_stats() == {
             "size": 0,
@@ -80,7 +82,7 @@ class TestMemoizedEquality:
 
 class TestInvalidation:
     def test_changed_spec_misses(self):
-        model = ApproximateModel(level_cache_size=64)
+        model = ApproximateModel()
         base = scenario_3sc()
         model.evaluate_target(base)
         misses = model.level_cache_stats()["misses"]
@@ -109,58 +111,52 @@ class TestInvalidation:
         moved = FederationScenario(tuple(clouds))
         assert (moved.total_shared() != base.total_shared()) == (field == "shared_vms")
 
-        model = ApproximateModel(level_cache_size=64)
+        model = ApproximateModel()
         model.evaluate_target(base)
         misses = model.level_cache_stats()["misses"]
         warm = model.evaluate_target(moved)
         assert model.level_cache_stats()["misses"] == misses + rebuilt
         # The reused prefix answers exactly what a cold build would.
-        assert warm == ApproximateModel(level_cache_size=0).evaluate_target(moved)
+        assert warm == ApproximateModel(level_cache=False).evaluate_target(moved)
 
     def test_different_config_never_shares(self):
         scenario = scenario_3sc()
-        strict = ApproximateModel(level_cache_size=64, outcome_threshold=1e-9)
-        loose = ApproximateModel(level_cache_size=64, outcome_threshold=1e-5)
+        strict = ApproximateModel(outcome_threshold=1e-9)
+        loose = ApproximateModel(outcome_threshold=1e-5)
         # Different tolerance enters the key; both instances start cold.
         strict.evaluate_target(scenario)
         loose.evaluate_target(scenario)
         assert strict._config_key() != loose._config_key()
 
-    def test_rejects_negative_cache_size(self):
+    def test_level_cache_switch_does_not_enter_fingerprint(self):
+        # Memoized and cold levels are bit-identical, so both settings
+        # share one disk-cache namespace by design.
+        assert model_fingerprint(ApproximateModel()) == model_fingerprint(
+            ApproximateModel(level_cache=False)
+        )
+
+    @pytest.mark.parametrize("max_outcomes", [0, -1])
+    def test_rejects_non_positive_max_outcomes(self, max_outcomes):
+        # -1 would silently drop the least likely outcome (kept[:-1]);
+        # 0 would keep none, zeroing every parameter.
         with pytest.raises(ConfigurationError):
-            ApproximateModel(level_cache_size=-1)
+            ApproximateModel(max_outcomes=max_outcomes)
 
 
-class TestWarmStart:
-    def test_warm_started_equals_cold_on_small_chains(self):
-        # Small chains use the direct solver, which ignores the hint —
-        # warm-started results are exactly the cold ones.
-        scenario = scenario_3sc()
-        cold = ApproximateModel(level_cache_size=0)
-        warm = ApproximateModel(level_cache_size=64, warm_start=True)
-        assert warm.evaluate(scenario) == cold.evaluate(scenario)
-
-    def test_warm_start_enters_fingerprint(self):
-        from repro.runtime.cache import model_fingerprint
-
-        plain = ApproximateModel()
-        warm = ApproximateModel(warm_start=True)
-        assert model_fingerprint(plain) != model_fingerprint(warm)
-
-    def test_assembly_choice_does_not_enter_fingerprint(self):
-        from repro.runtime.cache import model_fingerprint
-
-        vec = ApproximateModel()
-        ref = ApproximateModel(assembly="reference")
-        # Both assemblers are bit-identical, so they share a disk-cache
-        # namespace by design.
-        assert model_fingerprint(vec) == model_fingerprint(ref)
+class TestCapacity:
+    def test_default_cache_grows_with_k_and_never_shrinks(self):
+        model = ApproximateModel()
+        assert model.level_cache_stats()["maxsize"] == 64
+        model.evaluate_target(kscale_scenario(20, sharers=3, vms=2))
+        assert model.level_cache_stats()["maxsize"] == 6 * 20 + 16
+        model.evaluate_target(kscale_scenario(3, sharers=3, vms=2))
+        assert model.level_cache_stats()["maxsize"] == 6 * 20 + 16
 
 
 class TestProcessPoolFriendliness:
     def test_model_pickles_with_cold_caches(self):
         scenario = scenario_3sc()
-        model = ApproximateModel(level_cache_size=64)
+        model = ApproximateModel()
         model.evaluate_target(scenario)
         clone = pickle.loads(pickle.dumps(model))
         assert clone.level_cache_stats()["size"] == 0

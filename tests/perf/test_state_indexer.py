@@ -1,5 +1,6 @@
 """Tests for the approximate model's closed-form state indexer."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hyp
@@ -23,9 +24,9 @@ class TestStateIndexer:
         "q_max,shares,pool", [(3, 2, 2), (5, 0, 4), (2, 3, 0), (7, 1, 5)]
     )
     def test_matches_enumeration_order(self, q_max, shares, pool):
-        indexer = _StateIndexer(q_max, shares, pool)
+        indexer = _StateIndexer(shares, pool)
         for expected, state in enumerate(enumerate_states(q_max, shares, pool)):
-            assert indexer(*state) == expected
+            assert indexer.index_arrays(*state) == expected
 
     @given(
         q_max=hyp.integers(min_value=0, max_value=10),
@@ -34,7 +35,7 @@ class TestStateIndexer:
     )
     @settings(max_examples=40, deadline=None)
     def test_bijective_over_the_whole_space(self, q_max, shares, pool):
-        indexer = _StateIndexer(q_max, shares, pool)
         states = enumerate_states(q_max, shares, pool)
-        indices = [indexer(*s) for s in states]
-        assert indices == list(range(len(states)))
+        q, s, o, a = (np.array(coord, dtype=np.int64) for coord in zip(*states))
+        indices = _StateIndexer(shares, pool).index_arrays(q, s, o, a)
+        assert indices.tolist() == list(range(len(states)))

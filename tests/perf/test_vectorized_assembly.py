@@ -1,23 +1,27 @@
-"""Equivalence of the vectorized and reference transition assemblers.
+"""The vectorized transition assemblers against the per-state oracle.
 
-The vectorized assembler must be *bit-identical* to the retained
-per-state reference loop: same CSR structure, same data floats, same
-forwarding vector, hence the same steady state and parameters.  These
-tests sweep randomized small federations so the equality holds across
-pool shapes, truncation levels, and outcome fan-outs, not just one
-hand-picked case.
+The vectorized assembler must be *bit-identical* to the per-state loop
+in :mod:`tests.perf.assembly_oracle`: same CSR structure, same data
+floats, same forwarding vector, hence the same steady state and
+parameters.  These tests sweep randomized small federations so the
+equality holds across pool shapes, truncation levels, and outcome
+fan-outs, not just one hand-picked case.  The 3-SC Fig. 8a chain is
+checked the same way in ``tests/bench/test_micro.py``.
 """
 
 from __future__ import annotations
 
 import random
 
-import numpy as np
 import pytest
 
 from repro.core.small_cloud import FederationScenario, SmallCloud
-from repro.exceptions import ConfigurationError
 from repro.perf.approximate import ApproximateModel, _state_arrays, _StateIndexer
+from tests.perf.assembly_oracle import (
+    OracleModel,
+    ScalarStateIndexer,
+    assert_matches_oracle,
+)
 
 
 def random_scenario(rng: random.Random, k: int) -> FederationScenario:
@@ -38,37 +42,11 @@ def random_scenario(rng: random.Random, k: int) -> FederationScenario:
     return FederationScenario(tuple(clouds))
 
 
-def build_levels(model: ApproximateModel, scenario: FederationScenario) -> list:
-    """All levels of the chain, in order (bypasses the level cache)."""
-    levels = [model._build_first(scenario)]
-    for i in range(1, len(scenario)):
-        levels.append(model._build_level(scenario, i, levels[-1]))
-    return levels
-
-
-def assert_levels_identical(ref, vec) -> None:
-    ref_gen, vec_gen = ref.ctmc.generator, vec.ctmc.generator
-    assert ref_gen.shape == vec_gen.shape
-    assert np.array_equal(ref_gen.indptr, vec_gen.indptr)
-    assert np.array_equal(ref_gen.indices, vec_gen.indices)
-    # Bitwise, not approximate: the vectorized assembler replicates the
-    # reference's float expressions and summation order exactly.
-    assert np.array_equal(ref_gen.data, vec_gen.data)
-    assert np.array_equal(ref.forward_flow, vec.forward_flow)
-    assert np.array_equal(ref.steady, vec.steady)
-
-
 class TestAssemblerEquivalence:
     @pytest.mark.parametrize("seed", range(8))
     def test_randomized_small_federations(self, seed):
         rng = random.Random(1000 + seed)
-        scenario = random_scenario(rng, k=rng.randint(2, 4))
-        ref = ApproximateModel(assembly="reference", level_cache_size=0)
-        vec = ApproximateModel(assembly="vectorized", level_cache_size=0)
-        for ref_level, vec_level in zip(
-            build_levels(ref, scenario), build_levels(vec, scenario)
-        ):
-            assert_levels_identical(ref_level, vec_level)
+        assert_matches_oracle(random_scenario(rng, k=rng.randint(2, 4)))
 
     def test_zero_share_target(self):
         # A target sharing nothing exercises the shares == 0 state layout.
@@ -76,27 +54,17 @@ class TestAssemblerEquivalence:
             SmallCloud(name="a", vms=4, arrival_rate=3.0, shared_vms=2),
             SmallCloud(name="b", vms=4, arrival_rate=3.2, shared_vms=0),
         )
-        scenario = FederationScenario(clouds)
-        ref = ApproximateModel(assembly="reference", level_cache_size=0)
-        vec = ApproximateModel(assembly="vectorized", level_cache_size=0)
-        for ref_level, vec_level in zip(
-            build_levels(ref, scenario), build_levels(vec, scenario)
-        ):
-            assert_levels_identical(ref_level, vec_level)
+        assert_matches_oracle(FederationScenario(clouds))
 
     def test_params_identical_end_to_end(self):
         rng = random.Random(7)
         scenario = random_scenario(rng, k=3)
-        ref = ApproximateModel(assembly="reference", level_cache_size=0)
-        vec = ApproximateModel(assembly="vectorized", level_cache_size=0)
+        oracle = OracleModel(level_cache=False)
+        vectorized = ApproximateModel(level_cache=False)
         for target in range(len(scenario)):
-            assert ref.evaluate_target(scenario, target) == vec.evaluate_target(
+            assert oracle.evaluate_target(scenario, target) == vectorized.evaluate_target(
                 scenario, target
             )
-
-    def test_rejects_unknown_assembly(self):
-        with pytest.raises(ConfigurationError):
-            ApproximateModel(assembly="fancy")
 
 
 class TestStateArrays:
@@ -116,9 +84,9 @@ class TestStateArrays:
 
     @pytest.mark.parametrize("q_max,shares,pool", [(3, 2, 4), (2, 1, 3)])
     def test_index_arrays_matches_scalar_indexer(self, q_max, shares, pool):
-        indexer = _StateIndexer(q_max, shares, pool)
         q_arr, s_arr, o_arr, a_arr = _state_arrays(q_max, shares, pool)
-        vec = indexer.index_arrays(q_arr, s_arr, o_arr, a_arr)
+        vec = _StateIndexer(shares, pool).index_arrays(q_arr, s_arr, o_arr, a_arr)
+        indexer = ScalarStateIndexer(shares, pool)
         scalar = [
             indexer(q, s, o, a) for q, s, o, a in zip(q_arr, s_arr, o_arr, a_arr)
         ]
