@@ -13,9 +13,17 @@ Three strategies, selectable explicitly or via ``method='auto'``:
 All solvers return a probability row vector ``pi`` with ``pi Q = 0`` and
 ``sum(pi) = 1``; tiny negative entries from round-off are clipped and the
 vector renormalized.
+
+:func:`steady_state` records on its ``markov.steady_state`` span which
+solver succeeded (``solver``), the relative ``residual`` of its result,
+the LU column ``ordering`` of a direct solve and the ``iterations`` of a
+power solve.
 """
 
 from __future__ import annotations
+
+from functools import partial
+from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
@@ -42,12 +50,57 @@ def _clean(pi: np.ndarray, residual_scale: float = 1e-8) -> np.ndarray:
     return pi / total
 
 
-def _check_residual(q: sp.spmatrix, pi: np.ndarray, tol: float = 1e-7) -> None:
-    """Verify ``pi Q ~ 0`` relative to the generator's magnitude."""
+#: Telemetry a solver reports for the ``markov.steady_state`` span.
+SolveInfo = dict[str, object]
+
+
+def _check_residual(q: sp.spmatrix, pi: np.ndarray, tol: float = 1e-7) -> float:
+    """Verify ``pi Q ~ 0`` relative to the generator's magnitude; return
+    that relative residual."""
     scale = max(1.0, float(np.abs(q.diagonal()).max(initial=0.0)))
-    residual = np.abs(pi @ q).max() / scale
+    residual = float(np.abs(pi @ q).max()) / scale
     if residual > tol:
         raise SolverError(f"steady-state residual too large: {residual:.3e}")
+    return residual
+
+
+#: A matrix whose bandwidth is at most ``1 / _BANDED_FRACTION`` of its
+#: order is LU-factored in its own (natural) order.  The approximate and
+#: pooled chains enumerate ``q`` outermost and an event moves ``q`` by at
+#: most one, so their bandwidth is a few percent of ``n`` and COLAMD's
+#: reordering only costs time; the detailed model's BFS-ordered lattices
+#: sit at 35-63%, where COLAMD cuts the fill several-fold.
+_BANDED_FRACTION = 8
+
+
+def _bandwidth(m: sp.spmatrix) -> int:
+    """Largest ``|i - j|`` over the stored entries of a CSR or CSC
+    matrix, in O(nnz)."""
+    major = np.repeat(np.arange(len(m.indptr) - 1), np.diff(m.indptr))
+    return int(np.abs(m.indices - major).max(initial=0))
+
+
+def _direct(q: sp.spmatrix) -> tuple[np.ndarray, SolveInfo]:
+    """:func:`steady_state_direct` plus its telemetry."""
+    n = q.shape[0]
+    if n == 1:
+        return np.array([1.0]), {}
+    qt = sp.csc_matrix(q.transpose())
+    a = sp.csc_matrix(qt[1:, 1:])
+    # Densifying one n-1 column (the RHS the solver needs dense anyway)
+    # is O(n), not an O(n^2) matrix materialization.
+    b = -qt[1:, 0].toarray().ravel()
+    ordering = "NATURAL" if _BANDED_FRACTION * _bandwidth(a) <= n else "COLAMD"
+    try:
+        lu = spla.splu(a, permc_spec=ordering)
+        tail = lu.solve(b)
+    except RuntimeError as exc:  # singular factorization
+        raise SolverError(f"sparse LU failed: {exc}") from exc
+    pi = np.concatenate([[1.0], tail])
+    pi = _clean(pi)
+    residual = _check_residual(q, pi)
+    sanitize.check_distribution(pi, label="steady-state[direct]")
+    return pi, {"ordering": ordering, "residual": residual}
 
 
 def steady_state_direct(q: sp.spmatrix) -> np.ndarray:
@@ -61,25 +114,11 @@ def steady_state_direct(q: sp.spmatrix) -> np.ndarray:
     of magnitude slower on chains with tens of thousands of states.  The
     first state is pinned because the library's state spaces start from
     the empty-system state, which always carries non-negligible mass.
+
+    A banded system (bandwidth at most ``n / 8``) is factored in its
+    natural order, any other with SuperLU's default COLAMD ordering.
     """
-    n = q.shape[0]
-    if n == 1:
-        return np.array([1.0])
-    qt = sp.csc_matrix(q.transpose())
-    a = qt[1:, 1:]
-    # Densifying one n-1 column (the RHS the solver needs dense anyway)
-    # is O(n), not an O(n^2) matrix materialization.
-    b = -qt[1:, 0].toarray().ravel()
-    try:
-        lu = spla.splu(sp.csc_matrix(a))
-        tail = lu.solve(b)
-    except RuntimeError as exc:  # singular factorization
-        raise SolverError(f"sparse LU failed: {exc}") from exc
-    pi = np.concatenate([[1.0], tail])
-    pi = _clean(pi)
-    _check_residual(q, pi)
-    sanitize.check_distribution(pi, label="steady-state[direct]")
-    return pi
+    return _direct(q)[0]
 
 
 def steady_state_gmres(
@@ -100,9 +139,16 @@ def steady_state_gmres(
         tol: relative GMRES tolerance.
         max_iter: GMRES iteration budget.
     """
+    return _gmres(q, tol=tol, max_iter=max_iter)[0]
+
+
+def _gmres(
+    q: sp.spmatrix, tol: float = 1e-12, max_iter: int = 20_000
+) -> tuple[np.ndarray, SolveInfo]:
+    """:func:`steady_state_gmres` plus its telemetry."""
     n = q.shape[0]
     if n == 1:
-        return np.array([1.0])
+        return np.array([1.0]), {}
     qt = sp.csc_matrix(q.transpose())
     a = sp.csc_matrix(qt[1:, 1:])
     # One dense n-1 column for the RHS: O(n), not a matrix blow-up.
@@ -122,9 +168,9 @@ def steady_state_gmres(
         raise ConvergenceError(f"GMRES did not converge (info={info})")
     pi = np.concatenate([[1.0], tail])
     pi = _clean(pi)
-    _check_residual(q, pi, tol=1e-6)
+    residual = _check_residual(q, pi, tol=1e-6)
     sanitize.check_distribution(pi, label="steady-state[gmres]")
-    return pi
+    return pi, {"residual": residual}
 
 
 # Power-iteration inner loop; dominates chain solves.
@@ -135,6 +181,13 @@ def stationary_power(
 ) -> np.ndarray:
     """Power iteration for the stationary distribution of a DTMC matrix,
     started from the uniform distribution."""
+    return _iterate_power(p, tol=tol, max_iter=max_iter)[0]
+
+
+def _iterate_power(
+    p: sp.spmatrix, tol: float, max_iter: int
+) -> tuple[np.ndarray, int]:
+    """:func:`stationary_power` plus the number of iterations it took."""
     n = p.shape[0]
     pi = np.full(n, 1.0 / n)
     for iteration in range(max_iter):
@@ -143,7 +196,7 @@ def stationary_power(
         pi = nxt
         if delta < tol:
             obs.inc("markov.power.iterations", iteration + 1)
-            return _clean(pi)
+            return _clean(pi), iteration + 1
         if iteration % 1000 == 999:
             pi = _clean(pi)  # guard against drift
     raise ConvergenceError(
@@ -157,16 +210,23 @@ def steady_state_power(
     max_iter: int = 1_000_000,
 ) -> np.ndarray:
     """Steady state via power iteration on the uniformized DTMC."""
+    return _power(q, tol=tol, max_iter=max_iter)[0]
+
+
+def _power(
+    q: sp.spmatrix, tol: float = 1e-12, max_iter: int = 1_000_000
+) -> tuple[np.ndarray, SolveInfo]:
+    """:func:`steady_state_power` plus its telemetry."""
     exit_rates = -q.diagonal()
     gamma = float(exit_rates.max(initial=0.0)) * 1.02
     if gamma <= 0.0:
         n = q.shape[0]
-        return np.full(n, 1.0 / n)
+        return np.full(n, 1.0 / n), {"iterations": 0}
     p = sp.eye(q.shape[0], format="csr") + q.multiply(1.0 / gamma)
-    pi = stationary_power(sp.csr_matrix(p), tol=tol, max_iter=max_iter)
-    _check_residual(q, pi, tol=1e-6)
+    pi, iterations = _iterate_power(sp.csr_matrix(p), tol=tol, max_iter=max_iter)
+    residual = _check_residual(q, pi, tol=1e-6)
     sanitize.check_distribution(pi, label="steady-state[power]")
-    return pi
+    return pi, {"iterations": iterations, "residual": residual}
 
 
 # Above this size, LU fill on lattice-shaped generators (the detailed
@@ -182,6 +242,12 @@ _SOLVE_METRICS = {
     name: "markov.solve." + name for name in ("direct", "gmres", "power")
 }
 
+_SOLVERS: dict[str, Callable[[sp.spmatrix], tuple[np.ndarray, SolveInfo]]] = {
+    "direct": _direct,
+    "gmres": _gmres,
+    "power": _power,
+}
+
 
 def steady_state(q: sp.spmatrix, method: str = "auto") -> np.ndarray:
     """Solve the CTMC steady state with the requested ``method``.
@@ -191,41 +257,30 @@ def steady_state(q: sp.spmatrix, method: str = "auto") -> np.ndarray:
     that produces a residual-checked distribution wins.
     """
     q = sp.csr_matrix(q)
-    with obs.span("markov.steady_state", n=q.shape[0], method=method):
-        methods = {
-            "direct": steady_state_direct,
-            "gmres": steady_state_gmres,
-            "power": steady_state_power,
-        }
-        if method in methods:
-            pi = methods[method](q)
-            obs.inc(_SOLVE_METRICS[method])
-            return pi
-        if method != "auto":
+    with obs.span("markov.steady_state", n=q.shape[0], method=method) as span:
+        if method in _SOLVERS:
+            order = [(method, _SOLVERS[method])]
+        elif method != "auto":
             raise SolverError(f"unknown steady-state method {method!r}")
-        if q.shape[0] > _LARGE_CHAIN_THRESHOLD:
-            order: list[tuple] = [
-                (
-                    "power",
-                    lambda m: steady_state_power(m, tol=1e-13, max_iter=100_000),
-                ),
-                ("direct", steady_state_direct),
-                ("gmres", steady_state_gmres),
+        elif q.shape[0] > _LARGE_CHAIN_THRESHOLD:
+            order = [
+                ("power", partial(_power, tol=1e-13, max_iter=100_000)),
+                ("direct", _direct),
+                ("gmres", _gmres),
             ]
         else:
-            order = [
-                ("direct", steady_state_direct),
-                ("gmres", steady_state_gmres),
-                ("power", steady_state_power),
-            ]
+            order = [("direct", _direct), ("gmres", _gmres), ("power", _power)]
         errors: list[str] = []
         for name, solver in order:
             try:
-                pi = solver(q)
+                pi, info = solver(q)
             except SolverError as exc:
+                if method != "auto":
+                    raise
                 errors.append(f"{name}: {exc}")
             else:
                 obs.inc(_SOLVE_METRICS[name])
+                span.set(solver=name, **info)
                 return pi
         raise SolverError(
             "all steady-state solvers failed: " + "; ".join(errors)

@@ -24,11 +24,11 @@ Two layers make repeated evaluation cheap — the paper's market game calls
 this model hundreds of times per equilibrium search:
 
 - **Vectorized transition assembly.**  The generator of one level is
-  emitted in NumPy batches grouped by ``(event type, interaction level
-  s + a, outcome)`` instead of a per-state Python loop; the batches are
-  then permuted back into the exact order the per-state loop would have
-  produced, so the assembled sparse generator is *bit-identical* to that
-  loop.  The per-state loop lives in the test suite
+  emitted one event type at a time, each as one NumPy pass over its
+  ``(state, outcome)`` pairs, instead of a per-state Python loop.  Every
+  row receives its entries in the per-state loop's order, so the
+  assembled sparse generator is *bit-identical* to that loop.  The
+  per-state loop lives in the test suite
   (``tests/perf/assembly_oracle.py``) as the bitwise oracle.
 - **Level-prefix memoization.**  A solved level depends only on the model
   configuration, the ordered prefix of per-SC performance specs
@@ -42,7 +42,7 @@ this model hundreds of times per equilibrium search:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, Iterator
 
 import numpy as np
 import scipy.sparse as sp
@@ -131,56 +131,98 @@ def _state_arrays(
 
 
 class _EntrySink:
-    """Accumulates generator entries with their per-state emission keys.
+    """Accumulates generator entries, batch by batch, for ``coo_matrix``.
 
-    The vectorized assembler emits entries grouped by ``(event, level,
-    outcome)``; a per-state loop would emit them grouped by state.  Each
-    entry's key ``(row, event, outcome position)`` is unique, so sorting
-    by it reproduces the per-state order exactly — and therefore the
-    exact floating-point duplicate-summation order inside
-    ``coo_matrix(...).tocsr()``.
+    ``coo_matrix(...).tocsr()`` buckets entries into rows stably and then
+    sorts and sums each row on its own, so the CSR result depends only on
+    the order of the entries *within* each row
+    (``tests/perf/test_vectorized_assembly.py::TestCooToCsr``).  The
+    assemblers emit one event type after another, each state-major with
+    outcomes in list order, so every row sees its entries in the per-state
+    loop's ``(event, outcome)`` order, and the duplicate sums come out bit
+    for bit the same without a global sort.
     """
 
-    __slots__ = ("_rows", "_cols", "_vals", "_keys", "_omax")
+    __slots__ = ("_rows", "_cols", "_vals")
 
-    def __init__(self, max_outcomes: int) -> None:
+    def __init__(self) -> None:
         self._rows: list[np.ndarray] = []
         self._cols: list[np.ndarray] = []
         self._vals: list[np.ndarray] = []
-        self._keys: list[np.ndarray] = []
-        self._omax = np.int64(max(max_outcomes, 1))
 
-    def emit(
-        self,
-        src: np.ndarray,
-        dst: np.ndarray,
-        val: np.ndarray,
-        event: int,
-        outcome_pos: int,
-    ) -> None:
+    def emit(self, src: np.ndarray, dst: np.ndarray, val: np.ndarray) -> None:
         """Queue a batch of entries; self-loops are dropped (the diagonal
         is derived from row sums afterwards)."""
         val = np.broadcast_to(val, src.shape)
         keep = dst != src
         if not keep.all():
             src, dst, val = src[keep], dst[keep], val[keep]
-        if src.size == 0:
-            return
-        self._rows.append(src)
-        self._cols.append(dst)
+        self._rows.append(src.astype(np.int32))
+        self._cols.append(dst.astype(np.int32))
         self._vals.append(val)
-        self._keys.append((src * 3 + np.int64(event)) * self._omax + np.int64(outcome_pos))
 
-    def sorted_entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """All entries permuted into per-state (state-major) order."""
+    def entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """All entries in emission order, as int32 rows and columns."""
         if not self._rows:
-            empty = np.empty(0)
-            return empty.astype(np.int32), empty.astype(np.int32), empty
-        rows = np.concatenate(self._rows)
-        cols = np.concatenate(self._cols)
-        vals = np.concatenate(self._vals)
-        perm = np.argsort(np.concatenate(self._keys), kind="stable")
-        return rows[perm].astype(np.int32), cols[perm].astype(np.int32), vals[perm]
+            return np.empty(0, np.int32), np.empty(0, np.int32), np.empty(0)
+        return (
+            np.concatenate(self._rows),
+            np.concatenate(self._cols),
+            np.concatenate(self._vals),
+        )
+
+
+#: Most ``(state, outcome)`` pairs one assembly batch materializes, which
+#: bounds the transient arrays of a level build.
+_PAIR_BATCH = 1 << 17
+
+
+class _OutcomeGrid:
+    """The outcome lists one event's states draw from, as padded arrays.
+
+    States sharing a group key (an interaction level, or a departure
+    count and level) share one outcome list; row ``g`` of ``a_loc``,
+    ``a_rem``, ``backlog`` and ``p`` holds group ``g``'s list in order,
+    padded to the longest list.
+    """
+
+    __slots__ = ("a_loc", "a_rem", "backlog", "p", "_states", "_groups", "_count")
+
+    def __init__(
+        self,
+        states: np.ndarray,
+        keys: np.ndarray,
+        outcomes_of: Callable[[int], list],
+    ) -> None:
+        uniques, self._groups = np.unique(keys, return_inverse=True)
+        lists = [outcomes_of(key) for key in uniques.tolist()]
+        self._states = states
+        self._count = np.array([len(item) for item in lists], dtype=np.int64)
+        shape = (len(lists), max(int(self._count.max(initial=0)), 1))
+        self.a_loc = np.zeros(shape, dtype=np.int64)
+        self.a_rem = np.zeros(shape, dtype=np.int64)
+        self.backlog = np.zeros(shape, dtype=bool)
+        self.p = np.zeros(shape)
+        for g, outcomes in enumerate(lists):
+            if outcomes:
+                width = len(outcomes)
+                a_loc, a_rem, backlog, p = zip(*outcomes)
+                self.a_loc[g, :width] = a_loc
+                self.a_rem[g, :width] = a_rem
+                self.backlog[g, :width] = backlog
+                self.p[g, :width] = p
+
+    def pairs(self) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """``(state, group, outcome position)`` of every pair, state-major
+        (the per-state loop's order), in batches of consecutive states."""
+        per_state = self._count[self._groups]
+        step = max(1, _PAIR_BATCH // self.p.shape[1])
+        for lo in range(0, per_state.size, step):
+            counts = per_state[lo : lo + step]
+            pos = np.repeat(np.arange(lo, lo + counts.size), counts)
+            starts = np.cumsum(counts) - counts
+            outcome = np.arange(pos.size) - np.repeat(starts, counts)
+            yield self._states[pos], self._groups[pos], outcome
 
 
 @dataclass
@@ -190,6 +232,8 @@ class _Level:
     space: StateSpace
     steady: np.ndarray
     ctmc: CTMC
+    queue: np.ndarray  # q (requests of this SC queued or in service)
+    borrowed: np.ndarray  # o (pool VMs this SC borrows)
     usage: np.ndarray  # U = o + a (non-own shared VMs used by the group+self)
     own_lent: np.ndarray  # s (this SC's VMs lent to the group)
     backlog: np.ndarray  # queued requests of this SC
@@ -433,6 +477,8 @@ class ApproximateModel(PerformanceModel):
             space=space,
             steady=pi,
             ctmc=ctmc,
+            queue=q_arr,
+            borrowed=o_arr,
             usage=o_arr,
             own_lent=np.zeros(len(space), dtype=int),
             backlog=np.maximum(q_arr - n, 0),
@@ -453,13 +499,13 @@ class ApproximateModel(PerformanceModel):
         o_arr = np.tile(np.arange(width, dtype=np.int64), q_max + 1)
         idx = np.arange(n_states, dtype=np.int64)
         forward = np.zeros(n_states)
-        sink = _EntrySink(max_outcomes=1)
+        sink = _EntrySink()
 
-        # Arrivals (slot 0): free own VM / free pool VM / SLA race.
+        # Arrivals: free own VM / free pool VM / SLA race.
         m1 = q_arr < n
-        sink.emit(idx[m1], idx[m1] + width, np.array([lam]), 0, 0)
+        sink.emit(idx[m1], idx[m1] + width, np.array([lam]))
         m2 = ~m1 & (o_arr < pool)
-        sink.emit(idx[m2], idx[m2] + 1, np.array([lam]), 0, 0)
+        sink.emit(idx[m2], idx[m2] + 1, np.array([lam]))
         m3 = ~m1 & ~m2
         if m3.any():
             # m3 non-empty implies q_max >= n (it needs q >= n, o == pool).
@@ -470,18 +516,16 @@ class ApproximateModel(PerformanceModel):
             p_queue = pq_table[q3 - n]
             queue_ok = (q3 + 1 <= q_max) & (p_queue > 0.0)
             st3 = idx[m3]
-            sink.emit(
-                st3[queue_ok], st3[queue_ok] + width, lam * p_queue[queue_ok], 0, 0
-            )
+            sink.emit(st3[queue_ok], st3[queue_ok] + width, lam * p_queue[queue_ok])
             forward[st3[queue_ok]] = lam * (1.0 - p_queue[queue_ok])
             forward[st3[~queue_ok]] = lam
-        # Local departures (slot 1) and pool departures (slot 2).
+        # Local departures, then pool departures.
         running = np.minimum(q_arr, n)
         m4 = running > 0
-        sink.emit(idx[m4], idx[m4] - width, running[m4] * mu, 1, 0)
+        sink.emit(idx[m4], idx[m4] - width, running[m4] * mu)
         m5 = o_arr > 0
-        sink.emit(idx[m5], idx[m5] - 1, o_arr[m5] * mu, 2, 0)
-        rows, cols, vals = sink.sorted_entries()
+        sink.emit(idx[m5], idx[m5] - 1, o_arr[m5] * mu)
+        rows, cols, vals = sink.entries()
         return rows, cols, vals, forward
 
     # ------------------------------------------------------------------ #
@@ -567,6 +611,8 @@ class ApproximateModel(PerformanceModel):
             space=space,
             steady=pi,
             ctmc=ctmc,
+            queue=q_arr,
+            borrowed=o_arr,
             usage=o_arr + a_arr,
             own_lent=s_arr,
             backlog=np.maximum(q_arr - (n - s_arr), 0),
@@ -601,14 +647,16 @@ class ApproximateModel(PerformanceModel):
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Batch assembly of one level's generator.
 
-        States are grouped by interaction level ``s + a`` (arrivals), by
-        ``(running, level)`` (local departures), and by ``(o, level)``
-        (remote departures); each group shares one outcome distribution,
-        so every ``(event, group, outcome)`` triple becomes a single
-        broadcast through the closed-form indexer arithmetic.  The SLA
-        race probabilities are precomputed as a ``(waiting, busy)`` table
-        from the same scalar :func:`prob_no_forward`, so every float
-        matches the per-state loop bit for bit.
+        Each event type is one NumPy pass over all of its ``(state,
+        outcome)`` pairs, expanded state-major from an :class:`_OutcomeGrid`
+        of the outcome lists the event's states need: arrivals (C1–C3)
+        group states by interaction level ``s + a``, local departures
+        (C4) by ``(running, level)`` and remote departures (C5) by ``(o,
+        level)``.  Every rate keeps the per-state loop's operand order
+        (``lam * p``, ``(running * mu) * p``, ``(o * mu) * p``), and the
+        SLA race probabilities come from a ``(waiting, busy)`` table of
+        the same scalar :func:`prob_no_forward`, so every float matches
+        the loop bit for bit.
         """
         index_of = _StateIndexer(shares, pool)
         q_arr, s_arr, o_arr, a_arr = _state_arrays(q_max, shares, pool)
@@ -616,7 +664,7 @@ class ApproximateModel(PerformanceModel):
         level_arr = s_arr + a_arr
         n_levels = shares + pool + 1
         forward = np.zeros(n_states)
-        sink = _EntrySink(max_outcomes=self.max_outcomes)
+        sink = _EntrySink()
         all_idx = np.arange(n_states, dtype=np.int64)
 
         # P^NF as a dense (waiting, busy) lookup — a few hundred scalar
@@ -628,152 +676,91 @@ class ApproximateModel(PerformanceModel):
             ]
         )
 
-        def level_groups(
-            member: np.ndarray, group_key: np.ndarray
-        ) -> list[tuple[int, np.ndarray]]:
-            """Split ``member`` states into index arrays per group key
-            (each ascending, so per-state emission order is preserved)."""
-            members = all_idx[member]
-            keys = group_key[member]
-            order = np.argsort(keys, kind="stable")
-            members = members[order]
-            keys = keys[order]
-            uniques, starts = np.unique(keys, return_index=True)
-            bounds = np.append(starts[1:], members.size)
-            return [
-                (int(u), members[lo:hi])
-                for u, lo, hi in zip(uniques, starts, bounds)
-            ]
-
-        # --- arrivals (cases C1-C3), grouped by interaction level -------
+        # --- arrivals (cases C1-C3) -------------------------------------
         tau_arrival = 1.0 / lam
-        for lvl, st in level_groups(np.ones(n_states, dtype=bool), level_arr):
-            qv, sv, ov = q_arr[st], s_arr[st], o_arr[st]
-            for j, (a_loc, a_rem_raw, _bk, p) in enumerate(outcomes_for(tau_arrival, lvl)):
-                rate = lam * p
-                c1 = qv + a_loc < n
-                if c1.any():
-                    sink.emit(
-                        st[c1],
-                        index_of.index_arrays(
-                            qv[c1] + 1, a_loc, ov[c1],
-                            np.minimum(a_rem_raw, pool - ov[c1]),
-                        ),
-                        np.array([rate]),
-                        0,
-                        j,
-                    )
-                rest = ~c1
-                c2 = rest & (ov + a_rem_raw + 1 <= pool)
-                if c2.any():
-                    sink.emit(
-                        st[c2],
-                        index_of.index_arrays(qv[c2], a_loc, ov[c2] + 1, a_rem_raw),
-                        np.array([rate]),
-                        0,
-                        j,
-                    )
-                c3 = rest & ~c2
-                if c3.any():
-                    st3, q3, o3 = st[c3], qv[c3], ov[c3]
-                    a_rem = pool - o3
-                    p_queue = pq_table[q3 - (n - a_loc), (n - a_loc) + o3]
-                    queue_ok = (q3 + 1 <= q_max) & (p_queue > 0.0)
-                    if queue_ok.any():
-                        sink.emit(
-                            st3[queue_ok],
-                            index_of.index_arrays(
-                                q3[queue_ok] + 1, a_loc, o3[queue_ok], a_rem[queue_ok]
-                            ),
-                            rate * p_queue[queue_ok],
-                            0,
-                            j,
-                        )
-                        forward[st3[queue_ok]] += rate * (1.0 - p_queue[queue_ok])
-                    dropped = ~queue_ok
-                    if dropped.any():
-                        forward[st3[dropped]] += rate
-                        sink.emit(
-                            st3[dropped],
-                            index_of.index_arrays(
-                                q3[dropped], a_loc, o3[dropped], a_rem[dropped]
-                            ),
-                            np.array([rate]),
-                            0,
-                            j,
-                        )
+        grid = _OutcomeGrid(
+            all_idx, level_arr, lambda lvl: outcomes_for(tau_arrival, lvl)
+        )
+        for src, g, j in grid.pairs():
+            qv, ov = q_arr[src], o_arr[src]
+            a_loc, a_rem_raw = grid.a_loc[g, j], grid.a_rem[g, j]
+            rate = lam * grid.p[g, j]
+            c1 = qv + a_loc < n
+            c2 = ~c1 & (ov + a_rem_raw + 1 <= pool)
+            # C1 starts on a free own VM (q + 1), C2 on a borrowed pool VM
+            # (o + 1); C3 races the SLA and either queues (q + 1) or is
+            # forwarded (q stays).
+            q_dst = qv + c1
+            o_dst = ov + c2
+            c3 = np.flatnonzero(~c1 & ~c2)
+            if c3.size:
+                q3, o3, loc3, rate3 = qv[c3], ov[c3], a_loc[c3], rate[c3]
+                p_queue = pq_table[q3 - (n - loc3), (n - loc3) + o3]
+                queue_ok = (q3 + 1 <= q_max) & (p_queue > 0.0)
+                q_dst[c3] += queue_ok
+                rate[c3] = np.where(queue_ok, rate3 * p_queue, rate3)
+                np.add.at(
+                    forward,
+                    src[c3],
+                    np.where(queue_ok, rate3 * (1.0 - p_queue), rate3),
+                )
+            dst = index_of.index_arrays(
+                q_dst, a_loc, o_dst, np.minimum(a_rem_raw, pool - o_dst)
+            )
+            sink.emit(src, dst, rate)
 
-        # --- local departures (case C4), grouped by (running, level) ----
+        def departure_outcomes(key: int) -> list:
+            """Outcomes after one of ``key // n_levels`` busy VMs finishes,
+            at interaction level ``key % n_levels``."""
+            return outcomes_for(1.0 / (key // n_levels * mu), key % n_levels)
+
+        # --- local departures (case C4) ---------------------------------
         running_arr = np.minimum(q_arr, n - s_arr)
-        for key, st in level_groups(running_arr > 0, running_arr * n_levels + level_arr):
-            running, lvl = divmod(key, n_levels)
-            tau = 1.0 / (running * mu)
-            qv, ov = q_arr[st], o_arr[st]
-            for j, (a_loc, a_rem_raw, bk, p) in enumerate(outcomes_for(tau, lvl)):
-                rate = running * mu * p
-                a_rem = np.minimum(a_rem_raw, pool - ov)
-                if bk and a_loc < shares:
-                    promote = qv + a_loc <= n
-                    if promote.any():
-                        sink.emit(
-                            st[promote],
-                            index_of.index_arrays(
-                                qv[promote] - 1, a_loc + 1, ov[promote], a_rem[promote]
-                            ),
-                            np.array([rate]),
-                            1,
-                            j,
-                        )
-                    plain = ~promote
-                else:
-                    promote = None
-                    plain = slice(None)
-                dst = index_of.index_arrays(qv[plain] - 1, a_loc, ov[plain], a_rem[plain])
-                if dst.size:
-                    sink.emit(st[plain], dst, np.array([rate]), 1, j)
+        busy = running_arr > 0
+        grid = _OutcomeGrid(
+            all_idx[busy],
+            running_arr[busy] * n_levels + level_arr[busy],
+            departure_outcomes,
+        )
+        for src, g, j in grid.pairs():
+            qv, ov = q_arr[src], o_arr[src]
+            a_loc = grid.a_loc[g, j]
+            rate = running_arr[src] * mu * grid.p[g, j]
+            # A freed own VM goes to the group when it has a backlog.
+            promote = grid.backlog[g, j] & (a_loc < shares) & (qv + a_loc <= n)
+            dst = index_of.index_arrays(
+                qv - 1,
+                a_loc + promote,
+                ov,
+                np.minimum(grid.a_rem[g, j], pool - ov),
+            )
+            sink.emit(src, dst, rate)
 
-        # --- remote departures (case C5), grouped by (o, level) ---------
-        for key, st in level_groups(o_arr > 0, o_arr * n_levels + level_arr):
-            o, lvl = divmod(key, n_levels)
-            tau = 1.0 / (o * mu)
-            qv = q_arr[st]
-            for j, (a_loc, a_rem_raw, bk, p) in enumerate(outcomes_for(tau, lvl)):
-                rate = o * mu * p
-                if bk:
-                    sink.emit(
-                        st,
-                        index_of.index_arrays(
-                            qv, a_loc, o - 1, min(a_rem_raw + 1, pool - (o - 1))
-                        ),
-                        np.array([rate]),
-                        2,
-                        j,
-                    )
-                    continue
-                over = qv + a_loc > n
-                if over.any():
-                    sink.emit(
-                        st[over],
-                        index_of.index_arrays(
-                            qv[over] - 1, a_loc, o, min(a_rem_raw, pool - o)
-                        ),
-                        np.array([rate]),
-                        2,
-                        j,
-                    )
-                under = ~over
-                if under.any():
-                    sink.emit(
-                        st[under],
-                        index_of.index_arrays(
-                            qv[under], a_loc, o - 1, min(a_rem_raw, pool - (o - 1))
-                        ),
-                        np.array([rate]),
-                        2,
-                        j,
-                    )
+        # --- remote departures (case C5) --------------------------------
+        lending = o_arr > 0
+        grid = _OutcomeGrid(
+            all_idx[lending],
+            o_arr[lending] * n_levels + level_arr[lending],
+            departure_outcomes,
+        )
+        for src, g, j in grid.pairs():
+            qv, ov = q_arr[src], o_arr[src]
+            a_loc, bk = grid.a_loc[g, j], grid.backlog[g, j]
+            rate = ov * mu * grid.p[g, j]
+            # The freed pool VM goes to the group on a backlog; otherwise
+            # it takes the head of this SC's queue (over capacity) or
+            # returns to the pool.
+            over = ~bk & (qv + a_loc > n)
+            o_dst = ov - ~over
+            dst = index_of.index_arrays(
+                qv - over,
+                a_loc,
+                o_dst,
+                np.minimum(grid.a_rem[g, j] + bk, pool - o_dst),
+            )
+            sink.emit(src, dst, rate)
 
-        rows, cols, vals = sink.sorted_entries()
+        rows, cols, vals = sink.entries()
         return rows, cols, vals, forward
 
     # ------------------------------------------------------------------ #
@@ -783,14 +770,12 @@ class ApproximateModel(PerformanceModel):
     def _params_from_level(self, level: _Level) -> PerformanceParams:
         pi = level.steady
         cloud = level.cloud
-        q_arr = np.array([st[0] for st in level.space])
         s_arr = level.own_lent
-        o_arr = np.array([st[2] for st in level.space])
-        running = np.minimum(q_arr, cloud.vms - s_arr)
+        running = np.minimum(level.queue, cloud.vms - s_arr)
         busy = running + s_arr
         return PerformanceParams(
             lent_mean=float(s_arr @ pi),
-            borrowed_mean=float(o_arr @ pi),
+            borrowed_mean=float(level.borrowed @ pi),
             forward_rate=float(level.forward_flow @ pi),
             utilization=float(busy @ pi) / cloud.vms,
         )

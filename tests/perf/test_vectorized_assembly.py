@@ -13,7 +13,9 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from repro.core.small_cloud import FederationScenario, SmallCloud
 from repro.perf.approximate import ApproximateModel, _state_arrays, _StateIndexer
@@ -21,6 +23,7 @@ from tests.perf.assembly_oracle import (
     OracleModel,
     ScalarStateIndexer,
     assert_matches_oracle,
+    same_bits,
 )
 
 
@@ -91,3 +94,61 @@ class TestStateArrays:
             indexer(q, s, o, a) for q, s, o, a in zip(q_arr, s_arr, o_arr, a_arr)
         ]
         assert vec.tolist() == scalar == list(range(len(scalar)))
+
+
+def _to_csr(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, n: int) -> sp.csr_matrix:
+    return sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+
+
+def _same_csr(a: sp.csr_matrix, b: sp.csr_matrix) -> bool:
+    pairs = ((a.indptr, b.indptr), (a.indices, b.indices), (a.data, b.data))
+    return all(same_bits(x, y) for x, y in pairs)
+
+
+class TestCooToCsr:
+    """What ``coo_matrix(...).tocsr()`` makes of emission order.
+
+    The assemblers emit one event type after another instead of state by
+    state, with no sort back into per-state order.  That is sound because
+    the CSR bytes depend only on each row's own entry order (the first
+    test), and the emission keeps that order equal to the per-state
+    loop's (checked against the oracle above); the order of duplicates
+    within a row does move bits (the second test).
+    """
+
+    #: Per row: 8 columns with 3 duplicates each, 24 entries (> 16, past
+    #: the insertion-sort cutoff of SciPy's per-row index sort).  Summing
+    #: ``1 + e + e`` and ``e + e + 1`` with ``e = 2**-53`` differs in the
+    #: last bit.
+    N_ROWS, N_COLS, DUPS = 6, 8, 3
+
+    def _entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        rows = np.repeat(np.arange(self.N_ROWS), self.N_COLS * self.DUPS)
+        cols = np.tile(np.repeat(np.arange(self.N_COLS), self.DUPS), self.N_ROWS)
+        vals = np.tile([1.0, 2.0**-53, 2.0**-53], self.N_ROWS * self.N_COLS)
+        return rows, cols, vals
+
+    def test_interleaving_rows_keeps_bytes(self):
+        rows, cols, vals = self._entries()
+        expected = _to_csr(rows, cols, vals, self.N_COLS)
+        rng = np.random.default_rng(0)
+        for _ in range(20):
+            # A random interleaving of the rows that keeps each row's own
+            # entry order: random sort keys, increasing within each row.
+            keys = rng.random(rows.size)
+            for r in range(self.N_ROWS):
+                mine = rows == r
+                keys[mine] = np.sort(keys[mine])
+            perm = np.argsort(keys)
+            assert not np.array_equal(rows[perm], rows)
+            actual = _to_csr(rows[perm], cols[perm], vals[perm], self.N_COLS)
+            assert _same_csr(expected, actual)
+
+    def test_duplicate_order_within_a_row_moves_bits(self):
+        rows, cols, vals = self._entries()
+        expected = _to_csr(rows, cols, vals, self.N_COLS)
+        # Put the large duplicate last in every triple: e + e + 1.
+        perm = np.arange(rows.size).reshape(-1, self.DUPS)[:, [1, 2, 0]].ravel()
+        actual = _to_csr(rows[perm], cols[perm], vals[perm], self.N_COLS)
+        assert same_bits(expected.indices, actual.indices)
+        assert not same_bits(expected.data, actual.data)
