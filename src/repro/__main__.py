@@ -84,9 +84,7 @@ def _resolve_federation(ref: str) -> "FederationScenario":
 def _build_executor(args: argparse.Namespace) -> "Executor | None":
     from repro.runtime.executor import make_executor
 
-    return make_executor(
-        getattr(args, "workers", 1), kind=getattr(args, "parallel_backend", "auto")
-    )
+    return make_executor(getattr(args, "workers", 1))
 
 
 def _build_model(name: str, executor: "Executor | None" = None) -> "PerformanceModel":
@@ -298,13 +296,7 @@ def _add_runtime_arguments(command: argparse.ArgumentParser) -> None:
         "--workers",
         type=int,
         default=1,
-        help="parallel width for model/game evaluation (1 = serial)",
-    )
-    command.add_argument(
-        "--parallel-backend",
-        choices=["auto", "thread", "process"],
-        default="auto",
-        help="executor kind behind --workers (auto = process pools)",
+        help="parallel width for model/game evaluation (1 = serial, >1 = process pool)",
     )
     command.add_argument(
         "--cache-dir",

@@ -9,11 +9,8 @@ invariants mechanical:
 - :mod:`repro.analysis.lint` — an AST checker with domain-specific
   rules (unseeded randomness, float equality on probabilities, mutation
   of frozen configuration objects, unvalidated public entry points,
-  nondeterministic cache keys), plus the concurrency rules of
-  :mod:`repro.analysis.concurrency` (lock discipline over
-  ``# guarded-by:`` attributes, check-then-act, lock ordering, pickle
-  hooks for sync state, module-level mutable state).  Each rule has a
-  stable ``RPRxxx`` code and a ``# repro: noqa[CODE]`` escape hatch.
+  nondeterministic cache keys).  Each rule has a stable ``RPRxxx`` code
+  and a ``# repro: noqa[CODE]`` escape hatch.
 - :mod:`repro.analysis.dataflow` — an interprocedural dataflow/taint
   checker built on :mod:`repro.analysis.summaries`: cache-key omission
   against ``# fingerprint-input:`` declarations, unordered-iteration
@@ -28,22 +25,17 @@ invariants mechanical:
   ``REPRO_SANITIZE=1`` (or ``--sanitize`` on the CLIs) and raising
   structured :class:`~repro.analysis.sanitize.InvariantViolation`
   errors with the offending state attached.
-- :mod:`repro.analysis.race` — a dynamic race harness
-  (``python -m repro.analysis.race --quick``): seeded serialized
-  schedules checked against a serial-replay oracle, plus barrier storms
-  over the runtime's single-flight paths.
 - :mod:`repro.analysis.differential` — a cross-backend differential
   checker (``python -m repro.analysis.differential --scenario quick``)
   asserting bitwise-identical game results across
-  serial/thread/process execution and caching variants.
+  serial/process execution and caching variants.
 
 ``python -m repro.analysis check`` is the one command line over both
-static rule families (RPR1xx/RPR2xx/RPR3xx): one pass with a shared
+static rule families (RPR1xx/RPR3xx): one pass with a shared
 ``--select``, a common JSON report format, and ``--self-test`` for the
 RPR301 recall run (see :mod:`repro.analysis.__main__`).
 
-All layers are dependency-free (stdlib ``ast``/``threading`` plus
-numpy) and cheap when disabled: every sanitizer hook is guarded by one
+All layers are dependency-free (stdlib ``ast`` plus numpy) and cheap when disabled: every sanitizer hook is guarded by one
 module-level boolean read.
 """
 

@@ -2,7 +2,7 @@
 
 ``python -m repro.analysis check`` runs both families in one pass:
 
-- RPR1xx/RPR2xx — domain + concurrency lint (:mod:`repro.analysis.lint`),
+- RPR1xx — domain lint (:mod:`repro.analysis.lint`),
 - RPR3xx — interprocedural fingerprint/determinism dataflow
   (:mod:`repro.analysis.dataflow`).
 
@@ -82,14 +82,14 @@ def check(paths: Sequence[Path], select: str | None = None) -> list[Violation]:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis",
-        description="The repro static checker: domain/concurrency lint "
-        "(RPR1xx/2xx) and fingerprint dataflow (RPR3xx).",
+        description="The repro static checker: domain lint (RPR1xx) and "
+        "fingerprint dataflow (RPR3xx).",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     checker = sub.add_parser(
         "check",
         help="run all rule families over the given paths",
-        description="Run RPR1xx/2xx/3xx in one pass; --select routes "
+        description="Run RPR1xx/3xx in one pass; --select routes "
         "codes to the owning family and skips families with none selected.",
     )
     checker.add_argument(

@@ -9,7 +9,7 @@ Run through the analyzer's command line::
 
 The system's correctness rests on content-hash caches at two tiers
 (level-prefix memo, disk params cache) and on
-bitwise-identical equilibria across serial/thread/process backends.
+bitwise-identical equilibria across serial/process backends.
 The RPR3xx family makes those contracts statically checkable:
 
 =======  ==============================================================
@@ -29,7 +29,7 @@ RPR305   Thread-/backend-dependent state never reaches observables the
 RPR306   Persisted payload formats carry a version constant.
 =======  ==============================================================
 
-Unlike the single-file RPR1xx/RPR2xx families, these rules are
+Unlike the single-file RPR1xx family, these rules are
 *interprocedural*: the whole tree is indexed into a
 :class:`~repro.analysis.summaries.Project`, calls are resolved across
 modules, and per-function summaries are computed to a fixpoint, so a

@@ -1,7 +1,7 @@
 """Determinism taint rules (RPR302, RPR303, RPR305).
 
 The differential checker asserts bitwise-identical equilibria across
-serial/thread/process backends, and every fingerprint must be a pure
+serial/process backends, and every fingerprint must be a pure
 function of content.  These rules trace the ways nondeterminism leaks
 into those guarantees:
 
@@ -149,7 +149,7 @@ def _check_sinks(project: Project, fn: FunctionInfo) -> list[Violation]:
                     f"scheduling-dependent state ({hit.what}, line "
                     f"{hit.line}) flows into the {description} built by "
                     f"{fn.qualname}; the differential checker asserts "
-                    "these bit-identical across serial/thread/process "
+                    "these bit-identical across serial/process "
                     "backends — derive the value from content or task "
                     "identity instead",
                 )

@@ -6,13 +6,13 @@ with or without level-prefix memoization, must produce bit-identical
 results.  This module checks that promise end to end.  One scenario is
 played through Algorithm 1 under a matrix of configurations::
 
-    backends:  serial | thread | process
+    backends:  serial | process
     variants:  base (level memo on) | nomemo
 
 and every configuration's observables — equilibrium profile, round
 history, per-SC utilities, equilibrium performance parameters, welfare —
 are serialized with ``float.hex`` (no tolerance, no rounding) and hashed.
-All six digests must equal the serial/base reference digest exactly.
+All four digests must equal the serial/base reference digest exactly.
 
 K-sweep scenarios (``ksweep10``, ``ksweep20``) run the same matrix on
 federations sized for K-scaling rather than load realism — a handful of
@@ -22,14 +22,14 @@ level-prefix memo's suffix reuse is exercised on long chains.
 
 Two further sections extend the contract to observability:
 
-- a seventh *traced* cell replays the serial/base configuration with
+- a fifth *traced* cell replays the serial/base configuration with
   :mod:`repro.obs` tracing and metrics fully enabled — its digest must
   equal the reference, proving instrumentation observes without
   participating;
 - a *metrics-merge* section runs a seed-fixed replication workload on
   every backend with metrics enabled and requires the merged counter
   totals (the integer-exact ``counter_view``) to be identical across
-  serial, thread, and process executors.
+  the serial and process executors.
 
 Small scenarios are deliberate: the direct steady-state solver used for
 small chains is a pure function of the chain, which is what makes
@@ -60,12 +60,7 @@ from repro.game.best_response import BestResponder
 from repro.game.repeated_game import RepeatedGame
 from repro.market.evaluator import UtilityEvaluator
 from repro.perf.approximate import ApproximateModel
-from repro.runtime.executor import (
-    Executor,
-    ProcessExecutor,
-    SerialExecutor,
-    ThreadExecutor,
-)
+from repro.runtime.executor import Executor, ProcessExecutor, SerialExecutor
 
 __all__ = [
     "DifferentialScenario",
@@ -229,7 +224,7 @@ SCENARIOS: dict[str, DifferentialScenario] = {
 }
 
 #: The configuration matrix: (backend, variant) per cell.
-_BACKENDS = ("serial", "thread", "process")
+_BACKENDS = ("serial", "process")
 _VARIANTS = ("base", "nomemo")
 
 #: The cell every other cell must match bit-for-bit.
@@ -239,8 +234,6 @@ _REFERENCE = ("serial", "base")
 def _make_executor(backend: str) -> Executor:
     if backend == "serial":
         return SerialExecutor()
-    if backend == "thread":
-        return ThreadExecutor(workers=2)
     return ProcessExecutor(workers=2)
 
 

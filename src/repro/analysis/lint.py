@@ -38,11 +38,6 @@ RPR105   Deterministic cache keys: fingerprint/hash/key-building
          ``id()`` or the salted builtin ``hash()``.
 =======  ==============================================================
 
-The RPR2xx lock-discipline rules (guarded-by attributes, check-then-act,
-lock ordering, process-unsafe state, mutable module state) live in
-:mod:`repro.analysis.concurrency` and run through :func:`lint_source`
-too; see that module for their contract table.
-
 Suppression: append ``# repro: noqa[RPR101]`` (or a comma-separated
 list, or bare ``# repro: noqa`` for all rules) to the offending line.
 Suppressions are per-line and per-code so they survive refactors
@@ -57,8 +52,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
-from repro.analysis.concurrency import CONCURRENCY_RULES, check_concurrency
-from repro.analysis.lintbase import LintRule, Violation, apply_noqa
+from repro.analysis.lintbase import LintRule, Violation, apply_noqa, attribute_chain
 
 __all__ = [
     "LINT_RULES",
@@ -96,14 +90,14 @@ RPR105 = LintRule(
     summary="wall-clock / uuid / id() / hash() inside cache-key construction",
 )
 
-#: All rules, in code order (domain rules plus the concurrency family).
+#: All rules, in code order.
 LINT_RULES: tuple[LintRule, ...] = (
     RPR101,
     RPR102,
     RPR103,
     RPR104,
     RPR105,
-) + CONCURRENCY_RULES
+)
 
 
 #: Files (path suffixes) where direct randomness is the point.
@@ -174,19 +168,6 @@ _NONDETERMINISTIC_ATTRS = frozenset(
     }
 )
 _NONDETERMINISTIC_BUILTINS = frozenset({"id", "hash"})
-
-
-def _attribute_chain(node: ast.AST) -> list[str]:
-    """Flatten ``a.b.c`` into ``['a', 'b', 'c']`` (empty if not a chain)."""
-    parts: list[str] = []
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        parts.reverse()
-        return parts
-    return []
 
 
 def _operand_name(node: ast.AST) -> str | None:
@@ -310,7 +291,7 @@ class _Visitor(ast.NodeVisitor):
     def _check_random_call(self, node: ast.Call) -> None:
         if self.context.randomness_allowed:
             return
-        chain = _attribute_chain(node.func)
+        chain = attribute_chain(node.func)
         if len(chain) < 2:
             return
         head, tail = chain[0], chain[-1]
@@ -468,7 +449,7 @@ class _Visitor(ast.NodeVisitor):
     def _check_cache_key_call(self, node: ast.Call) -> None:
         if not self._in_cache_key_function():
             return
-        chain = _attribute_chain(node.func)
+        chain = attribute_chain(node.func)
         if chain and chain[-1] in _NONDETERMINISTIC_ATTRS and len(chain) >= 2:
             self._report(
                 node,
@@ -494,7 +475,7 @@ class _Visitor(ast.NodeVisitor):
         self._check_random_call(node)
         self._check_cache_key_call(node)
         if (
-            _attribute_chain(node.func) == ["object", "__setattr__"]
+            attribute_chain(node.func) == ["object", "__setattr__"]
             and not self._in_construction_method()
         ):
             self._report(
@@ -539,8 +520,7 @@ def lint_source(
     )
     visitor = _Visitor(context)
     visitor.visit(tree)
-    violations = visitor.violations + check_concurrency(tree, source, path)
-    violations = apply_noqa(violations, source)
+    violations = apply_noqa(visitor.violations, source)
     if select is not None:
         wanted = {code.upper() for code in select}
         violations = [v for v in violations if v.code in wanted or v.code == "RPR000"]

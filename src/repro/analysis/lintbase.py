@@ -1,11 +1,11 @@
 """Shared plumbing of the domain lint framework.
 
-:mod:`repro.analysis.lint` (the RPR1xx domain rules) and
-:mod:`repro.analysis.concurrency` (the RPR2xx lock-discipline rules)
-both build on the same three pieces: the rule descriptor, the violation
-record, and the per-line ``# repro: noqa[CODE]`` suppression protocol.
-They live here so the rule modules can import them without importing
-each other.
+:mod:`repro.analysis.lint` (the RPR1xx domain rules) and the RPR3xx
+dataflow rules (:mod:`repro.analysis.dataflow`) build on the same
+pieces: the rule descriptor, the violation record, the per-line
+``# repro: noqa[CODE]`` suppression protocol and the attribute-chain
+helper.  They live here so the rule modules can import them without
+importing each other.
 """
 
 from __future__ import annotations

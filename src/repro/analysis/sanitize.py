@@ -121,22 +121,21 @@ def sanitize_enabled() -> bool:
 def sanitize_enable() -> None:
     """Turn the sanitizer on for this process."""
     # The process-pool worker bootstrap replays this switch in every
-    # spawned worker (repro.runtime.executor._worker_bootstrap), which is
-    # exactly the mitigation RPR205 asks for.
-    global _enabled  # repro: noqa[RPR205]
+    # spawned worker (repro.runtime.executor._worker_bootstrap).
+    global _enabled
     _enabled = True
 
 
 def sanitize_disable() -> None:
     """Turn the sanitizer off for this process."""
-    global _enabled  # repro: noqa[RPR205]
+    global _enabled
     _enabled = False
 
 
 @contextmanager
 def sanitized(active: bool = True) -> Iterator[None]:
     """Context manager scoping sanitizer activation (used by tests)."""
-    global _enabled  # repro: noqa[RPR205]
+    global _enabled
     previous = _enabled
     _enabled = active
     try:

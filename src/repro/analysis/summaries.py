@@ -45,7 +45,7 @@ deterministic value even though its argument is not.  ``sum()`` is
 deliberately **not** a launderer — float addition is not associative,
 so a sum over an unordered collection is exactly the bug RPR302 hunts.
 
-Annotations (mirroring ``# guarded-by:`` from the RPR2xx family):
+Annotations:
 
 - ``# fingerprint-input:`` on an attribute's initialising assignment
   declares that the attribute must flow into every fingerprint function
@@ -54,7 +54,7 @@ Annotations (mirroring ``# guarded-by:`` from the RPR2xx family):
   and the ``--self-test`` mutation harness uses it to seed recall
   mutants.
 - ``# repro: noqa[RPR3xx]`` suppresses per line, exactly as for the
-  RPR1xx/RPR2xx families.
+  RPR1xx family.
 """
 
 from __future__ import annotations
@@ -433,7 +433,7 @@ class Project:
                 if raw is not None:
                     declared[stmt.target.id] = _parse_targets(raw)
         # ``self.<attr> = ...`` sites in any method (conventionally
-        # __init__), exactly like ``# guarded-by:`` declarations.
+        # __init__).
         for stmt in cls.body:
             if not isinstance(stmt, _FUNC_NODES):
                 continue

@@ -126,7 +126,7 @@ FIGURES = {
 }
 
 
-def _run_scenario(reference: str, workers: int, backend: str, cache_dir: str | None) -> str:
+def _run_scenario(reference: str, workers: int, cache_dir: str | None) -> str:
     """Run one scenario-library entry (or spec file) through the market loop."""
     import json
 
@@ -137,8 +137,7 @@ def _run_scenario(reference: str, workers: int, backend: str, cache_dir: str | N
     report = run_spec(
         spec,
         mode="solve",
-        workers=workers if workers > 1 else None,
-        backend=None if backend == "auto" else backend,
+        workers=workers,
         cache_dir=cache_dir,
     )
     return json.dumps(report, indent=2)
@@ -165,13 +164,7 @@ def main(argv: list[str] | None = None) -> int:
         "--workers",
         type=int,
         default=1,
-        help="parallel width for independent work units (1 = serial)",
-    )
-    parser.add_argument(
-        "--parallel-backend",
-        choices=["auto", "thread", "process"],
-        default="auto",
-        help="executor kind behind --workers (auto = process pools)",
+        help="parallel width for independent work units (1 = serial, >1 = process pool)",
     )
     parser.add_argument(
         "--cache-dir",
@@ -196,7 +189,7 @@ def main(argv: list[str] | None = None) -> int:
         sanitize_enable()
     if args.figure == "scenario" and args.scenario is None:
         parser.error("the 'scenario' figure needs --scenario NAME|FILE")
-    executor = make_executor(args.workers, kind=args.parallel_backend)
+    executor = make_executor(args.workers)
     names = sorted(FIGURES) if args.figure == "all" else [args.figure]
     output_dir = Path(args.output) if args.output else None
     if output_dir is not None:
@@ -205,9 +198,7 @@ def main(argv: list[str] | None = None) -> int:
     def run_figures() -> int:
         for name in names:
             if name == "scenario":
-                table = _run_scenario(
-                    args.scenario, args.workers, args.parallel_backend, args.cache_dir
-                )
+                table = _run_scenario(args.scenario, args.workers, args.cache_dir)
                 stem = "scenario"
             else:
                 table = FIGURES[name](args.quick, executor, args.cache_dir)

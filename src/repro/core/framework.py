@@ -81,12 +81,11 @@ class SCShare:
             persistent across runs.
         executor: optional :class:`repro.runtime.executor.Executor`
             driving the game's parallel sections — per-round best
-            responses across SCs and per-SC candidate scoring.  Thread
-            executors exploit the shared parameter cache; process
-            executors fall back to serial in these sections (game state
-            is shared memory) but still accelerate an
-            :class:`~repro.perf.approximate.ApproximateModel` configured
-            with its own executor.
+            responses across SCs and per-SC candidate scoring.  Process
+            workers score candidates on shipped evaluator copies and the
+            parent seeds their solves into its cache; the executor also
+            drives an :class:`~repro.perf.approximate.ApproximateModel`
+            configured with it.
     """
 
     def __init__(

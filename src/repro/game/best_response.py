@@ -37,8 +37,7 @@ def _score_trial_task(
     """Score one candidate sharing vector for one SC.
 
     Module-level (not a closure) so process executors can pickle it: the
-    evaluator ships with its solved caches but without locks or pending
-    tables, and the model solve is a pure function of the trial vector,
+    evaluator ships with its solved caches, and the model solve is a pure function of the trial vector,
     so a worker returns exactly the floats a serial scan would.  The
     solved parameters ride back with the utility so the parent can seed
     its own cache (:meth:`UtilityEvaluator.seed_target`) instead of
@@ -64,10 +63,8 @@ class BestResponder:
             space at once; Tabu scores each neighborhood).  Scoring is
             process-safe: parallel batches route through a picklable
             module-level task instead of a closure, so process pools
-            genuinely fan out (they used to fall back to serial) and
-            thread pools share the evaluator's single-flight caches.
-            Either way results are identical to a serial scan — the
-            model solve is a pure function of the trial vector.
+            genuinely fan out.  Results are identical to a serial scan —
+            the model solve is a pure function of the trial vector.
     """
 
     def __init__(
@@ -130,14 +127,13 @@ class BestResponder:
         ``index``, deviating from ``profile``.
 
         Serial (or single-candidate) batches score inline.  Parallel
-        batches go through the picklable :func:`_score_trial_task`, which
-        works on *every* executor kind: thread workers share this
-        evaluator (single-flight dedup keeps counts serial-equal), while
-        process workers solve on a shipped copy and the solved parameters
-        are seeded back into the parent cache.  The historical process
-        behavior was a silent serial fallback — the closure objective was
-        unpicklable — so process-backed neighborhood scoring is where the
-        per-Tabu-move parallelism actually comes from.
+        batches go through the picklable :func:`_score_trial_task`:
+        process workers solve on a shipped copy of the evaluator and the
+        solved parameters are seeded back into the parent cache
+        (:meth:`UtilityEvaluator.seed_target` drops duplicates, keeping
+        counts serial-equal).  A closure objective would not pickle and
+        would fall back to serial, so this task is where the per-Tabu-move
+        parallelism comes from.
         """
         executor = self.executor
 

@@ -57,9 +57,8 @@ class TabuSearch:
                 scores the whole neighborhood anyway, so concurrent
                 scoring changes neither the trajectory nor the
                 evaluation count — ``objective`` must simply be safe to
-                call from the executor's workers (thread executors need a
-                thread-safe objective; process executors fall back to
-                serial for non-picklable closures).
+                call from the executor's workers (process executors fall
+                back to serial for non-picklable closures).
             scorer: optional batch twin of ``objective``: maps a list of
                 candidate values to their utilities, one call per
                 neighborhood.  When provided it replaces the

@@ -19,7 +19,6 @@ keep using ``evaluate`` so they populate the shared params cache.
 
 from __future__ import annotations
 
-import threading
 from collections.abc import MutableMapping, Sequence
 
 from repro._validation import check_in_range
@@ -66,74 +65,33 @@ class UtilityEvaluator:
         self.scenario = scenario
         self.model = model
         self.gamma = check_in_range(gamma, "gamma", 0.0, 1.0)
-        self._cache: ParamsCache = (  # guarded-by: _lock
-            params_cache if params_cache is not None else {}
-        )
+        self._cache: ParamsCache = params_cache if params_cache is not None else {}
         self._baselines: list[BaselineMetrics] = [
             baseline_metrics(cloud) for cloud in scenario
         ]
-        # Concurrent callers (thread executors scoring candidates) must
-        # solve each sharing vector exactly once, both to avoid wasted
-        # work and to keep `evaluations` equal to a serial run's count.
-        # The lock guards the caches and the pending tables; the
-        # expensive model solve itself runs outside it.
-        self.evaluations = 0  # guarded-by: _lock
-        self.target_evaluations = 0  # guarded-by: _lock
-        self._lock = threading.Lock()
-        self._pending: dict[  # guarded-by: _lock
-            tuple[int, ...], threading.Event
-        ] = {}
-        self._target_cache: dict[  # guarded-by: _lock
-            tuple[tuple[int, ...], int], PerformanceParams
-        ] = {}
-        self._target_pending: dict[  # guarded-by: _lock
-            tuple[tuple[int, ...], int], threading.Event
-        ] = {}
+        self.evaluations = 0
+        self.target_evaluations = 0
+        self._target_cache: dict[tuple[tuple[int, ...], int], PerformanceParams] = {}
 
     def baseline(self, index: int) -> BaselineMetrics:
         """The no-sharing reference of SC ``index``."""
         return self._baselines[index]
 
     def params(self, sharing: Sequence[int]) -> list[PerformanceParams]:
-        """Performance parameters for every SC under ``sharing`` (cached).
-
-        Safe to call from multiple threads: the first caller of an
-        uncached vector solves it, later callers of the same vector wait
-        for that solve instead of duplicating it.
-        """
+        """Performance parameters for every SC under ``sharing`` (cached)."""
         key = tuple(int(s) for s in sharing)
-        while True:
-            with self._lock:
-                cached = self._cache.get(key)
-                if cached is None:
-                    event = self._pending.get(key)
-                    if event is None:
-                        event = threading.Event()
-                        self._pending[key] = event
-                        owner = True
-                    else:
-                        owner = False
-            if cached is not None:
-                obs.inc("market.params.hit")
-                return cached
-            if not owner:
-                obs.inc("market.params.dedup_wait")
-                event.wait()
-                continue  # the owner has published (or failed); re-check
-            try:
-                params = self.model.evaluate(self.scenario.with_sharing(key))
-                if sanitize.sanitize_enabled():
-                    for i, entry in enumerate(params):
-                        sanitize.check_params(entry, label=f"params[{key}][{i}]")
-                with self._lock:
-                    self._cache[key] = params
-                    self.evaluations += 1
-                obs.inc("market.params.solve")
-                return params
-            finally:
-                with self._lock:
-                    self._pending.pop(key, None)
-                event.set()
+        cached = self._cache.get(key)
+        if cached is not None:
+            obs.inc("market.params.hit")
+            return cached
+        params = self.model.evaluate(self.scenario.with_sharing(key))
+        if sanitize.sanitize_enabled():
+            for i, entry in enumerate(params):
+                sanitize.check_params(entry, label=f"params[{key}][{i}]")
+        self._cache[key] = params
+        self.evaluations += 1
+        obs.inc("market.params.solve")
+        return params
 
     def params_target(
         self,
@@ -153,46 +111,24 @@ class UtilityEvaluator:
         """
         key = tuple(int(s) for s in sharing)
         target = (key, int(index))
-        while True:
-            hit: str | None = None
-            result: PerformanceParams | None = None
-            with self._lock:
-                if key in self._cache:
-                    hit, result = "market.target.full_hit", self._cache[key][index]
-                elif target in self._target_cache:
-                    hit, result = "market.target.hit", self._target_cache[target]
-                else:
-                    event = self._target_pending.get(target)
-                    if event is None:
-                        event = threading.Event()
-                        self._target_pending[target] = event
-                        owner = True
-                    else:
-                        owner = False
-            if hit is not None:
-                obs.inc(hit)
-                assert result is not None
-                return result
-            if not owner:
-                obs.inc("market.target.dedup_wait")
-                event.wait()
-                continue  # the owner has published (or failed); re-check
-            try:
-                params = self.model.evaluate_target(
-                    self.scenario.with_sharing(key),
-                    target=int(index),
-                )
-                if sanitize.sanitize_enabled():
-                    sanitize.check_params(params, label=f"params[{key}][{index}]")
-                with self._lock:
-                    self._target_cache[target] = params
-                    self.target_evaluations += 1
-                obs.inc("market.target.solve")
-                return params
-            finally:
-                with self._lock:
-                    self._target_pending.pop(target, None)
-                event.set()
+        if key in self._cache:
+            result = self._cache[key][index]
+            obs.inc("market.target.full_hit")
+            return result
+        if target in self._target_cache:
+            result = self._target_cache[target]
+            obs.inc("market.target.hit")
+            return result
+        params = self.model.evaluate_target(
+            self.scenario.with_sharing(key),
+            target=int(index),
+        )
+        if sanitize.sanitize_enabled():
+            sanitize.check_params(params, label=f"params[{key}][{index}]")
+        self._target_cache[target] = params
+        self.target_evaluations += 1
+        obs.inc("market.target.solve")
+        return params
 
     def seed_target(
         self, sharing: Sequence[int], index: int, params: PerformanceParams
@@ -203,8 +139,8 @@ class UtilityEvaluator:
         The parameters must be exactly what :meth:`params_target` would
         have produced — workers run the same pure model, so this holds by
         construction.  First writer wins: if the entry is already cached
-        (a thread worker sharing this evaluator already published it),
-        the seed is dropped and not counted, keeping
+        (the parent solved it, or another worker returned the same
+        vector), the seed is dropped and not counted, keeping
         ``target_evaluations`` equal to a serial run's count.
 
         Returns:
@@ -212,12 +148,11 @@ class UtilityEvaluator:
         """
         key = tuple(int(s) for s in sharing)
         target = (key, int(index))
-        with self._lock:
-            if key in self._cache or target in self._target_cache:
-                obs.inc("market.target.seed_duplicate")
-                return False
-            self._target_cache[target] = params
-            self.target_evaluations += 1
+        if key in self._cache or target in self._target_cache:
+            obs.inc("market.target.seed_duplicate")
+            return False
+        self._target_cache[target] = params
+        self.target_evaluations += 1
         obs.inc("market.target.seeded")
         return True
 
@@ -275,26 +210,6 @@ class UtilityEvaluator:
     def cache_size(self) -> int:
         """Number of distinct sharing vectors evaluated so far."""
         return len(self._cache)
-
-    # -- pickling: drop the lock and in-flight tables ------------------- #
-    #
-    # Executors pickle task payloads; a live lock or Event is unpicklable
-    # and an in-flight pending table is meaningless in another process.
-    # The solved caches *are* shipped (a dict of parameters pickles fine,
-    # a DiskParamsCache ships as its root path + namespace), so a worker
-    # copy starts warm and stays correct — it just stops sharing
-    # single-flight discipline with the parent.
-
-    def __getstate__(self) -> dict[str, object]:
-        state = dict(self.__dict__)
-        del state["_lock"]
-        state["_pending"] = {}
-        state["_target_pending"] = {}
-        return state
-
-    def __setstate__(self, state: dict[str, object]) -> None:
-        self.__dict__.update(state)
-        self._lock = threading.Lock()
 
     def cache_info(self) -> dict[str, object]:
         """Cache effectiveness counters for logs and benchmarks.

@@ -209,9 +209,9 @@ def obs_enable(tracing: bool = True, metrics: bool = True) -> None:
     A fresh :class:`Tracer` is installed when tracing is requested and
     none exists yet.  The process-pool worker bootstrap replays the
     *metrics* switch into spawned workers (tracing is per-process by
-    design), which is exactly the mitigation RPR205 asks for.
+    design).
     """
-    global _active, _trace_on, _metrics_on, _tracer  # repro: noqa[RPR205]
+    global _active, _trace_on, _metrics_on, _tracer
     _trace_on = bool(tracing)
     _metrics_on = bool(metrics)
     if _trace_on and _tracer is None:
@@ -221,7 +221,7 @@ def obs_enable(tracing: bool = True, metrics: bool = True) -> None:
 
 def obs_disable() -> None:
     """Turn instrumentation off for this process (tracer kept)."""
-    global _active, _trace_on, _metrics_on  # repro: noqa[RPR205]
+    global _active, _trace_on, _metrics_on
     _active = False
     _trace_on = False
     _metrics_on = False
@@ -250,7 +250,7 @@ def capture(
     Previous switch state (including a surrounding capture) is restored
     on exit, so captures nest and tests never leak state.
     """
-    global _active, _trace_on, _metrics_on, _tracer  # repro: noqa[RPR205]
+    global _active, _trace_on, _metrics_on, _tracer
     tracer = Tracer(max_span_events=max_span_events)
     registry = MetricsRegistry()
     saved = (_active, _trace_on, _metrics_on, _tracer)
@@ -272,7 +272,7 @@ def suspended() -> Iterator[None]:
 
     The overhead benchmark uses this to price the disabled path while
     running inside an enabled capture."""
-    global _active  # repro: noqa[RPR205]
+    global _active
     saved = _active
     _active = False
     try:
@@ -298,7 +298,7 @@ def map_with_metrics(
     snapshots are merged into the ambient registry *in input order* —
     the same ordered-map discipline that makes parallel results
     bit-identical to serial ones makes the merged totals exactly equal a
-    serial run's totals, on thread and process backends alike.
+    serial run's totals, on the serial and process backends alike.
     """
     items = list(items)
     if not metrics_active():

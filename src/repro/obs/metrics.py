@@ -3,7 +3,7 @@
 The registry is the write side; a :class:`MetricsSnapshot` is the read
 side — a frozen, picklable, deterministically-ordered value that can be
 merged with other snapshots.  Merging is the worker protocol: a task
-shipped to a thread or process executor records into its own scoped
+shipped to a process executor records into its own scoped
 registry (:class:`MetricsTask`), returns ``(result, snapshot)``, and the
 caller merges the snapshots back through the executor's *ordered* map,
 so the merged totals equal a serial run's totals exactly.
@@ -215,10 +215,10 @@ class MetricsRegistry:
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._counters: dict[str, int] = {}  # guarded-by: _lock
-        self._gauges: dict[str, float] = {}  # guarded-by: _lock
-        self._histograms: dict[str, _HistogramState] = {}  # guarded-by: _lock
-        self._recordings = 0  # guarded-by: _lock
+        self._counters: dict[str, int] = {}
+        self._gauges: dict[str, float] = {}
+        self._histograms: dict[str, _HistogramState] = {}
+        self._recordings = 0
 
     def inc(self, name: str, value: int = 1) -> None:
         """Add ``value`` to the counter ``name``."""
@@ -361,7 +361,7 @@ def install_registry(registry: MetricsRegistry) -> MetricsRegistry:
     swaps around a with-block; worker processes never call this — the
     executor bootstrap gives them their own fresh module state).
     """
-    global _installed  # repro: noqa[RPR205]
+    global _installed
     previous = _installed
     _installed = registry
     return previous

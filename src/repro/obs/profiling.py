@@ -53,14 +53,14 @@ def profile_enable(names: frozenset[str] | set[str], top_n: int = 20) -> None:
     """Arm span-level profiling for spans named in ``names``."""
     # Per-process debugging state, toggled once around a run by the CLI
     # or a test; never mutated concurrently with traced work.
-    global _names, _top_n  # repro: noqa[RPR205]
+    global _names, _top_n
     _top_n = check_positive_int(top_n, "top_n")
     _names = frozenset(names)
 
 
 def profile_disable() -> None:
     """Disarm span-level profiling."""
-    global _names  # repro: noqa[RPR205]
+    global _names
     _names = None
 
 
@@ -71,7 +71,7 @@ def profiling_names() -> frozenset[str] | None:
 
 def maybe_start(name: str) -> cProfile.Profile | None:
     """Start a profiler for span ``name`` if armed and none is live."""
-    global _live  # repro: noqa[RPR205]
+    global _live
     if _names is None or name not in _names or _live is not None:
         return None
     profiler = cProfile.Profile()
@@ -82,7 +82,7 @@ def maybe_start(name: str) -> cProfile.Profile | None:
 
 def stop(profiler: cProfile.Profile) -> list[dict[str, object]]:
     """Stop a profiler started by :func:`maybe_start`; return top rows."""
-    global _live  # repro: noqa[RPR205]
+    global _live
     profiler.disable()
     if _live is profiler:
         _live = None

@@ -185,8 +185,8 @@ class Tracer:
         )
         self.start_wall = time.time()
         self.start_perf = time.perf_counter()
-        self.roots: list[Span] = []  # guarded-by: _lock
-        self.span_count = 0  # guarded-by: _lock
+        self.roots: list[Span] = []
+        self.span_count = 0
         self._lock = threading.Lock()
 
     def span(self, name: str, attrs: dict[str, object]) -> Span:

@@ -364,7 +364,6 @@ class ApproximateModel(PerformanceModel):
                 "maxsize": 0,
                 "hits": 0,
                 "misses": 0,
-                "duplicate_builds": 0,
             }
         return self._level_cache.stats()
 

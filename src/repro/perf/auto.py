@@ -31,7 +31,6 @@ choice is observable through the ``perf.auto.*`` counters.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -131,20 +130,14 @@ class AutoModel(PerformanceModel):
         self._detailed = detailed
         self._approximate = approximate
         self._pooled = pooled
-        self._counts = {"pooled": 0, "approximate": 0, "detailed": 0}  # guarded-by: _counts_lock
-        self._counts_lock = threading.Lock()
+        self._counts = {"pooled": 0, "approximate": 0, "detailed": 0}
 
-    # -- pickling: drop the lock (executors ship model copies) ---------- #
+    # -- pickling: executors ship model copies, which count afresh ------ #
 
     def __getstate__(self) -> dict[str, object]:
         state = dict(self.__dict__)
-        del state["_counts_lock"]
         state["_counts"] = dict.fromkeys(self._counts, 0)
         return state
-
-    def __setstate__(self, state: dict[str, object]) -> None:
-        self.__dict__.update(state)
-        self._counts_lock = threading.Lock()
 
     # ------------------------------------------------------------------ #
     # tier selection
@@ -187,15 +180,13 @@ class AutoModel(PerformanceModel):
 
     def _pick(self, scenario: FederationScenario) -> tuple[str, PerformanceModel]:
         name = self.select(scenario)
-        with self._counts_lock:
-            self._counts[name] += 1
+        self._counts[name] += 1
         obs.inc(_TIER_METRICS[name])
         return name, self._tier(name)
 
     def selection_counts(self) -> dict[str, int]:
         """How many queries each tier has answered so far."""
-        with self._counts_lock:
-            return dict(self._counts)
+        return dict(self._counts)
 
     # ------------------------------------------------------------------ #
     # PerformanceModel interface

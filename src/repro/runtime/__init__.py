@@ -5,16 +5,16 @@ Tabu neighborhood scoring, best-response rounds, simulation replications
 — are all embarrassingly parallel over independent deterministic tasks.
 This package supplies the shared machinery:
 
-- :mod:`repro.runtime.executor` — ``SerialExecutor`` / ``ThreadExecutor``
-  / ``ProcessExecutor`` behind one ``map`` / ``map_unordered`` interface
-  with chunking and graceful serial fallback;
+- :mod:`repro.runtime.executor` — ``SerialExecutor`` / ``ProcessExecutor``
+  behind one ``map`` interface with chunking and graceful serial
+  fallback;
 - :mod:`repro.runtime.seeding` — deterministic per-task seed derivation
   built on the same ``SeedSequence`` discipline as :mod:`repro.sim.rng`;
 - :mod:`repro.runtime.cache` — a persistent on-disk parameter cache
   (content-hash keys over the performance-relevant scenario fields) that
   extends the in-memory ``ParamsCache`` of :mod:`repro.market.evaluator`
   and wraps any :class:`~repro.perf.base.PerformanceModel`;
-- :mod:`repro.runtime.memo` — a bounded thread-safe in-memory ``LRUCache``
+- :mod:`repro.runtime.memo` — a bounded in-memory ``LRUCache``
   for expensive intermediates (the approximate model's level-prefix
   cache, the disk cache's in-memory front).
 
@@ -35,7 +35,6 @@ from repro.runtime.executor import (
     Executor,
     ProcessExecutor,
     SerialExecutor,
-    ThreadExecutor,
     make_executor,
 )
 from repro.runtime.memo import LRUCache
@@ -49,7 +48,6 @@ __all__ = [
     "LRUCache",
     "ProcessExecutor",
     "SerialExecutor",
-    "ThreadExecutor",
     "derive_seed",
     "derive_seeds",
     "derive_streams",

@@ -1,12 +1,14 @@
-"""Executor abstraction: serial, thread, and process map with one interface.
+"""Executor abstraction: serial and process map with one interface.
 
-All executors satisfy the same small contract:
+Both executors satisfy the same small contract:
 
 - ``map(fn, items)`` returns ``[fn(x) for x in items]`` *in input order*,
   so a parallel run is result-identical to a serial one;
-- ``map_unordered(fn, items)`` yields ``(index, result)`` pairs as they
-  complete (in input order for the serial executor);
 - ``workers`` reports the parallel width (1 for serial).
+
+There is no thread backend: the parallel work in this code base is
+independent, CPU-bound model solves, and a thread pool measured slower
+than serial on the figure harness (DESIGN §11).
 
 Pools are created per call rather than held on the executor.  That keeps
 executor objects trivially picklable (they can ride inside task payloads
@@ -15,10 +17,10 @@ issued from a worker gets a fresh pool instead of deadlocking on the
 outer one.
 
 :class:`ProcessExecutor` degrades gracefully: when the function or the
-items cannot be pickled (closures over live caches, objects holding
-locks), it runs the batch serially in the parent process — which is
-exactly what shared-state callers need for correctness — instead of
-crashing the pool.
+items cannot be pickled (closures over live caches, lambdas), it runs
+the batch serially in the parent process — which is exactly what
+shared-state callers need for correctness — instead of crashing the
+pool.
 """
 
 from __future__ import annotations
@@ -28,13 +30,12 @@ import os
 import pickle
 import time
 from abc import ABC, abstractmethod
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Callable, Sequence
 from typing import TypeVar
 
 from repro import obs
 from repro._validation import check_positive_int
 from repro.analysis import sanitize
-from repro.exceptions import ConfigurationError
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -90,12 +91,6 @@ class Executor(ABC):
     def map(self, fn: Callable[[T], R], items: Sequence[T]) -> list[R]:
         """Apply ``fn`` to every item, returning results in input order."""
 
-    @abstractmethod
-    def map_unordered(
-        self, fn: Callable[[T], R], items: Sequence[T]
-    ) -> Iterator[tuple[int, R]]:
-        """Yield ``(index, fn(items[index]))`` pairs as tasks complete."""
-
     def chunksize(self, n_items: int) -> int:
         """Chunk size used when shipping ``n_items`` tasks to a pool.
 
@@ -120,64 +115,6 @@ class SerialExecutor(Executor):
             results = [fn(item) for item in items]
             obs.observe("runtime.batch_seconds", time.perf_counter() - start)
             return results
-
-    def map_unordered(
-        self, fn: Callable[[T], R], items: Sequence[T]
-    ) -> Iterator[tuple[int, R]]:
-        for index, item in enumerate(items):
-            yield index, fn(item)
-
-
-class ThreadExecutor(Executor):
-    """Thread-pool executor.
-
-    Threads share memory, so callables may close over live state (the
-    evaluator's parameter cache, a Tabu value table) — callers are
-    responsible for the thread safety of that state.  Best suited to
-    workloads that release the GIL (scipy solves, simulation inner loops)
-    or that mix I/O with compute.
-    """
-
-    def __init__(self, workers: int | None = None) -> None:
-        self.workers = check_positive_int(
-            workers if workers is not None else default_workers(), "workers"
-        )
-
-    def map(self, fn: Callable[[T], R], items: Sequence[T]) -> list[R]:
-        items = list(items)
-        if len(items) <= 1:
-            return [fn(item) for item in items]
-        with obs.span("runtime.map", backend="thread", tasks=len(items)):
-            _count_batch(len(items))
-            start = time.perf_counter()
-            if self.workers <= 1:
-                results = [fn(item) for item in items]
-            else:
-                with concurrent.futures.ThreadPoolExecutor(
-                    max_workers=self.workers
-                ) as pool:
-                    results = list(pool.map(fn, items))
-            obs.observe("runtime.batch_seconds", time.perf_counter() - start)
-            return results
-
-    def map_unordered(
-        self, fn: Callable[[T], R], items: Sequence[T]
-    ) -> Iterator[tuple[int, R]]:
-        items = list(items)
-        if self.workers <= 1 or len(items) <= 1:
-            for index, item in enumerate(items):
-                yield index, fn(item)
-            return
-        _count_batch(len(items))
-        with concurrent.futures.ThreadPoolExecutor(max_workers=self.workers) as pool:
-            submitted = time.perf_counter()
-            futures = {pool.submit(fn, item): i for i, item in enumerate(items)}
-            for future in concurrent.futures.as_completed(futures):
-                obs.observe(
-                    "runtime.task_turnaround_seconds",
-                    time.perf_counter() - submitted,
-                )
-                yield futures[future], future.result()
 
 
 class ProcessExecutor(Executor):
@@ -232,43 +169,13 @@ class ProcessExecutor(Executor):
             obs.observe("runtime.batch_seconds", time.perf_counter() - start)
             return results
 
-    def map_unordered(
-        self, fn: Callable[[T], R], items: Sequence[T]
-    ) -> Iterator[tuple[int, R]]:
-        items = list(items)
-        if self.workers <= 1 or len(items) <= 1 or not self._picklable(fn, items):
-            for index, item in enumerate(items):
-                yield index, fn(item)
-            return
-        _count_batch(len(items))
-        with self._pool() as pool:
-            submitted = time.perf_counter()
-            futures = {pool.submit(fn, item): i for i, item in enumerate(items)}
-            for future in concurrent.futures.as_completed(futures):
-                obs.observe(
-                    "runtime.task_turnaround_seconds",
-                    time.perf_counter() - submitted,
-                )
-                yield futures[future], future.result()
 
-
-def make_executor(workers: int | None, kind: str = "auto") -> Executor:
+def make_executor(workers: int | None) -> Executor:
     """Build an executor from a ``--workers`` style setting.
 
-    Args:
-        workers: parallel width; ``None``, 0 or 1 yields the serial
-            executor (``None`` with an explicit parallel ``kind`` uses
-            all cores).
-        kind: ``'serial'``, ``'thread'``, ``'process'``, or ``'auto'``
-            (process-based — the safe general-purpose choice, since
-            shared-state call sites degrade to serial on their own).
+    ``None``, 0 or 1 yields the serial executor; a larger width yields a
+    process pool of that width.
     """
-    if kind not in ("auto", "serial", "thread", "process"):
-        raise ConfigurationError(f"unknown executor kind {kind!r}")
-    if workers is not None and workers <= 1:
+    if workers is None or workers <= 1:
         return SerialExecutor()
-    if kind == "serial" or (workers is None and kind == "auto"):
-        return SerialExecutor()
-    if kind == "thread":
-        return ThreadExecutor(workers)
     return ProcessExecutor(workers)

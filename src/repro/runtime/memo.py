@@ -2,9 +2,9 @@
 
 The disk cache (:mod:`repro.runtime.cache`) persists *finished* model
 solutions across processes; this module supplies the layer underneath
-it: a bounded, thread-safe, in-memory LRU for expensive intermediate
-objects that are pure functions of a content key but too large or too
-short-lived to serialize.  The first consumer is the approximate model's
+it: a bounded, in-memory LRU for expensive intermediate objects that
+are pure functions of a content key but too large or too short-lived
+to serialize.  The first consumer is the approximate model's
 level-prefix cache (:mod:`repro.perf.approximate`), which memoizes
 solved hierarchy levels keyed by the ordered prefix of
 ``(cloud spec, pool)`` pairs; :class:`repro.runtime.cache.DiskParamsCache`
@@ -12,20 +12,13 @@ can also bound its in-memory front with one.
 
 Design constraints inherited from the runtime package:
 
-- **Thread safety** — Tabu neighborhood scoring runs objectives on
-  thread executors, so one model instance may be queried concurrently.
-  All operations take an internal lock; ``get_or_create`` is
-  *single-flight* per key (the same per-key event pattern
-  ``UtilityEvaluator`` uses): the first caller of a missing key becomes
-  the owner and runs the factory outside the lock, concurrent callers of
-  the same key wait for the owner's publish instead of duplicating the
-  build.  The ``duplicate_builds`` counter records publishes that found
-  a value already present (the race harness asserts it stays zero).
+- **One owner per process** — the only parallel backend is a process
+  pool, so a cache is never shared between concurrent callers and
+  needs no lock: ``get_or_create`` is a plain look-up-then-build.
 - **Process-pool friendliness** — executors pickle models into task
-  payloads.  A lock is unpicklable and a cache full of sparse matrices
-  is expensive to ship, so pickling an :class:`LRUCache` deliberately
-  transfers only its configuration: workers start cold and warm up
-  locally.
+  payloads.  A cache full of sparse matrices is expensive to ship, so
+  pickling an :class:`LRUCache` deliberately transfers only its
+  configuration: workers start cold and warm up locally.
 - **Determinism** — the cache stores exactly the object the factory
   produced; a hit returns the same floats a cold rebuild would, so
   cached and uncached runs are bit-identical.
@@ -39,7 +32,6 @@ Design constraints inherited from the runtime package:
 
 from __future__ import annotations
 
-import threading
 from collections import OrderedDict
 from collections.abc import Callable, Hashable
 from typing import Any, Generic, TypeVar
@@ -52,11 +44,11 @@ V = TypeVar("V")
 
 
 class LRUCache(Generic[K, V]):
-    """A bounded, thread-safe mapping with least-recently-used eviction.
+    """A bounded mapping with least-recently-used eviction.
 
     Args:
         maxsize: capacity in entries; ``None`` means unbounded (the
-            cache then degenerates to a thread-safe dict with stats).
+            cache then degenerates to a dict with stats).
         name: optional metric namespace.  A named cache reports
             ``<name>.hit`` / ``<name>.miss`` / ``<name>.eviction``
             counters through :mod:`repro.obs` (no-ops unless metrics are
@@ -66,8 +58,6 @@ class LRUCache(Generic[K, V]):
     Attributes:
         hits: successful lookups so far.
         misses: failed lookups so far.
-        duplicate_builds: ``get_or_create`` publishes that found the key
-            already cached (zero under the single-flight discipline).
     """
 
     def __init__(self, maxsize: int | None = 128, name: str | None = None) -> None:
@@ -81,32 +71,34 @@ class LRUCache(Generic[K, V]):
         self._metric_hit = f"{name}.hit" if name else None
         self._metric_miss = f"{name}.miss" if name else None
         self._metric_eviction = f"{name}.eviction" if name else None
-        self.hits = 0  # guarded-by: _lock
-        self.misses = 0  # guarded-by: _lock
-        self.duplicate_builds = 0  # guarded-by: _lock
-        self._data: OrderedDict[K, V] = OrderedDict()  # guarded-by: _lock
-        self._pending: dict[K, threading.Event] = {}  # guarded-by: _lock
-        self._lock = threading.Lock()
+        self.hits = 0
+        self.misses = 0
+        self._data: OrderedDict[K, V] = OrderedDict()
+
+    def _hit(self, key: K) -> V:
+        """Refresh ``key``'s recency and count a hit; ``key`` must be cached."""
+        self._data.move_to_end(key)
+        self.hits += 1
+        if self._metric_hit is not None:
+            obs.inc(self._metric_hit)
+        return self._data[key]
+
+    def _miss(self) -> None:
+        self.misses += 1
+        if self._metric_miss is not None:
+            obs.inc(self._metric_miss)
 
     def get(self, key: K) -> V | None:
         """Return the cached value for ``key`` (refreshing its recency)
         or ``None`` on a miss."""
-        with self._lock:
-            try:
-                value = self._data[key]
-            except KeyError:
-                self.misses += 1
-                hit = False
-            else:
-                self._data.move_to_end(key)
-                self.hits += 1
-                hit = True
-        if self._metric_hit is not None and self._metric_miss is not None:
-            obs.inc(self._metric_hit if hit else self._metric_miss)
-        return value if hit else None
+        if key in self._data:
+            return self._hit(key)
+        self._miss()
+        return None
 
-    def _put_locked(self, key: K, value: V) -> int:
-        """Insert under an already-held ``self._lock``; returns evictions."""
+    def put(self, key: K, value: V) -> None:
+        """Insert ``value`` under ``key``, evicting the least recently
+        used entry if the cache is full."""
         self._data[key] = value
         self._data.move_to_end(key)
         evicted = 0
@@ -114,67 +106,18 @@ class LRUCache(Generic[K, V]):
             while len(self._data) > self.maxsize:
                 self._data.popitem(last=False)
                 evicted += 1
-        return evicted
-
-    def put(self, key: K, value: V) -> None:
-        """Insert ``value`` under ``key``, evicting the least recently
-        used entry if the cache is full."""
-        with self._lock:
-            evicted = self._put_locked(key, value)
         if evicted and self._metric_eviction is not None:
             obs.inc(self._metric_eviction, evicted)
 
     def get_or_create(self, key: K, factory: Callable[[], V]) -> V:
         """Return the cached value for ``key``, building it with
-        ``factory`` on a miss.
-
-        Single-flight per key: the first caller of a missing key owns the
-        build and runs ``factory`` *outside* the lock (a slow build never
-        blocks unrelated lookups); concurrent callers of the same key
-        wait on the owner's event and read the published value instead of
-        building again.  If the owner's factory raises, one waiter is
-        promoted to owner and retries.  The factory must not re-enter
-        ``get_or_create`` for the same key (that would self-deadlock);
-        distinct keys are fine.
-        """
-        while True:
-            with self._lock:
-                try:
-                    value = self._data[key]
-                except KeyError:
-                    pass
-                else:
-                    self._data.move_to_end(key)
-                    self.hits += 1
-                    if self._metric_hit is not None:
-                        obs.inc(self._metric_hit)
-                    return value
-                event = self._pending.get(key)
-                if event is None:
-                    event = threading.Event()
-                    self._pending[key] = event
-                    self.misses += 1
-                    owner = True
-                else:
-                    owner = False
-            if not owner:
-                event.wait()
-                continue  # the owner has published (or failed); re-check
-            if self._metric_miss is not None:
-                obs.inc(self._metric_miss)
-            try:
-                value = factory()
-                with self._lock:
-                    if key in self._data:
-                        self.duplicate_builds += 1
-                    evicted = self._put_locked(key, value)
-                if evicted and self._metric_eviction is not None:
-                    obs.inc(self._metric_eviction, evicted)
-                return value
-            finally:
-                with self._lock:
-                    self._pending.pop(key, None)
-                event.set()
+        ``factory`` on a miss.  A factory that raises caches nothing."""
+        if key in self._data:
+            return self._hit(key)
+        self._miss()
+        value = factory()
+        self.put(key, value)
+        return value
 
     def ensure_capacity(self, minsize: int) -> None:
         """Grow ``maxsize`` to at least ``minsize`` (monotone; never
@@ -188,48 +131,36 @@ class LRUCache(Generic[K, V]):
         only how long it is retained."""
         minsize = int(minsize)
         require(minsize >= 1, "ensure_capacity minsize must be >= 1")
-        with self._lock:
-            if self.maxsize is not None and self.maxsize < minsize:
-                self.maxsize = minsize
+        if self.maxsize is not None and self.maxsize < minsize:
+            self.maxsize = minsize
 
     def pop(self, key: K) -> V | None:
         """Remove and return the value under ``key`` (``None`` if absent);
         never counts toward hit/miss statistics."""
-        with self._lock:
-            return self._data.pop(key, None)
+        return self._data.pop(key, None)
 
     def keys(self) -> list[K]:
         """A snapshot of the cached keys, least recently used first."""
-        with self._lock:
-            return list(self._data)
+        return list(self._data)
 
     def __contains__(self, key: K) -> bool:
-        with self._lock:
-            return key in self._data
+        return key in self._data
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._data)
+        return len(self._data)
 
     def clear(self) -> None:
         """Drop all entries (statistics are kept)."""
-        with self._lock:
-            self._data.clear()
+        self._data.clear()
 
     def stats(self) -> dict[str, int | None]:
-        """A snapshot of the cache counters (for logs and benchmarks).
-
-        Taken under the lock, so the snapshot is internally consistent:
-        ``hits + misses`` equals the number of completed lookups at one
-        instant, never a torn mix of two."""
-        with self._lock:
-            return {
-                "size": len(self._data),
-                "maxsize": self.maxsize,
-                "hits": self.hits,
-                "misses": self.misses,
-                "duplicate_builds": self.duplicate_builds,
-            }
+        """A snapshot of the cache counters (for logs and benchmarks)."""
+        return {
+            "size": len(self._data),
+            "maxsize": self.maxsize,
+            "hits": self.hits,
+            "misses": self.misses,
+        }
 
     # -- pickling: ship configuration, not contents -------------------- #
 
@@ -237,17 +168,7 @@ class LRUCache(Generic[K, V]):
         return {"maxsize": self.maxsize, "name": self.name}
 
     def __setstate__(self, state: dict[str, Any]) -> None:
-        self.maxsize = state["maxsize"]
-        self.name = state.get("name")
-        self._metric_hit = f"{self.name}.hit" if self.name else None
-        self._metric_miss = f"{self.name}.miss" if self.name else None
-        self._metric_eviction = f"{self.name}.eviction" if self.name else None
-        self.hits = 0
-        self.misses = 0
-        self.duplicate_builds = 0
-        self._data = OrderedDict()
-        self._pending = {}
-        self._lock = threading.Lock()
+        LRUCache.__init__(self, state["maxsize"], state.get("name"))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"LRUCache(size={len(self)}, maxsize={self.maxsize})"

@@ -10,8 +10,8 @@
   plus the generated corpus, name resolution, committed-manifest checks.
 - :mod:`repro.scenarios.runner` — drive one scenario (solve/simulate)
   under its declared run config, cache namespaced by content hash.
-- :mod:`repro.scenarios.sweep` — fan scenario subsets across executor
-  backends with bitwise-identical results asserted.
+- :mod:`repro.scenarios.sweep` — run scenario subsets serially and on a
+  process pool with bitwise-identical results asserted.
 - :mod:`repro.scenarios.cli` — ``python -m repro.scenarios``
   list/validate/show/run/generate/sweep.
 """

@@ -11,8 +11,8 @@ Commands:
   with the shared ``--trace`` / ``--metrics`` / ``--profile`` surface.
 - ``generate`` — write the library (and manifest) to a directory;
   ``--update-manifest`` refreshes the committed manifest.
-- ``sweep`` — fan a scenario subset across executor backends and assert
-  bitwise-identical results.
+- ``sweep`` — run a scenario subset serially and on a process pool and
+  assert bitwise-identical results.
 
 Every command is deterministic: the library is a pure function of
 ``--seed`` (default: the committed library's seed).
@@ -107,7 +107,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
             spec,
             mode=args.mode,
             workers=args.workers,
-            backend=args.backend,
             cache_dir=args.cache_dir,
             step_mode=args.step_mode,
         )
@@ -206,12 +205,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--mode", choices=["solve", "simulate"], default="solve",
         help="market loop (solve) or event-driven simulator (simulate)",
     )
-    run.add_argument("--workers", type=int, default=None, help="override run-config workers")
     run.add_argument(
-        "--backend",
-        choices=["serial", "thread", "process"],
+        "--workers",
+        type=int,
         default=None,
-        help="override run-config backend",
+        help="parallel width of a solve (default: serial; >1 = process pool)",
     )
     run.add_argument("--cache-dir", default=None, help="persistent model-solution cache")
     run.add_argument(
@@ -245,7 +243,9 @@ def build_parser() -> argparse.ArgumentParser:
     cmd_sweep.add_argument(
         "--limit", type=int, default=4, help="smoke-subset size when --ids is absent"
     )
-    cmd_sweep.add_argument("--workers", type=int, default=2, help="parallel width per backend")
+    cmd_sweep.add_argument(
+        "--workers", type=int, default=2, help="process-pool width of the process column"
+    )
     cmd_sweep.add_argument(
         "--backends",
         default=",".join(sweep.DEFAULT_BACKENDS),

@@ -59,7 +59,6 @@ _LARGEK_SIZES = (20, 50, 100)
 
 _VM_SIZES = (5, 10, 20, 40, 100)
 _SLA_BOUNDS = (0.1, 0.2, 0.5)
-_BACKENDS = ("serial", "thread", "process")
 
 
 def _rng(seed: int, family_id: int, index: int) -> np.random.Generator:
@@ -110,12 +109,14 @@ def _run_config(
     utilitarian scoring, where small utilities cannot push the welfare
     to ``-inf``.  ``model`` keeps the same draw order for every family:
     it is applied after the rng consumption, so overriding it never
-    shifts another family's digests.
+    shifts another family's digests.  The two discarded draws once chose
+    the schema-v1 ``backend`` and ``workers`` fields; consuming them keeps
+    every later draw (clouds, demand, failures, gamma, alpha) unchanged.
     """
+    rng.choice(3)
+    rng.random()
     return RunConfig(
         seed=derive_seed(seed, name),
-        backend=str(rng.choice(_BACKENDS)),
-        workers=1 if rng.random() < 0.4 else 2,
         model=model,
         gamma=float(rng.choice((0.0, 1.0))),
         alpha=float(rng.choice(alphas)),

@@ -1,8 +1,9 @@
 """Drive one scenario end to end: market solve or simulation.
 
 This module is the execution half of the scenario subsystem — the schema
-says *what*, the runner says *how*: build the executor/model the spec's
-:class:`~repro.scenarios.schema.RunConfig` asks for, wire the demand
+says *what*, the runner says *how*: build the model the spec's
+:class:`~repro.scenarios.schema.RunConfig` asks for on an executor of the
+caller's width, wire the demand
 profiles into the simulator, namespace the persistent cache by the
 scenario's content hash, and hand back JSON-able results plus a
 ``float.hex`` digest for bitwise cross-backend comparison (the same
@@ -22,15 +23,6 @@ if TYPE_CHECKING:
     from repro.perf.base import PerformanceModel
     from repro.runtime.cache import DiskParamsCache
     from repro.runtime.executor import Executor
-
-
-def make_executor(spec: ScenarioSpec, workers: int | None = None, backend: str | None = None) -> "Executor":
-    """The executor the spec's run config (or the overrides) asks for."""
-    from repro.runtime.executor import make_executor as build
-
-    kind = backend if backend is not None else spec.run.backend
-    width = workers if workers is not None else spec.run.workers
-    return build(1 if kind == "serial" else width, kind=kind)
 
 
 def make_model(spec: ScenarioSpec, executor: "Executor | None" = None) -> "PerformanceModel":
@@ -67,13 +59,17 @@ def make_params_cache(
 def solve_spec(
     spec: ScenarioSpec,
     workers: int | None = None,
-    backend: str | None = None,
     cache_dir: str | None = None,
 ) -> "SCShareOutcome":
-    """Run the SC-Share market loop under the spec's run config."""
-    from repro.core.framework import SCShare
+    """Run the SC-Share market loop under the spec's run config.
 
-    executor = make_executor(spec, workers=workers, backend=backend)
+    ``workers`` is the parallel width (``None`` or 1 runs serially, more
+    runs a process pool); every width gives the same bits.
+    """
+    from repro.core.framework import SCShare
+    from repro.runtime.executor import make_executor
+
+    executor = make_executor(workers)
     model = make_model(spec, executor=executor)
     runner = SCShare(
         spec.federation(),
@@ -173,7 +169,6 @@ def run_spec(
     spec: ScenarioSpec,
     mode: str = "solve",
     workers: int | None = None,
-    backend: str | None = None,
     cache_dir: str | None = None,
     step_mode: str = "event",
 ) -> dict[str, Any]:
@@ -183,8 +178,8 @@ def run_spec(
         spec: the scenario.
         mode: ``"solve"`` (market loop) or ``"simulate"`` (event-driven
             simulator with the spec's demand profiles).
-        workers / backend / cache_dir: optional overrides of the spec's
-            run config.
+        workers: parallel width of a ``solve`` run (serial by default).
+        cache_dir: optional persistent model-solution cache.
         step_mode: engine stepping mode for ``simulate`` runs.
     """
     from repro.core.serialization import outcome_to_dict
@@ -195,7 +190,7 @@ def run_spec(
         "mode": mode,
     }
     if mode == "solve":
-        outcome = solve_spec(spec, workers=workers, backend=backend, cache_dir=cache_dir)
+        outcome = solve_spec(spec, workers=workers, cache_dir=cache_dir)
         observables = outcome_observables(outcome)
         report["outcome"] = outcome_to_dict(outcome)
         report["digest"] = observables_digest(observables)

@@ -4,7 +4,7 @@ A :class:`ScenarioSpec` is the declarative unit every later experiment
 points at: the federation's SC entities (sizes, SLAs, prices), one
 :class:`~repro.workload.profiles.DemandProfile` per SC (Poisson or MMPP
 arrivals, exponential/Erlang/hyperexponential/PH-fitted service), and a
-:class:`RunConfig` (seed, executor backend, model, game knobs).  Specs
+:class:`RunConfig` (seed, model, game knobs).  Specs
 round-trip through canonical JSON byte-stably, carry an explicit
 ``schema_version``, and are content-hashed so a scenario library has a
 stable digest.
@@ -35,10 +35,9 @@ from repro.sim.failures import FailureWindow, validate_schedule, window_from_dic
 from repro.workload.profiles import DemandProfile
 
 #: Bump on any layout change; loaders reject other versions loudly.
-SCHEMA_VERSION = 1
-
-#: Executor backends a scenario may request (see repro.runtime.executor).
-BACKENDS = ("serial", "thread", "process")
+#: Version 2 dropped ``run.backend`` and ``run.workers``: how wide a run
+#: fans out is the caller's choice, not scenario content.
+SCHEMA_VERSION = 2
 
 #: Performance models a scenario may request (``auto`` is the
 #: budget-driven hybrid tier, :class:`repro.perf.auto.AutoModel`).
@@ -51,8 +50,6 @@ _NAME_PATTERN = re.compile(r"^[a-z0-9][a-z0-9_.-]*$")
 
 _RUN_FIELDS = (
     "seed",
-    "backend",
-    "workers",
     "model",
     "gamma",
     "alpha",
@@ -78,12 +75,13 @@ def _reject(invariant: str, message: str, context: dict[str, Any]) -> InvariantV
 
 @dataclass(frozen=True)
 class RunConfig:
-    """How a scenario is executed: determinism, parallelism, game knobs.
+    """How a scenario is played: determinism, model, game knobs.
+
+    Parallel width is not part of a scenario: every width gives the same
+    bits, so callers pick it (``solve_spec(spec, workers=...)``).
 
     Attributes:
         seed: master seed for the simulator / any stochastic component.
-        backend: executor backend (``serial`` / ``thread`` / ``process``).
-        workers: parallel width behind the backend.
         model: performance model (``pooled`` / ``approximate`` /
             ``auto``).
         gamma: Eq. (2) utility exponent shared by all SCs.
@@ -93,8 +91,6 @@ class RunConfig:
     """
 
     seed: int = 0
-    backend: str = "serial"
-    workers: int = 1
     model: str = "pooled"
     gamma: float = 0.0
     alpha: float = 0.0
@@ -106,16 +102,6 @@ class RunConfig:
             raise _reject(
                 "scenario-schema", "seed must be a non-negative integer", {"seed": self.seed}
             )
-        if self.backend not in BACKENDS:
-            raise _reject(
-                "scenario-schema",
-                f"backend must be one of {BACKENDS}",
-                {"backend": self.backend},
-            )
-        if not isinstance(self.workers, int) or self.workers < 1:
-            raise _reject(
-                "scenario-schema", "workers must be a positive integer", {"workers": self.workers}
-            )
         if self.model not in MODELS:
             raise _reject(
                 "scenario-schema", f"model must be one of {MODELS}", {"model": self.model}
@@ -124,11 +110,16 @@ class RunConfig:
             raise _reject(
                 "scenario-schema", "gamma must be in [0, 1]", {"gamma": self.gamma}
             )
-        if float(self.alpha) < 0.0:
+        # ``not >=`` rejects NaN; inf stays legal (the paper's alpha=inf).
+        if not float(self.alpha) >= 0.0:
             raise _reject(
                 "scenario-schema", "alpha must be >= 0", {"alpha": self.alpha}
             )
-        if not isinstance(self.strategy_step, int) or self.strategy_step < 1:
+        if (
+            not isinstance(self.strategy_step, int)
+            or isinstance(self.strategy_step, bool)
+            or self.strategy_step < 1
+        ):
             raise _reject(
                 "scenario-schema",
                 "strategy_step must be a positive integer",

@@ -3,7 +3,7 @@
 The runtime's determinism contract says parallelism is a wall-clock
 knob, never a semantics knob.  The sweep runner spends that contract on
 the scenario library: each selected scenario's market run is replayed
-under serial, thread, and process executors, every outcome is digested
+under the serial and the process executor, every outcome is digested
 with ``float.hex`` (no tolerance), and a single mismatched bit anywhere
 fails the sweep.  CI runs a seeded 4-scenario smoke through this module;
 ``python -m repro.scenarios sweep`` exposes the full surface.
@@ -24,7 +24,7 @@ from repro.scenarios.runner import (
 )
 from repro.scenarios.schema import ScenarioSpec
 
-DEFAULT_BACKENDS = ("serial", "thread", "process")
+DEFAULT_BACKENDS = ("serial", "process")
 
 
 @dataclass(frozen=True)
@@ -89,6 +89,8 @@ def sweep_scenarios(
     """Run each scenario under every backend; digest each run bitwise."""
     require(bool(specs), "sweep needs at least one scenario")
     require(bool(backends), "sweep needs at least one backend")
+    unknown = sorted(set(backends) - set(DEFAULT_BACKENDS))
+    require(not unknown, f"unknown sweep backend(s) {unknown}; known: {DEFAULT_BACKENDS}")
     rows = []
     for spec in specs:
         digests: dict[str, str] = {}
@@ -97,7 +99,9 @@ def sweep_scenarios(
         iterations = 0
         for backend in backends:
             outcome = solve_spec(
-                spec, workers=workers, backend=backend, cache_dir=cache_dir
+                spec,
+                workers=1 if backend == "serial" else workers,
+                cache_dir=cache_dir,
             )
             digests[backend] = observables_digest(outcome_observables(outcome))
             welfare = outcome.welfare

@@ -47,15 +47,15 @@ class TestSelectRouting:
         assert routed == {"lint": None, "dataflow": None}
 
     def test_codes_route_to_owning_family(self):
-        routed = _split_select("RPR101,RPR201,rpr301,RPR306")
+        routed = _split_select("RPR101,RPR105,rpr301,RPR306")
         assert routed == {
-            "lint": ["RPR101", "RPR201"],
+            "lint": ["RPR101", "RPR105"],
             "dataflow": ["RPR301", "RPR306"],
         }
 
     def test_family_without_selected_codes_is_skipped(self):
         assert _split_select("RPR301") == {"dataflow": ["RPR301"]}
-        assert _split_select("RPR205") == {"lint": ["RPR205"]}
+        assert _split_select("RPR105") == {"lint": ["RPR105"]}
 
     def test_unknown_code_raises_with_known_list(self):
         try:
@@ -143,7 +143,7 @@ class TestFamilyCLIsShareConventions:
         assert main(["check", "--select", "RPR401", "src"]) == 2
         err = capsys.readouterr().err
         assert "unknown rule code(s): RPR401" in err
-        assert "RPR101" in err and "RPR205" in err
+        assert "RPR101" in err and "RPR105" in err
 
     def test_dataflow_hints_perf_family(self, capsys):
         assert main(["check", "--select", "RPR301,RPR404", "src"]) == 2
@@ -153,7 +153,7 @@ class TestFamilyCLIsShareConventions:
 
     def test_json_format_agrees_across_clis(self, tmp_path, capsys):
         write(tmp_path, CLEAN)
-        for select in ([], ["--select", "RPR101,RPR205"], ["--select", "RPR301,RPR306"]):
+        for select in ([], ["--select", "RPR101,RPR105"], ["--select", "RPR301,RPR306"]):
             assert main(["check", "--format", "json", *select, str(tmp_path)]) == 0
             payload = json.loads(capsys.readouterr().out)
             assert payload["format"] == "repro.analysis.lint-report"

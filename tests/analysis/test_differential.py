@@ -37,12 +37,12 @@ class TestCells:
             second["observables"]["equilibrium"]
         )
 
-    def test_thread_and_variant_cells_match_reference(self):
+    def test_process_and_variant_cells_match_reference(self):
         # A 2-cell slice of the matrix: enough to catch a backend or
         # caching divergence quickly; the full matrix runs in CI.
         spec = SCENARIOS["quick"]
         reference = _run_cell(spec, "serial", "base")
-        assert _run_cell(spec, "thread", "base")["digest"] == reference["digest"]
+        assert _run_cell(spec, "process", "base")["digest"] == reference["digest"]
         assert _run_cell(spec, "serial", "nomemo")["digest"] == reference["digest"]
 
     def test_observables_use_hex_floats(self):
@@ -60,8 +60,8 @@ class TestFullMatrix:
         report = json.loads(out.read_text())
         assert report["ok"] is True
         assert report["mismatches"] == []
-        # 3x2 backend/variant matrix plus the traced cell (obs on).
-        assert len(report["cells"]) == 7
+        # 2x2 backend/variant matrix plus the traced cell (obs on).
+        assert len(report["cells"]) == 5
         assert any(cell.get("variant") == "traced" for cell in report["cells"])
         digests = {cell["digest"] for cell in report["cells"]}
         assert len(digests) == 1
@@ -113,13 +113,12 @@ class TestKsweepRegistry:
 class TestKsweepCells:
     def test_variant_cells_match_reference(self):
         # A 3-cell slice of the ksweep10 matrix: serial/base as reference
-        # against the other variant and a threaded cell.  The full
-        # matrix (including process backends) runs in the kscale-smoke
-        # CI job.
+        # against the other variant and a process cell.  The full matrix
+        # runs in the kscale-smoke CI job.
         spec = SCENARIOS["ksweep10"]
         reference = _run_cell(spec, "serial", "base")
         for backend, variant in (
             ("serial", "nomemo"),
-            ("thread", "base"),
+            ("process", "base"),
         ):
             assert _run_cell(spec, backend, variant)["digest"] == reference["digest"]

@@ -14,8 +14,12 @@ from repro.obs.metrics import (
     MetricsSnapshot,
     MetricsTask,
 )
-from repro.runtime.executor import ProcessExecutor, SerialExecutor, ThreadExecutor
+from repro.runtime.executor import ProcessExecutor, SerialExecutor
 from repro.sim.replications import replicate
+
+
+def _square(x: int) -> int:
+    return x * x
 
 
 class TestRegistry:
@@ -140,16 +144,15 @@ class TestMapWithMetrics:
         assert calls == [1, 2]
 
     @pytest.mark.slow
-    def test_thread_and_process_merge_equal_serial(self):
+    def test_process_merge_equals_serial(self):
         serial = self._counts(SerialExecutor())
         assert serial["sim.replications"] == 3
-        threaded = self._counts(ThreadExecutor(workers=2))
         process = self._counts(ProcessExecutor(workers=2))
-        assert threaded == serial
         assert process == serial
 
     def test_results_stay_in_input_order(self):
-        executor = ThreadExecutor(workers=4)
-        with obs.capture(tracing=False):
-            results = obs.map_with_metrics(executor, lambda x: x * x, list(range(10)))
+        executor = ProcessExecutor(workers=2)
+        with obs.capture(tracing=False) as cap:
+            results = obs.map_with_metrics(executor, _square, list(range(10)))
+        assert "runtime.executor.pickle_fallback" not in dict(cap.snapshot().counter_view())
         assert results == [x * x for x in range(10)]

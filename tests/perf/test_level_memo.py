@@ -76,7 +76,6 @@ class TestMemoizedEquality:
             "maxsize": 0,
             "hits": 0,
             "misses": 0,
-            "duplicate_builds": 0,
         }
 
 

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hyp
 
 from repro.core.small_cloud import FederationScenario, SmallCloud
-from repro.runtime.executor import ProcessExecutor, SerialExecutor, ThreadExecutor
+from repro.runtime.executor import ProcessExecutor, SerialExecutor
 from repro.sim.engine import STEP_MODES, SimulationEngine
 from repro.sim.failures import FailureWindow
 from repro.sim.federation import FederationSimulator
@@ -205,7 +205,7 @@ def test_replications_identical_across_modes_and_backends(seed):
     """replicate() reduces to identical intervals on every backend/mode.
 
     Seeds are fixed up front and each replication is a pure function of
-    its task tuple, so serial, thread, and process execution of any
+    its task tuple, so serial and process execution of any
     stepping mode must reproduce the serial/event reference exactly.
     """
     scenario = build_scenario([(6, 0.9, 0.5), (6, 0.6, 0.35)])
@@ -224,11 +224,7 @@ def test_replications_identical_across_modes_and_backends(seed):
         )
 
     reference = run("event", SerialExecutor())
-    backends = [
-        SerialExecutor(),
-        ThreadExecutor(workers=2),
-        ProcessExecutor(workers=2),
-    ]
+    backends = [SerialExecutor(), ProcessExecutor(workers=2)]
     for mode in STEP_MODES:
         for executor in backends:
             assert run(mode, executor) == reference

@@ -64,10 +64,10 @@ class TestFingerprints:
 
     def test_model_fingerprint_ignores_runtime_plumbing(self):
         from repro.perf.approximate import ApproximateModel
-        from repro.runtime.executor import ThreadExecutor
+        from repro.runtime.executor import ProcessExecutor
 
         assert model_fingerprint(ApproximateModel()) == model_fingerprint(
-            ApproximateModel(executor=ThreadExecutor(4))
+            ApproximateModel(executor=ProcessExecutor(4))
         )
 
 
@@ -332,3 +332,45 @@ class TestCacheIntegrity:
             with pytest.raises(InvariantViolation) as exc:
                 fresh[(2, 1)]
         assert exc.value.invariant == "params-finite"
+
+
+def _write_vectors(task):
+    """Process-pool task: store every payload through one shared cache dir."""
+    cache, payloads = task
+    for vector, params in payloads:
+        cache[vector] = params
+    return len(payloads)
+
+
+class TestProcessWriters:
+    def test_concurrent_writers_land_every_vector(self, tmp_path):
+        # Temp file + os.replace makes each write atomic, so process-pool
+        # workers sharing one cache directory never leave a torn entry.
+        from repro import obs
+        from repro.runtime.executor import ProcessExecutor
+        from tests.helpers import StubModel
+
+        scenario = FederationScenario(
+            clouds=(
+                SmallCloud(name="a", vms=4, arrival_rate=2.0),
+                SmallCloud(name="b", vms=5, arrival_rate=3.0),
+            )
+        )
+        model = StubModel()
+        cache = DiskParamsCache(tmp_path, scenario, model, memory_size=3)
+        vectors = sorted({(i % 5, j % 6) for i in range(4) for j in range(4)})
+        payloads = [
+            (vector, model.evaluate(scenario.with_sharing(vector)))
+            for vector in vectors
+        ]
+        tasks = [(cache, payloads[offset:] + payloads[:offset]) for offset in range(4)]
+        with obs.capture(tracing=False, metrics=True) as cap:
+            written = ProcessExecutor(4).map(_write_vectors, tasks)
+        assert written == [len(vectors)] * 4
+        # The writes really happened in the workers, not in a serial fallback.
+        assert "runtime.executor.pickle_fallback" not in dict(cap.snapshot().counter_view())
+
+        fresh = DiskParamsCache(tmp_path, scenario, model)
+        assert len(fresh) == len(vectors)
+        for vector, params in payloads:
+            assert fresh[vector] == params

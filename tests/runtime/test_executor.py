@@ -2,11 +2,9 @@
 
 import pytest
 
-from repro.exceptions import ConfigurationError
 from repro.runtime.executor import (
     ProcessExecutor,
     SerialExecutor,
-    ThreadExecutor,
     make_executor,
 )
 
@@ -15,7 +13,7 @@ def _square(x):
     return x * x
 
 
-ALL_EXECUTORS = [SerialExecutor(), ThreadExecutor(2), ProcessExecutor(2)]
+ALL_EXECUTORS = [SerialExecutor(), ProcessExecutor(2)]
 
 
 class TestMapContract:
@@ -28,16 +26,9 @@ class TestMapContract:
     def test_map_empty(self, executor):
         assert executor.map(_square, []) == []
 
-    @pytest.mark.parametrize("executor", ALL_EXECUTORS, ids=lambda e: type(e).__name__)
-    def test_map_unordered_covers_every_index(self, executor):
-        items = [3, 1, 4, 1, 5]
-        pairs = sorted(executor.map_unordered(_square, items))
-        assert pairs == [(i, x * x) for i, x in enumerate(items)]
-
     def test_executors_agree(self):
         items = list(range(7))
         serial = SerialExecutor().map(_square, items)
-        assert ThreadExecutor(3).map(_square, items) == serial
         assert ProcessExecutor(3).map(_square, items) == serial
 
 
@@ -61,7 +52,7 @@ class TestFallbacks:
 
     def test_single_item_runs_inline(self):
         assert ProcessExecutor(4).map(_square, [7]) == [49]
-        assert ThreadExecutor(4).map(_square, [7]) == [49]
+        assert SerialExecutor().map(_square, [7]) == [49]
 
 
 class TestMakeExecutor:
@@ -71,21 +62,22 @@ class TestMakeExecutor:
         assert isinstance(make_executor(None), SerialExecutor)
 
     def test_kinds(self):
-        assert isinstance(make_executor(4, "thread"), ThreadExecutor)
-        assert isinstance(make_executor(4, "process"), ProcessExecutor)
-        assert isinstance(make_executor(4, "auto"), ProcessExecutor)
-        assert isinstance(make_executor(4, "serial"), SerialExecutor)
+        # The width alone picks the backend: more than one worker means a
+        # process pool.
+        assert isinstance(make_executor(2), ProcessExecutor)
+        assert isinstance(make_executor(4), ProcessExecutor)
 
     def test_workers_recorded(self):
-        assert make_executor(4, "thread").workers == 4
-        assert make_executor(None, "thread").workers >= 1
+        assert make_executor(4).workers == 4
+        assert make_executor(1).workers == 1
 
     def test_unknown_kind_rejected(self):
-        with pytest.raises(ConfigurationError):
-            make_executor(4, "fiber")
+        # There is no executor-kind argument any more.
+        with pytest.raises(TypeError):
+            make_executor(4, kind="thread")
 
     def test_chunksize_positive(self):
-        executor = ThreadExecutor(4)
+        executor = ProcessExecutor(4)
         assert executor.chunksize(0) == 1
         assert executor.chunksize(1) == 1
         assert executor.chunksize(1000) >= 1

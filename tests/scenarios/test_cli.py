@@ -89,7 +89,7 @@ class TestGenerate:
 
 
 class TestSweep:
-    def test_sweep_ids_serial_thread(self, tmp_path, capsys):
+    def test_sweep_ids_serial_process(self, tmp_path, capsys):
         spec_path = tmp_path / "tiny.json"
         save_spec(tiny_spec(), spec_path)
         assert (
@@ -99,7 +99,7 @@ class TestSweep:
                     "--ids",
                     str(spec_path),
                     "--backends",
-                    "serial,thread",
+                    "serial,process",
                     "--output",
                     str(tmp_path / "report"),
                 ]

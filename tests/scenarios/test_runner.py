@@ -3,7 +3,6 @@
 import pytest
 
 from repro.scenarios.runner import (
-    make_executor,
     make_model,
     make_params_cache,
     observables_digest,
@@ -12,19 +11,10 @@ from repro.scenarios.runner import (
     simulate_spec,
     solve_spec,
 )
-from repro.runtime.executor import SerialExecutor, ThreadExecutor
-
 from tests.scenarios.helpers import tiny_spec
 
 
 class TestFactories:
-    def test_serial_backend_builds_serial_executor(self):
-        assert isinstance(make_executor(tiny_spec()), SerialExecutor)
-
-    def test_backend_override(self):
-        executor = make_executor(tiny_spec(), workers=2, backend="thread")
-        assert isinstance(executor, ThreadExecutor)
-
     def test_model_from_run_config(self):
         from repro.perf.approximate import ApproximateModel
         from repro.perf.pooled import PooledModel
@@ -56,10 +46,8 @@ class TestSolve:
     def test_solve_is_bitwise_stable_across_backends(self):
         spec = tiny_spec()
         serial = observables_digest(outcome_observables(solve_spec(spec)))
-        threaded = observables_digest(
-            outcome_observables(solve_spec(spec, workers=2, backend="thread"))
-        )
-        assert serial == threaded
+        processed = observables_digest(outcome_observables(solve_spec(spec, workers=2)))
+        assert serial == processed
 
     def test_run_spec_solve_report(self):
         spec = tiny_spec()

@@ -76,6 +76,14 @@ class TestRejections:
             spec_from_dict(data)
         assert excinfo.value.invariant == "scenario-schema-version"
 
+    def test_schema_v1_spec_rejected(self):
+        data = tiny_spec().to_dict()
+        data["schema_version"] = 1
+        data["run"].update(backend="thread", workers=2)
+        with pytest.raises(InvariantViolation) as excinfo:
+            spec_from_dict(data)
+        assert excinfo.value.invariant == "scenario-schema-version"
+
     def test_unknown_top_level_field(self):
         data = tiny_spec().to_dict()
         data["extra"] = 1
@@ -176,8 +184,8 @@ class TestRunConfig:
         [
             {"seed": -1},
             {"seed": 1.5},
-            {"backend": "gpu"},
-            {"workers": 0},
+            {"alpha": float("nan")},
+            {"strategy_step": True},
             {"model": "exact"},
             {"gamma": 1.5},
             {"alpha": -0.1},
@@ -193,3 +201,16 @@ class TestRunConfig:
     def test_unknown_field_rejected(self):
         with pytest.raises(InvariantViolation):
             RunConfig.from_dict({"retries": 3})
+
+    @pytest.mark.parametrize("field", ["backend", "workers"])
+    def test_schema_v1_execution_fields_rejected(self, field):
+        # Schema v2 dropped the execution fields; parallel width is the
+        # caller's choice.
+        with pytest.raises(InvariantViolation):
+            RunConfig.from_dict({field: "serial" if field == "backend" else 2})
+
+    def test_json_nan_alpha_rejected_but_inf_kept(self):
+        with pytest.raises(InvariantViolation):
+            RunConfig.from_dict(json.loads('{"alpha": NaN}'))
+        # alpha = inf is the paper's max-min fairness level.
+        assert RunConfig.from_dict(json.loads('{"alpha": Infinity}')).alpha == float("inf")

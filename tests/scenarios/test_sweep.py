@@ -2,6 +2,9 @@
 
 import json
 
+import pytest
+
+from repro.exceptions import ConfigurationError
 from repro.scenarios.sweep import (
     SweepRow,
     render,
@@ -32,15 +35,17 @@ class TestSmokeSubset:
 
 
 class TestSweep:
-    def test_serial_and_thread_agree_bitwise(self, tmp_path):
-        rows = sweep_scenarios(
-            [tiny_spec()], backends=("serial", "thread"), workers=2
-        )
+    def test_serial_and_process_agree_bitwise(self, tmp_path):
+        rows = sweep_scenarios([tiny_spec()], workers=2)
         assert len(rows) == 1
         row = rows[0]
         assert row.identical
-        assert set(row.digests) == {"serial", "thread"}
+        assert set(row.digests) == {"serial", "process"}
         assert row.k == 2
+
+    def test_unknown_backend_rejected(self):
+        with pytest.raises(ConfigurationError):
+            sweep_scenarios([tiny_spec()], backends=("serial", "thread"))
 
     def test_report_artifacts(self, tmp_path):
         rows = sweep_scenarios([tiny_spec()], backends=("serial",), workers=1)
@@ -57,7 +62,7 @@ class TestSweep:
             name="x",
             family="custom",
             k=2,
-            digests={"serial": "a" * 64, "thread": "b" * 64},
+            digests={"serial": "a" * 64, "process": "b" * 64},
             welfare=1.0,
             equilibrium=(1, 1),
             iterations=3,
