@@ -7,8 +7,9 @@ This package is the numerical foundation of the SC-Share reproduction:
   state tuples and dense indices, with reachability exploration.
 - :mod:`repro.markov.ctmc` / :mod:`repro.markov.dtmc` — sparse chain
   containers with validation.
-- :mod:`repro.markov.solvers` — steady-state solvers (sparse LU, GMRES,
-  power iteration on the uniformized chain).
+- :mod:`repro.markov.solvers` — steady-state solvers (sparse LU,
+  Jacobi-preconditioned BiCGSTAB, power iteration on the uniformized
+  chain).
 - :mod:`repro.markov.uniformization` — transient distributions via
   uniformization with Fox–Glynn truncation of the Poisson weights.
 - :mod:`repro.markov.birth_death` — analytic birth–death solutions used as
@@ -21,8 +22,8 @@ from repro.markov.dtmc import DTMC
 from repro.markov.fox_glynn import FoxGlynnWeights, fox_glynn
 from repro.markov.solvers import (
     steady_state,
+    steady_state_bicgstab,
     steady_state_direct,
-    steady_state_gmres,
     steady_state_power,
 )
 from repro.markov.state_space import StateSpace, explore
@@ -38,8 +39,8 @@ __all__ = [
     "explore",
     "fox_glynn",
     "steady_state",
+    "steady_state_bicgstab",
     "steady_state_direct",
-    "steady_state_gmres",
     "steady_state_power",
     "transient_distribution",
     "uniformize",

@@ -2,13 +2,14 @@
 
 Three strategies, selectable explicitly or via ``method='auto'``:
 
-- ``direct``  — sparse LU on the constrained linear system; exact up to
-  floating point, preferred for the model sizes in this reproduction.
-- ``gmres``   — iterative Krylov solve with an ILU preconditioner; scales
-  to larger state spaces at some accuracy cost.
-- ``power``   — power iteration on the uniformized DTMC; slow but
-  unconditionally robust, used as a last-resort fallback and as an
-  independent cross-check in tests.
+- ``direct``   — sparse LU on the pinned linear system; exact up to
+  floating point, first choice up to 5,000 states.
+- ``bicgstab`` — Jacobi-preconditioned BiCGSTAB on the system normalized
+  by a rank-one term; first choice above 5,000 states, where it beats LU
+  several-fold.
+- ``power``    — power iteration on the uniformized DTMC; slow but
+  unconditionally robust, used as a fallback and as an independent
+  cross-check in tests.
 
 All solvers return a probability row vector ``pi`` with ``pi Q = 0`` and
 ``sum(pi) = 1``; tiny negative entries from round-off are clipped and the
@@ -17,7 +18,7 @@ vector renormalized.
 :func:`steady_state` records on its ``markov.steady_state`` span which
 solver succeeded (``solver``), the relative ``residual`` of its result,
 the LU column ``ordering`` of a direct solve and the ``iterations`` of a
-power solve.
+BiCGSTAB or power solve.
 """
 
 from __future__ import annotations
@@ -112,8 +113,12 @@ def steady_state_direct(q: sp.spmatrix) -> np.ndarray:
     normalized.  Pinning preserves sparsity — replacing an equation with a
     dense row of ones would destroy the LU fill-in ordering and is orders
     of magnitude slower on chains with tens of thousands of states.  The
-    first state is pinned because the library's state spaces start from
-    the empty-system state, which always carries non-negligible mass.
+    first state, the library's empty-system state, is pinned.  Its mass
+    can be vanishingly small (8.5e-99 and 1.4e-88 on fig6-10sc levels of
+    62,700 and 53,592 states); LU copes with the 1 / pi[0] scaling this
+    gives the unknowns, but a Krylov iteration does not, which is why
+    :func:`steady_state_bicgstab` normalizes with a rank-one term
+    instead.
 
     A banded system (bandwidth at most ``n / 8``) is factored in its
     natural order, any other with SuperLU's default COLAMD ordering.
@@ -121,56 +126,82 @@ def steady_state_direct(q: sp.spmatrix) -> np.ndarray:
     return _direct(q)[0]
 
 
-def steady_state_gmres(
+def steady_state_bicgstab(
     q: sp.spmatrix,
     tol: float = 1e-12,
-    max_iter: int = 20_000,
+    max_iter: int = 2_000,
 ) -> np.ndarray:
-    """Solve the steady state with preconditioned GMRES.
+    """Solve the steady state with Jacobi-preconditioned BiCGSTAB.
 
-    Uses the same sparsity-preserving *pinning* construction as
-    :func:`steady_state_direct`: fix ``pi[0] = 1``, drop the redundant
-    first balance equation, and solve the remaining square system.  The
-    earlier formulation replaced one equation with a dense row of ones,
-    which destroyed the sparsity the ILU preconditioner relies on.
+    The singular system ``Q^T pi = 0`` is made determinate by a rank-one
+    term rather than by pinning a state: with ``u = (s / n) 1``, where
+    ``s`` is the largest exit rate, it solves ``(Q^T + u 1^T) pi = u``.
+    Every column of ``Q^T`` sums to zero, so summing the rows gives
+    ``s * sum(pi) = s`` and the solution is already normalized.  Pinning
+    (see :func:`steady_state_direct`) rescales the unknowns by ``1 /
+    pi[0]``, and where the pinned state carries almost no mass (``pi[0]``
+    of 8.5e-99 on a fig6-10sc level) the pinned system is too badly
+    scaled for a Krylov method: on that level BiCGSTAB on the pinned
+    system stops with a true relative residual of 5.5e6.  The operator
+    is applied matrix-free, so the term stays rank one and ``Q^T`` stays
+    sparse.  The iteration starts from the uniform distribution.
 
     Args:
         q: the generator.
-        tol: relative GMRES tolerance.
-        max_iter: GMRES iteration budget.
+        tol: relative BiCGSTAB tolerance.
+        max_iter: BiCGSTAB iteration budget; a run that exhausts it raises
+            :class:`~repro.exceptions.ConvergenceError`.
     """
-    return _gmres(q, tol=tol, max_iter=max_iter)[0]
+    return _bicgstab(q, tol=tol, max_iter=max_iter)[0]
 
 
-def _gmres(
-    q: sp.spmatrix, tol: float = 1e-12, max_iter: int = 20_000
+def _bicgstab(
+    q: sp.spmatrix, tol: float = 1e-12, max_iter: int = 2_000
 ) -> tuple[np.ndarray, SolveInfo]:
-    """:func:`steady_state_gmres` plus its telemetry."""
+    """:func:`steady_state_bicgstab` plus its telemetry."""
     n = q.shape[0]
     if n == 1:
         return np.array([1.0]), {}
-    qt = sp.csc_matrix(q.transpose())
-    a = sp.csc_matrix(qt[1:, 1:])
-    # One dense n-1 column for the RHS: O(n), not a matrix blow-up.
-    b = -qt[1:, 0].toarray().ravel()
-    preconditioner = None
-    try:
-        ilu = spla.spilu(a, drop_tol=1e-6, fill_factor=20)
-        preconditioner = spla.LinearOperator(a.shape, ilu.solve)
-    except RuntimeError:
-        preconditioner = None
-    # In the pinned system the unknowns are pi[1:] / pi[0]; a uniform
-    # distribution therefore corresponds to a tail of ones.
-    tail, info = spla.gmres(
-        a, b, x0=np.ones(n - 1), rtol=tol, atol=0.0, maxiter=max_iter, M=preconditioner
+    qt = sp.csr_matrix(q.transpose())
+    diagonal = q.diagonal()
+    shift = float(-diagonal.min(initial=0.0)) / n
+    if shift <= 0.0:
+        raise SolverError("generator has no transitions")
+    operator = spla.LinearOperator(
+        (n, n), matvec=lambda x: qt @ x + shift * x.sum(), dtype=float
     )
-    if info != 0:
-        raise ConvergenceError(f"GMRES did not converge (info={info})")
-    pi = np.concatenate([[1.0], tail])
+    jacobi = diagonal + shift
+    # A state whose exit rate is exactly s / n zeroes its diagonal entry;
+    # any nonzero scale preconditions it.
+    jacobi[jacobi == 0.0] = shift
+    preconditioner = spla.LinearOperator((n, n), matvec=lambda x: x / jacobi, dtype=float)
+    iterations = 0
+
+    def count(_x: np.ndarray) -> None:
+        nonlocal iterations
+        iterations += 1
+
+    pi, info = spla.bicgstab(
+        operator,
+        np.full(n, shift),
+        x0=np.full(n, 1.0 / n),
+        rtol=tol,
+        atol=0.0,
+        maxiter=max_iter,
+        M=preconditioner,
+        callback=count,
+    )
+    obs.inc("markov.bicgstab.iterations", iterations)
+    if info > 0:
+        raise ConvergenceError(
+            f"BiCGSTAB did not converge within {max_iter} iterations"
+        )
+    if info < 0:
+        raise SolverError(f"BiCGSTAB broke down (info={info})")
     pi = _clean(pi)
     residual = _check_residual(q, pi, tol=1e-6)
-    sanitize.check_distribution(pi, label="steady-state[gmres]")
-    return pi, {"residual": residual}
+    sanitize.check_distribution(pi, label="steady-state[bicgstab]")
+    return pi, {"iterations": iterations, "residual": residual}
 
 
 # Power-iteration inner loop; dominates chain solves.
@@ -229,22 +260,24 @@ def _power(
     return pi, {"iterations": iterations, "residual": residual}
 
 
-# Above this size, LU fill on lattice-shaped generators (the detailed
-# federation chains) costs minutes and gigabytes; power iteration on the
-# uniformized chain is tried first — these chains mix quickly, so it
-# typically wins by orders of magnitude and falls through cleanly if not.
-_LARGE_CHAIN_THRESHOLD = 20_000
+# Above this size BiCGSTAB beats SuperLU: 100 ms against 137 ms on an
+# 8,514-state fig8 level, 24 ms against 273 ms on the 8,885-state fig6
+# detailed chain.  Below it LU wins (2.8 ms against 7.4 ms on a
+# 1,218-state pooled chain) or ties (63 ms against 60 ms on a 5,400-state
+# fig8 level).  Power iteration is the fallback, and LU goes last: on
+# the detailed lattices its fill costs minutes and gigabytes.
+_LARGE_CHAIN_THRESHOLD = 5_000
 
 #: Pre-built per-solver metric names: steady_state is hot, and building
 #: "markov.solve." + name on every call formats eagerly even with
 #: metrics disabled.
 _SOLVE_METRICS = {
-    name: "markov.solve." + name for name in ("direct", "gmres", "power")
+    name: "markov.solve." + name for name in ("direct", "bicgstab", "power")
 }
 
 _SOLVERS: dict[str, Callable[[sp.spmatrix], tuple[np.ndarray, SolveInfo]]] = {
     "direct": _direct,
-    "gmres": _gmres,
+    "bicgstab": _bicgstab,
     "power": _power,
 }
 
@@ -253,8 +286,8 @@ def steady_state(q: sp.spmatrix, method: str = "auto") -> np.ndarray:
     """Solve the CTMC steady state with the requested ``method``.
 
     ``auto`` picks a solver order by chain size (direct LU first for
-    small chains, power iteration first for large ones); the first solver
-    that produces a residual-checked distribution wins.
+    small chains, BiCGSTAB first for large ones); the first solver that
+    produces a residual-checked distribution wins.
     """
     q = sp.csr_matrix(q)
     with obs.span("markov.steady_state", n=q.shape[0], method=method) as span:
@@ -264,12 +297,12 @@ def steady_state(q: sp.spmatrix, method: str = "auto") -> np.ndarray:
             raise SolverError(f"unknown steady-state method {method!r}")
         elif q.shape[0] > _LARGE_CHAIN_THRESHOLD:
             order = [
+                ("bicgstab", _bicgstab),
                 ("power", partial(_power, tol=1e-13, max_iter=100_000)),
                 ("direct", _direct),
-                ("gmres", _gmres),
             ]
         else:
-            order = [("direct", _direct), ("gmres", _gmres), ("power", _power)]
+            order = [("direct", _direct), ("bicgstab", _bicgstab), ("power", _power)]
         errors: list[str] = []
         for name, solver in order:
             try:

@@ -12,18 +12,18 @@ from hypothesis import strategies as hyp
 
 from repro import obs
 from repro.bench.scenarios import fig6_2sc_scenario
-from repro.exceptions import SolverError
+from repro.exceptions import ConvergenceError, SolverError
 from repro.markov import solvers
-from repro.markov.birth_death import mmc_chain
+from repro.markov.birth_death import BirthDeathChain, mmc_chain
 from repro.markov.solvers import (
     steady_state,
+    steady_state_bicgstab,
     steady_state_direct,
-    steady_state_gmres,
     steady_state_power,
 )
 from repro.perf.detailed import DetailedModel
 
-SOLVERS = [steady_state_direct, steady_state_gmres, steady_state_power]
+SOLVERS = [steady_state_direct, steady_state_bicgstab, steady_state_power]
 
 
 def random_ergodic_generator(n: int, seed: int) -> sp.csr_matrix:
@@ -86,6 +86,16 @@ class TestAgainstAnalytic:
         pi = solver(chain.to_ctmc().generator)
         np.testing.assert_allclose(pi, chain.stationary(), atol=1e-8)
 
+    def test_bicgstab_on_vanishing_empty_state(self):
+        # Strong upward drift: pi_k ∝ 10^k, so the empty state carries
+        # about 1e-100 of the mass.  Pinning it would scale the unknowns by
+        # 1e100; the rank-one normalization leaves them as they are.
+        chain = BirthDeathChain([10.0] * 100, [1.0] * 100)
+        exact = chain.stationary()
+        assert exact[0] < 1e-90
+        pi = steady_state_bicgstab(chain.to_ctmc().generator)
+        np.testing.assert_allclose(pi, exact, rtol=0.0, atol=1e-10)
+
     @pytest.mark.parametrize("solver", SOLVERS)
     def test_single_state(self, solver):
         q = sp.csr_matrix(np.array([[0.0]]))
@@ -99,6 +109,17 @@ class TestCrossAgreement:
         results = [solver(q) for solver in SOLVERS]
         for other in results[1:]:
             np.testing.assert_allclose(results[0], other, atol=1e-7)
+
+    def test_bicgstab_with_zero_jacobi_entry(self):
+        # State 3 leaves at rate 1 = s / n, which zeroes its entry of
+        # diag(Q^T) + s / n.
+        q = np.array(
+            [[0, 2, 1, 1], [1, 0, 1, 0.5], [0.5, 0.5, 0, 1], [0.25, 0.25, 0.5, 0]]
+        )
+        q = sp.csr_matrix(q - np.diag(q.sum(axis=1)))
+        with np.errstate(all="raise"):
+            pi = steady_state_bicgstab(q)
+        np.testing.assert_allclose(pi, steady_state_direct(q), atol=1e-12)
 
     @given(seed=hyp.integers(min_value=0, max_value=10_000))
     @settings(max_examples=25, deadline=None)
@@ -118,7 +139,7 @@ class TestDispatch:
 
     def test_explicit_methods(self):
         q = random_ergodic_generator(10, 4)
-        for method in ("direct", "gmres", "power"):
+        for method in ("direct", "bicgstab", "power"):
             pi = steady_state(q, method=method)
             assert pi.sum() == pytest.approx(1.0)
 
@@ -127,7 +148,7 @@ class TestDispatch:
         with pytest.raises(SolverError):
             steady_state(q, method="magic")
 
-    @pytest.mark.parametrize("method", ["auto", "direct", "gmres", "power"])
+    @pytest.mark.parametrize("method", ["auto", "direct", "bicgstab", "power"])
     def test_warm_start_keyword_is_gone(self, method):
         # Every solve starts cold: its result depends on the chain alone.
         with pytest.raises(TypeError):
@@ -157,28 +178,35 @@ class TestOrdering:
     def test_fig6_detailed_chain_keeps_colamd(self):
         _space, ctmc = DetailedModel().build(fig6_2sc_scenario(target_share=1, target_rate=6.0))
         assert ctmc.generator.shape[0] == 8885
-        pi, attrs = traced_solve(ctmc.generator)
-        assert attrs["solver"] == "direct"
+        pi, attrs = traced_solve(ctmc.generator, method="direct")
         assert attrs["ordering"] == "COLAMD"
         assert pi.sum() == pytest.approx(1.0)
+        # Above the threshold, auto takes BiCGSTAB, which agrees with LU.
+        krylov, attrs = traced_solve(ctmc.generator)
+        assert attrs["solver"] == "bicgstab"
+        np.testing.assert_allclose(krylov, pi, rtol=0.0, atol=1e-13)
 
-    def test_auto_runs_power_then_direct_above_threshold(self, monkeypatch):
+    def test_auto_runs_bicgstab_then_power_then_direct_above_threshold(self, monkeypatch):
         q = banded_generator(solvers._LARGE_CHAIN_THRESHOLD + 1, 1, seed=3)
         calls: list[str] = []
         real_direct = solvers._direct
 
-        def failing_power(m, **_kw):
-            calls.append("power")
-            raise SolverError("no convergence")
+        def failing(name):
+            def solver(m, **_kw):
+                calls.append(name)
+                raise SolverError("no convergence")
+
+            return solver
 
         def direct(m):
             calls.append("direct")
             return real_direct(m)
 
-        monkeypatch.setattr(solvers, "_power", failing_power)
+        monkeypatch.setattr(solvers, "_bicgstab", failing("bicgstab"))
+        monkeypatch.setattr(solvers, "_power", failing("power"))
         monkeypatch.setattr(solvers, "_direct", direct)
         pi, attrs = traced_solve(q)
-        assert calls == ["power", "direct"]
+        assert calls == ["bicgstab", "power", "direct"]
         assert attrs["solver"] == "direct"
         assert attrs["ordering"] == "NATURAL"
         assert pi.sum() == pytest.approx(1.0)
@@ -212,7 +240,7 @@ class TestSpanTelemetry:
     def test_power_solve_attributes(self):
         q = cyclic_reset_generator(solvers._LARGE_CHAIN_THRESHOLD + 1)
         with obs.capture() as cap:
-            pi = steady_state(q)
+            pi = steady_state(q, method="power")
         (span,) = cap.tracer.roots
         attrs = span.attrs
         assert attrs["solver"] == "power"
@@ -223,11 +251,30 @@ class TestSpanTelemetry:
         assert 0.0 <= attrs["residual"] < 1e-6
         assert pi[0] == pytest.approx(0.5)
 
-    def test_gmres_solve_attributes(self):
-        _pi, attrs = traced_solve(random_ergodic_generator(20, 7), method="gmres")
-        assert attrs["solver"] == "gmres"
-        assert attrs["residual"] < 1e-6
-        assert "ordering" not in attrs and "iterations" not in attrs
+    def test_bicgstab_solve_attributes(self):
+        q = cyclic_reset_generator(solvers._LARGE_CHAIN_THRESHOLD + 1)
+        with obs.capture() as cap:
+            pi = steady_state(q)
+        (span,) = cap.tracer.roots
+        attrs = span.attrs
+        assert attrs["solver"] == "bicgstab"
+        assert "ordering" not in attrs
+        counters = dict(cap.registry.snapshot().counters)
+        assert counters["markov.solve.bicgstab"] == 1
+        assert attrs["iterations"] == counters["markov.bicgstab.iterations"]
+        assert 0 < attrs["iterations"] < 200
+        assert 0.0 <= attrs["residual"] < 1e-12
+        assert pi[0] == pytest.approx(0.5)
+
+    def test_exhausted_budget_raises_and_auto_falls_through_to_power(self, monkeypatch):
+        q = cyclic_reset_generator(solvers._LARGE_CHAIN_THRESHOLD + 1)
+        with pytest.raises(ConvergenceError):
+            steady_state_bicgstab(q, max_iter=1)
+        real_bicgstab = solvers._bicgstab
+        monkeypatch.setattr(solvers, "_bicgstab", lambda m: real_bicgstab(m, max_iter=1))
+        pi, attrs = traced_solve(q)
+        assert attrs["solver"] == "power"
+        assert pi[0] == pytest.approx(0.5)
 
     def test_failed_explicit_method_propagates(self, monkeypatch):
         def failing(m):
