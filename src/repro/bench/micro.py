@@ -23,10 +23,6 @@ run:
   ``deque.popleft()`` the simulator now uses.  At equilibrium depths
   the end-to-end delta is within run-to-run noise — the replay is what
   pins the asymptotic mechanism.
-- ``sim_throughput`` — engine events/sec under ``event`` vs ``batched``
-  stepping (scalar and vectorized channel drains), plus the equivalence
-  gate: a federation simulated under both step modes must produce
-  identical metrics or the probe raises;
 - ``sim_failures`` — end-to-end cost of the failure-injection welfare
   sweep (healthy + failed runs per scenario, one per failure class;
   every horizon covers every failure window).
@@ -54,8 +50,6 @@ import sys
 import time
 from pathlib import Path
 from typing import Any, Callable
-
-import numpy as np
 
 from repro import obs
 from repro.bench.scenarios import (
@@ -278,124 +272,6 @@ def bench_sim_fifo(quick: bool) -> dict[str, Any]:
     }
 
 
-def bench_sim_throughput(quick: bool) -> dict[str, Any]:
-    """Engine events/sec: batched stepping vs the event-heap reference.
-
-    Two measurements:
-
-    - a synthetic drain: N Poisson-spaced events bulk-scheduled through
-      ``schedule_block``, run once per mode.  In ``event`` mode the block
-      falls back to one heap ``Event`` per entry (the pre-overhaul
-      configuration); in ``batched`` mode the run loop drains the sorted
-      channel directly — timed once with a per-event handler (the
-      headline ``speedup``) and once with a vectorized handler receiving
-      whole runs (``vectorized_speedup``).  Timings repeat and reduce
-      through a :class:`~repro.sim.stats.WelfordAccumulator`.
-    - the equivalence gate: a federation scenario simulated under both
-      step modes; any difference in any per-SC metric raises, so every
-      bench run re-proves the bit-identity the property suite pins.
-    """
-    from dataclasses import asdict
-
-    from repro.core.small_cloud import FederationScenario, SmallCloud
-    from repro.sim.engine import STEP_MODES, SimulationEngine
-    from repro.sim.federation import FederationSimulator
-    from repro.sim.stats import WelfordAccumulator
-
-    n_events = 100_000 if quick else 500_000
-    repeats = 3 if quick else 5
-    rng = np.random.default_rng(11)
-    offsets = np.cumsum(rng.exponential(1.0, n_events))
-    horizon = float(offsets[-1]) + 1.0
-
-    sink = [0]
-
-    def scalar_handler(time_: float) -> None:
-        sink[0] += 1
-
-    def vector_handler(times: np.ndarray) -> None:
-        sink[0] += len(times)
-
-    def drain(mode: str, handler: Callable[..., Any], vectorized: bool) -> float:
-        engine = SimulationEngine(step_mode=mode)
-        engine.schedule_block(offsets, handler, vectorized=vectorized)
-        start = time.perf_counter()
-        engine.run_until(horizon)
-        elapsed = time.perf_counter() - start
-        if engine.events_executed != n_events:
-            raise RuntimeError(
-                f"{mode} drain executed {engine.events_executed} != {n_events}"
-            )
-        return elapsed
-
-    event_acc = WelfordAccumulator()
-    batched_acc = WelfordAccumulator()
-    vector_acc = WelfordAccumulator()
-    for _ in range(repeats):
-        # One accumulator per repeat, merged: exercises the same
-        # reduction path parallel repeats would use.
-        for acc, mode, handler, vectorized in (
-            (event_acc, "event", scalar_handler, False),
-            (batched_acc, "batched", scalar_handler, False),
-            (vector_acc, "batched", vector_handler, True),
-        ):
-            repeat_acc = WelfordAccumulator()
-            repeat_acc.add(n_events / drain(mode, handler, vectorized))
-            acc.merge(repeat_acc)
-
-    scenario = FederationScenario(
-        clouds=tuple(
-            SmallCloud(
-                name=f"sc{i + 1}",
-                vms=4,
-                arrival_rate=3.0 + 0.5 * i,
-                sla_bound=0.5,
-                shared_vms=2,
-            )
-            for i in range(4)
-        )
-    )
-    fed_horizon = 500.0 if quick else 2_000.0
-
-    def federation(mode: str) -> tuple[float, list[dict[str, Any]]]:
-        simulator = FederationSimulator(scenario, seed=42, step_mode=mode)
-        seconds, metrics = _timed(
-            lambda: simulator.run(horizon=fed_horizon, warmup=fed_horizon * 0.05)
-        )
-        return seconds, [asdict(m) for m in metrics]
-
-    fed_seconds: dict[str, float] = {}
-    fed_metrics: dict[str, list[dict[str, Any]]] = {}
-    for mode in STEP_MODES:
-        fed_seconds[mode], fed_metrics[mode] = federation(mode)
-    if fed_metrics["batched"] != fed_metrics["event"]:
-        raise RuntimeError("step_mode='batched' diverged from the event reference path")
-
-    event_eps = event_acc.mean()
-    batched_eps = batched_acc.mean()
-    vector_eps = vector_acc.mean()
-    return {
-        "scenario": f"poisson_drain_{n_events}",
-        "events": n_events,
-        "repeats": repeats,
-        "event_events_per_second": event_eps,
-        "batched_events_per_second": batched_eps,
-        "vectorized_events_per_second": vector_eps,
-        "events_per_second_std": {
-            "event": event_acc.std(),
-            "batched": batched_acc.std(),
-            "vectorized": vector_acc.std(),
-        },
-        "speedup": batched_eps / event_eps if event_eps > 0 else float("inf"),
-        "vectorized_speedup": (
-            vector_eps / event_eps if event_eps > 0 else float("inf")
-        ),
-        "federation_seconds": fed_seconds,
-        "federation_modes_identical": True,
-        "seconds": n_events / event_eps if event_eps > 0 else 0.0,
-    }
-
-
 def bench_sim_failures(quick: bool) -> dict[str, Any]:
     """Price the failure-injection layer end to end.
 
@@ -404,8 +280,7 @@ def bench_sim_failures(quick: bool) -> dict[str, Any]:
     library scenario per failure class, and reports the injected
     overhead on a healthy run (a failure-free simulation constructed
     with the failure machinery in place costs the same bytes and draws
-    as one without, so the overhead is pure bookkeeping), on the
-    batched engine.  The quick horizon still covers every window of
+    as one without, so the overhead is pure bookkeeping).  The quick horizon still covers every window of
     the three scenarios (the last closes at 952.7 s);
     :func:`failure_impact` refuses a window that opens at or after the
     horizon.
@@ -413,7 +288,6 @@ def bench_sim_failures(quick: bool) -> dict[str, Any]:
     from repro.scenarios.library import resolve
     from repro.sim.failures import failure_impact
 
-    step_mode = "batched"
     horizon = 1_000.0 if quick else 1_500.0
     names = ("failure-000", "failure-001", "failure-002")
     reports = {}
@@ -421,9 +295,7 @@ def bench_sim_failures(quick: bool) -> dict[str, Any]:
     for name in names:
         spec = resolve(name)
         seconds, impact = _timed(
-            lambda spec=spec: failure_impact(
-                spec, step_mode=step_mode, horizon=horizon
-            )
+            lambda spec=spec: failure_impact(spec, horizon=horizon)
         )
         total_seconds += seconds
         reports[name] = {
@@ -434,7 +306,6 @@ def bench_sim_failures(quick: bool) -> dict[str, Any]:
         }
     return {
         "scenario": "failure_library_head",
-        "step_mode": step_mode,
         "horizon": horizon,
         "impacts": reports,
         "seconds": total_seconds,
@@ -446,12 +317,11 @@ BENCHES: dict[str, Callable[[bool], dict[str, Any]]] = {
     "tabu_sweep": bench_tabu_sweep,
     "obs_overhead": bench_obs_overhead,
     "sim_fifo": bench_sim_fifo,
-    "sim_throughput": bench_sim_throughput,
     "sim_failures": bench_sim_failures,
 }
 
 #: Probes extracted into the committed ``BENCH_sim.json`` artifact.
-_SIM_PROBES = ("sim_fifo", "sim_throughput", "sim_failures")
+_SIM_PROBES = ("sim_fifo", "sim_failures")
 
 
 def run_micro(quick: bool = False, only: "list[str] | None" = None) -> dict[str, Any]:

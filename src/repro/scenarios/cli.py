@@ -30,7 +30,6 @@ from repro.analysis.sanitize import InvariantViolation, sanitize_enable
 from repro.scenarios import library, runner, sweep
 from repro.scenarios.generator import DEFAULT_SEED, library_manifest
 from repro.scenarios.schema import save_spec
-from repro.sim.engine import STEP_MODES
 
 
 def _cmd_list(args: argparse.Namespace) -> int:
@@ -108,7 +107,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
             mode=args.mode,
             workers=args.workers,
             cache_dir=args.cache_dir,
-            step_mode=args.step_mode,
         )
         print(json.dumps(report, indent=2))
         return 0
@@ -212,12 +210,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="parallel width of a solve (default: serial; >1 = process pool)",
     )
     run.add_argument("--cache-dir", default=None, help="persistent model-solution cache")
-    run.add_argument(
-        "--step-mode",
-        choices=STEP_MODES,
-        default="event",
-        help="simulator stepping mode for --mode simulate (both bit-identical)",
-    )
     add_obs_arguments(run)
     run.set_defaults(func=_cmd_run)
 

@@ -83,13 +83,11 @@ def solve_spec(
 
 
 def simulate_spec(
-    spec: ScenarioSpec, horizon: float | None = None, step_mode: str = "event"
+    spec: ScenarioSpec, horizon: float | None = None
 ) -> list[dict[str, Any]]:
     """Run the discrete-event simulator with the spec's demand profiles.
 
-    The spec's failure schedule (if any) is injected; ``step_mode``
-    selects the engine path (all modes are bit-identical, so the choice
-    only affects wall-clock).
+    The spec's failure schedule (if any) is injected.
     """
     import numpy as np
 
@@ -119,7 +117,6 @@ def simulate_spec(
         seed=spec.run.seed,
         service_distributions=service,
         arrival_processes=arrivals,
-        step_mode=step_mode,
         failures=spec.failures or None,
     )
     span = horizon if horizon is not None else spec.run.horizon
@@ -170,7 +167,6 @@ def run_spec(
     mode: str = "solve",
     workers: int | None = None,
     cache_dir: str | None = None,
-    step_mode: str = "event",
 ) -> dict[str, Any]:
     """Run a scenario and return a JSON-able report.
 
@@ -180,7 +176,6 @@ def run_spec(
             simulator with the spec's demand profiles).
         workers: parallel width of a ``solve`` run (serial by default).
         cache_dir: optional persistent model-solution cache.
-        step_mode: engine stepping mode for ``simulate`` runs.
     """
     from repro.core.serialization import outcome_to_dict
 
@@ -195,7 +190,7 @@ def run_spec(
         report["outcome"] = outcome_to_dict(outcome)
         report["digest"] = observables_digest(observables)
     elif mode == "simulate":
-        report["metrics"] = simulate_spec(spec, step_mode=step_mode)
+        report["metrics"] = simulate_spec(spec)
     else:
         raise ValueError(f"unknown run mode {mode!r}")
     return report

@@ -2,7 +2,8 @@
 
 Rebuilds the paper's C++ validation simulator in Python:
 
-- :mod:`repro.sim.engine` — a generic event-heap simulation core.
+- :mod:`repro.sim.engine` — a generic discrete-event core: a list heap
+  with typed dispatch plus bulk-drained block channels.
 - :mod:`repro.sim.rng` — reproducible independent random streams.
 - :mod:`repro.sim.stats` — time-weighted averages, Welford accumulators,
   and batch-means confidence intervals.
@@ -13,12 +14,12 @@ Rebuilds the paper's C++ validation simulator in Python:
   limplock VMs, flash crowds) and the welfare-under-failure sweep.
 - :mod:`repro.sim.trace` — event trace recording for debugging/replay.
 
-The engine steps in two modes — ``event`` (reference heap) and ``batched``
-(list-heap + pre-drawn RNG blocks + typed dispatch) — bit-identical to
-each other; see :data:`repro.sim.engine.STEP_MODES`.
+The simulator draws its Poisson, exponential-service and SLA randomness
+from pre-drawn RNG blocks that are bit-identical to scalar draws; the
+test suite checks it event for event against a plain event-heap oracle.
 """
 
-from repro.sim.engine import STEP_MODES, Event, SimulationEngine
+from repro.sim.engine import Event, SimulationEngine
 from repro.sim.federation import FederationSimulator, SimulatedMetrics
 from repro.sim.replications import ReplicatedMetrics, replicate
 from repro.sim.rng import ExponentialBlock, RandomStreams, UniformBlock
@@ -49,7 +50,6 @@ __all__ = [
     "replicate",
     "SimulatedMetrics",
     "SimulationEngine",
-    "STEP_MODES",
     "TimeWeightedAverage",
     "UniformBlock",
     "validate_schedule",

@@ -39,7 +39,6 @@ from typing import TYPE_CHECKING, Any
 
 from repro._validation import check_finite, check_non_negative, check_non_negative_int
 from repro.exceptions import ConfigurationError
-from repro.sim.engine import STEP_MODES
 
 if TYPE_CHECKING:
     from repro.scenarios.schema import ScenarioSpec
@@ -47,8 +46,9 @@ if TYPE_CHECKING:
 #: Recognized failure classes.
 FAILURE_KINDS = ("outage", "limplock", "flash_crowd")
 
-#: Version stamp of the sweep-report payload written by :func:`main`.
-FAILURES_FORMAT_VERSION = 1
+#: Version stamp of the sweep-report payload written by :func:`main`
+#: (version 2 dropped the stepping-mode keys: the simulator has one mode).
+FAILURES_FORMAT_VERSION = 2
 
 _WINDOW_KEYS = ("kind", "sc", "start", "end", "factor")
 
@@ -188,9 +188,7 @@ def _sc_utilities(
 
 
 def failure_impact(
-    spec: "ScenarioSpec",
-    step_mode: str = "batched",
-    horizon: float | None = None,
+    spec: "ScenarioSpec", horizon: float | None = None
 ) -> dict[str, Any]:
     """Welfare and per-SC utility shift of one failure scenario.
 
@@ -218,11 +216,11 @@ def failure_impact(
             f"never opens before horizon {span}"
         )
     warmup = span * 0.05
-    healthy = FederationSimulator(
-        scenario, seed=spec.run.seed, step_mode=step_mode
-    ).run(horizon=span, warmup=warmup)
+    healthy = FederationSimulator(scenario, seed=spec.run.seed).run(
+        horizon=span, warmup=warmup
+    )
     failed = FederationSimulator(
-        scenario, seed=spec.run.seed, step_mode=step_mode, failures=spec.failures
+        scenario, seed=spec.run.seed, failures=spec.failures
     ).run(horizon=span, warmup=warmup)
     gamma = spec.run.gamma
     shares = [cloud.shared_vms for cloud in scenario]
@@ -233,7 +231,6 @@ def failure_impact(
         "scenario": spec.name,
         "hash": spec.content_hash(),
         "kinds": kinds,
-        "step_mode": step_mode,
         "horizon": span,
         "welfare_baseline": 0.0,
         "welfare_healthy": welfare(spec.run.alpha, shares, utils_healthy),
@@ -257,7 +254,6 @@ def failure_impact(
 
 def sweep(
     specs: "Iterable[ScenarioSpec] | None" = None,
-    step_mode: str = "batched",
     horizon: float | None = None,
 ) -> dict[str, Any]:
     """Run :func:`failure_impact` over the failure-scenario library.
@@ -265,7 +261,6 @@ def sweep(
     Args:
         specs: scenarios to sweep; defaults to every library scenario
             with a non-empty failure schedule (the ``failure`` family).
-        step_mode: simulator stepping mode for every run.
         horizon: optional horizon override (shared across scenarios).
     """
     from repro import obs
@@ -278,13 +273,10 @@ def sweep(
     with obs.span("sim.failures.sweep"):
         for spec in specs:
             with obs.span("sim.failures.scenario", scenario=spec.name):
-                reports.append(
-                    failure_impact(spec, step_mode=step_mode, horizon=horizon)
-                )
+                reports.append(failure_impact(spec, horizon=horizon))
             obs.inc("sim.failures.scenarios")
     return {
         "format_version": FAILURES_FORMAT_VERSION,
-        "step_mode": step_mode,
         "scenarios": reports,
     }
 
@@ -310,12 +302,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         description="Equilibrium welfare under injected SC failures.",
     )
     parser.add_argument(
-        "--step-mode",
-        default="batched",
-        choices=STEP_MODES,
-        help="simulator stepping mode (default: batched)",
-    )
-    parser.add_argument(
         "--horizon", type=float, default=None, help="override the specs' horizons"
     )
     parser.add_argument(
@@ -336,7 +322,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         for spec in specs:
             if not spec.failures:
                 raise SystemExit(f"scenario {spec.name!r} has no failure schedule")
-    report = sweep(specs, step_mode=options.step_mode, horizon=options.horizon)
+    report = sweep(specs, horizon=options.horizon)
     print(_format_table(report))
     if options.output:
         with open(options.output, "w", encoding="utf-8") as handle:

@@ -30,7 +30,7 @@ from repro._validation import check_non_negative, check_positive
 from repro.core.small_cloud import FederationScenario
 from repro.exceptions import SimulationError
 from repro.queueing.sla import prob_no_forward
-from repro.sim.engine import STEP_MODES, SimulationEngine
+from repro.sim.engine import SimulationEngine
 from repro.sim.rng import ExponentialBlock, RandomStreams, UniformBlock
 from repro.sim.stats import WelfordAccumulator
 from repro import obs
@@ -40,7 +40,7 @@ from repro.workload.service import ExponentialService, ServiceDistribution
 if TYPE_CHECKING:
     from repro.sim.failures import FailureWindow
 
-#: Typed event codes for the batched engine's dispatch lane.
+#: Typed event codes for the engine's dispatch lane.
 _EV_ARRIVAL = 0
 _EV_COMPLETION = 1
 
@@ -222,12 +222,6 @@ class FederationSimulator:
             Poisson defaults (Sect. VII extension).  When provided, the
             scenario's ``arrival_rate`` is only used by analytic models.
         trace: optional :class:`TraceRecorder` capturing every event.
-        step_mode: engine stepping mode (``event`` reference path or
-            ``batched`` throughput path).  Both produce bit-identical
-            metrics and traces: the batched path draws arrival/service/SLA
-            randomness from pre-drawn stream blocks (see
-            :mod:`repro.sim.rng` for the mapping) and replaces per-event
-            closures with typed dispatch.
         failures: optional schedule of :class:`FailureWindow` injections
             (see :mod:`repro.sim.failures` for the semantics).
     """
@@ -239,17 +233,11 @@ class FederationSimulator:
         service_distributions: list[ServiceDistribution] | None = None,
         arrival_processes: list | None = None,
         trace: TraceRecorder | None = None,
-        step_mode: str = "event",
         failures: "tuple[FailureWindow, ...] | list[FailureWindow] | None" = None,
     ) -> None:
-        if step_mode not in STEP_MODES:
-            raise SimulationError(
-                f"unknown step_mode {step_mode!r}; expected one of {STEP_MODES}"
-            )
         self.scenario = scenario
         self.k = len(scenario)
-        self.step_mode = step_mode
-        self.engine = SimulationEngine(step_mode=step_mode)
+        self.engine = SimulationEngine()
         self.streams = RandomStreams(seed)
         self.trace = trace
         if service_distributions is None:
@@ -269,33 +257,28 @@ class FederationSimulator:
             for i, c in enumerate(scenario)
         ]
         # Fixed stream-creation order for reproducibility.
-        self._arrival_rng = [self.streams.stream(f"arrivals[{i}]") for i in range(self.k)]
+        arrival_rng = [self.streams.stream(f"arrivals[{i}]") for i in range(self.k)]
         self._service_rng = [self.streams.stream(f"service[{i}]") for i in range(self.k)]
         self._choice_rng = self.streams.stream("choices")
-        self._sla_rng = self.streams.stream("sla")
-        # Batched mode: pre-drawn stream blocks (bit-identical to the
-        # scalar draws, see repro.sim.rng) and typed event dispatch.
-        # Blocks exist only where the scalar path would draw from the
-        # same stream with a fixed one-draw routine: Poisson arrivals,
-        # exponential service, SLA uniforms.  Everything else (choice
-        # tie-breaks, custom distributions) stays scalar in both modes.
-        batched = step_mode == "batched"
-        self._typed = batched
-        self._arrival_block: list[ExponentialBlock | None] = [
-            ExponentialBlock(rng) if batched and self.arrivals is None else None
-            for rng in self._arrival_rng
-        ]
+        sla_rng = self.streams.stream("sla")
+        # Pre-drawn stream blocks (bit-identical to the scalar draws, see
+        # repro.sim.rng) wherever a stream is drawn with a fixed one-draw
+        # routine: Poisson arrivals, exponential service, SLA uniforms.
+        # Everything else (choice tie-breaks, custom arrival processes,
+        # non-exponential service) draws scalars.
+        self._arrival_block = (
+            [ExponentialBlock(rng) for rng in arrival_rng]
+            if self.arrivals is None
+            else []
+        )
         self._service_block: list[ExponentialBlock | None] = [
             ExponentialBlock(self._service_rng[i])
-            if batched and type(self.service[i]) is ExponentialService
+            if type(self.service[i]) is ExponentialService
             else None
             for i in range(self.k)
         ]
-        self._sla_block: UniformBlock | None = (
-            UniformBlock(self._sla_rng) if batched else None
-        )
-        if batched:
-            self.engine.typed_dispatch = self._dispatch
+        self._sla_block = UniformBlock(sla_rng)
+        self.engine.typed_dispatch = self._dispatch
         # Failure injection: active-window state plus scheduled
         # transitions at priority -1 (before same-time arrivals).
         self.failures: tuple[FailureWindow, ...] = tuple(failures or ())
@@ -338,15 +321,8 @@ class FederationSimulator:
             factor = self._arrival_factor[sc]
             if factor != 1.0:
                 rate = rate * factor
-            block = self._arrival_block[sc]
-            if block is not None:
-                delay = block.next(1.0 / rate)
-            else:
-                delay = float(self._arrival_rng[sc].exponential(1.0 / rate))
-        if self._typed:
-            self.engine.schedule_typed(delay, _EV_ARRIVAL, sc)
-        else:
-            self.engine.schedule(delay, lambda: self._on_arrival(sc))
+            delay = self._arrival_block[sc].next(1.0 / rate)
+        self.engine.schedule_typed(delay, _EV_ARRIVAL, sc)
 
     # One call per service start.
     def _schedule_completion(self, owner: int, host: int) -> None:
@@ -358,13 +334,10 @@ class FederationSimulator:
         factor = self._service_factor[host]
         if factor != 1.0:
             duration = duration * factor
-        if self._typed:
-            self.engine.schedule_typed(duration, _EV_COMPLETION, owner, host)
-        else:
-            self.engine.schedule(duration, lambda: self._on_completion(owner, host))
+        self.engine.schedule_typed(duration, _EV_COMPLETION, owner, host)
 
     def _dispatch(self, code: int, a: int, b: int) -> None:
-        """Typed-event receiver for the batched engine."""
+        """Typed-event receiver for the engine."""
         if code == _EV_ARRIVAL:
             self._on_arrival(a)
         elif code == _EV_COMPLETION:
@@ -477,9 +450,7 @@ class FederationSimulator:
         p_queue = prob_no_forward(
             state.backlog, busy_for_own, config.service_rate, config.sla_bound
         )
-        block = self._sla_block
-        draw = block.next() if block is not None else float(self._sla_rng.random())
-        if draw < p_queue:
+        if self._sla_block.next() < p_queue:
             state.queue_arrival_times.append(self.engine.now)
             self._emit("queue", sc=sc, backlog=state.backlog)
         else:
@@ -655,8 +626,7 @@ class _Transition:
     """A scheduled failure-window edge (start or end) as a callback.
 
     A tiny callable class instead of a lambda so the two edges of every
-    window read identically in heap dumps and the engine's event-mode
-    and batched-mode schedules build the same object shape.
+    window read identically in heap dumps.
     """
 
     __slots__ = ("simulator", "window", "starting")

@@ -14,8 +14,9 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro import obs
-from repro._validation import check_positive_int
+from repro._validation import check_int
 from repro.core.small_cloud import FederationScenario
+from repro.exceptions import ConfigurationError
 from repro.sim.federation import FederationSimulator
 from repro.sim.trace import TraceRecorder
 from repro.sim.stats import BatchMeans, ConfidenceInterval
@@ -55,7 +56,7 @@ class ReplicatedMetrics:
 
 
 def _run_replication(
-    task: "tuple[FederationScenario, int, float, float, str, tuple[FailureWindow, ...]]"
+    task: "tuple[FederationScenario, int, float, float, tuple[FailureWindow, ...]]"
 ) -> list[SimulatedMetrics]:
     """One replication as a pure, process-pool-friendly function.
 
@@ -64,7 +65,7 @@ def _run_replication(
     events are forwarded into the ``sim.replication`` span; the
     recorder is otherwise omitted to keep the hot path allocation-free.
     """
-    scenario, seed, horizon, warmup, step_mode, failures = task
+    scenario, seed, horizon, warmup, failures = task
     with obs.span("sim.replication", seed=seed):
         obs.inc("sim.replications")
         trace = TraceRecorder() if obs.tracing_active() else None
@@ -72,7 +73,6 @@ def _run_replication(
             scenario,
             seed=seed,
             trace=trace,
-            step_mode=step_mode,
             failures=failures or None,
         )
         return simulator.run(horizon=horizon, warmup=warmup)
@@ -86,15 +86,14 @@ def replicate(
     base_seed: int = 0,
     executor: "Executor | None" = None,
     seed_scheme: str = "offset",
-    step_mode: str = "event",
     failures: "tuple[FailureWindow, ...] | None" = None,
 ) -> list[ReplicatedMetrics]:
     """Run independent replications and reduce to confidence intervals.
 
     Args:
         scenario: the federation.
-        replications: number of independent runs (>= 2; >= 10 for
-            meaningful intervals).
+        replications: number of independent runs (>= 2, since one run
+            gives no interval; >= 10 for meaningful intervals).
         horizon: simulated time per replication.
         warmup: warmup per replication.
         base_seed: master seed; per-replication seeds derive from it
@@ -105,27 +104,31 @@ def replicate(
         seed_scheme: ``'offset'`` (historical ``base_seed + r``) or
             ``'spawn'`` (independent derived seeds) — see
             :func:`repro.runtime.seeding.replication_seeds`.
-        step_mode: simulator stepping mode; every mode reduces to
-            bit-identical intervals (the engine-equivalence guarantee).
         failures: optional failure schedule applied to every replication.
 
     Returns:
         One :class:`ReplicatedMetrics` per SC, in scenario order.
+
+    Raises:
+        ConfigurationError: ``replications`` is not an integer >= 2.
     """
     from repro.runtime.seeding import replication_seeds
 
-    replications = check_positive_int(replications, "replications")
+    replications = check_int(replications, "replications")
+    if replications < 2:
+        raise ConfigurationError(
+            f"replications must be at least 2 (one run gives no interval), "
+            f"got {replications}"
+        )
     k = len(scenario)
     accumulators = [
         {metric: BatchMeans(min_batches=2) for metric in _METRICS} for _ in range(k)
     ]
     seeds = replication_seeds(base_seed, replications, scheme=seed_scheme)
     schedule = tuple(failures or ())
-    tasks = [
-        (scenario, seed, horizon, warmup, step_mode, schedule) for seed in seeds
-    ]
+    tasks = [(scenario, seed, horizon, warmup, schedule) for seed in seeds]
     with obs.span("sim.replicate", replications=replications):
-        if executor is not None and replications > 1:
+        if executor is not None:
             # Routed through the executor on every backend (serial
             # included) so batch counters and merged metric totals are
             # backend-independent — the differential checker's

@@ -9,10 +9,10 @@ derived from one master seed via ``SeedSequence.spawn``.  This gives:
   does not perturb the draws of unrelated components, which sharpens
   comparisons between scenarios.
 
-RNG stream mapping (batched stepping)
--------------------------------------
+RNG stream mapping (pre-drawn blocks)
+------------------------------------
 
-The batched simulator pre-draws randomness in NumPy blocks instead of one
+The simulator pre-draws randomness in NumPy blocks instead of one
 scalar call per event.  Replications stay seed-deterministic because a
 block draw consumes a generator's bit stream in exactly the order the
 scalar calls would — NumPy fills an array by repeating the same scalar
@@ -26,11 +26,11 @@ routine over the stream — so for every stream the mapping is:
   (one 53-bit double per call, :class:`UniformBlock`).
 
 Variable-argument draws (``integers(n)`` tie-breaking, non-exponential
-``sample()``) are *not* blocked: both stepping paths issue the identical
-scalar calls, in the identical order, on the identical stream.  This
-per-stream equality is what makes ``step_mode="batched"`` bit-identical
-to the ``event`` reference path, and it is pinned by
-``tests/sim/test_rng.py`` and the engine-equivalence property suite.
+``sample()``) are *not* blocked: they stay scalar calls on their own
+streams.  This per-stream equality is what lets the test suite's scalar
+event-heap oracle reproduce the simulator bit for bit; it is pinned by
+``tests/sim/test_batched_engine.py`` and the engine-equivalence property
+suite.
 """
 
 from __future__ import annotations
@@ -92,7 +92,7 @@ class ExponentialBlock:
         self._index = 0
         self.refills = 1
 
-    # One call per simulated arrival/service draw in batched mode.
+    # One call per simulated arrival/service draw.
     def next(self, scale: float) -> float:
         """The next variate, distributed ``Exponential(mean=scale)``."""
         index = self._index
@@ -120,7 +120,7 @@ class UniformBlock:
         self._index = 0
         self.refills = 1
 
-    # One call per SLA admission decision in batched mode.
+    # One call per SLA admission decision.
     def next(self) -> float:
         """The next variate, uniform on [0, 1)."""
         index = self._index

@@ -1,9 +1,8 @@
-"""Unit tests for the batched stepping machinery.
+"""Unit tests for the engine's batched stepping machinery.
 
 Covers the list-heap engine surface (typed events, block channels,
 validation, counters), the pre-drawn RNG blocks' bit-identity with the
-scalar draws they replace, and the Welford merge used by the throughput
-benchmark to reduce per-repeat accumulators.
+scalar draws they replace, and the Welford accumulator merge.
 """
 
 import numpy as np
@@ -13,22 +12,18 @@ from repro.exceptions import SimulationError
 from repro.sim.engine import SimulationEngine
 from repro.sim.rng import DEFAULT_BLOCK, ExponentialBlock, UniformBlock
 from repro.sim.stats import WelfordAccumulator
+from tests.sim.event_oracle import OracleEngine
 
 
 class TestTypedEvents:
-    def test_schedule_typed_requires_batched_mode(self):
-        engine = SimulationEngine(step_mode="event")
-        with pytest.raises(SimulationError, match="batched step_mode"):
-            engine.schedule_typed(1.0, 0)
-
     def test_typed_event_without_dispatch_fails_loudly(self):
-        engine = SimulationEngine(step_mode="batched")
+        engine = SimulationEngine()
         engine.schedule_typed(1.0, 0)
         with pytest.raises(SimulationError, match="typed_dispatch"):
             engine.run_until(10.0)
 
     def test_typed_dispatch_receives_code_and_payload(self):
-        engine = SimulationEngine(step_mode="batched")
+        engine = SimulationEngine()
         seen = []
         engine.typed_dispatch = lambda code, a, b: seen.append((code, a, b))
         engine.schedule_typed(1.0, 7, 3, 9)
@@ -37,12 +32,12 @@ class TestTypedEvents:
         assert seen == [(2, 0, 0), (7, 3, 9)]
 
     def test_negative_delay_rejected(self):
-        engine = SimulationEngine(step_mode="batched")
+        engine = SimulationEngine()
         with pytest.raises(SimulationError, match="past"):
             engine.schedule_typed(-1.0, 0)
 
     def test_typed_and_callback_events_share_the_total_order(self):
-        engine = SimulationEngine(step_mode="batched")
+        engine = SimulationEngine()
         log = []
         engine.typed_dispatch = lambda code, a, b: log.append(("typed", code))
         engine.schedule(1.0, lambda: log.append(("cb", 0)), priority=1)
@@ -53,24 +48,24 @@ class TestTypedEvents:
 
 class TestScheduleBlock:
     def test_offsets_must_be_one_dimensional(self):
-        engine = SimulationEngine(step_mode="batched")
+        engine = SimulationEngine()
         with pytest.raises(SimulationError, match="one-dimensional"):
             engine.schedule_block(np.zeros((2, 2)), lambda t: None)
 
     def test_offsets_must_be_sorted_and_non_negative(self):
-        engine = SimulationEngine(step_mode="batched")
+        engine = SimulationEngine()
         with pytest.raises(SimulationError, match="non-decreasing"):
             engine.schedule_block([2.0, 1.0], lambda t: None)
         with pytest.raises(SimulationError, match="non-decreasing"):
             engine.schedule_block([-1.0, 1.0], lambda t: None)
 
     def test_empty_block_is_a_no_op(self):
-        engine = SimulationEngine(step_mode="batched")
+        engine = SimulationEngine()
         assert engine.schedule_block([], lambda t: None) == 0
         assert engine.pending == 0
 
     def test_pending_counts_block_remainders(self):
-        engine = SimulationEngine(step_mode="batched")
+        engine = SimulationEngine()
         engine.schedule_block([1.0, 2.0, 3.0], lambda t: None)
         engine.schedule(0.5, lambda: None)
         assert engine.pending == 4
@@ -78,17 +73,19 @@ class TestScheduleBlock:
         assert engine.pending == 1
 
     def test_event_mode_fallback_matches_batched(self):
-        def run(mode):
-            engine = SimulationEngine(step_mode=mode)
+        """The oracle's one-event-per-offset block matches the drain."""
+
+        def run(engine_type):
+            engine = engine_type()
             log = []
             engine.schedule_block([0.5, 1.5, 2.5], log.append)
             engine.run_until(10.0)
             return log, engine.events_executed
 
-        assert run("event") == run("batched")
+        assert run(SimulationEngine) == run(OracleEngine)
 
     def test_vectorized_handler_gets_the_whole_run(self):
-        engine = SimulationEngine(step_mode="batched")
+        engine = SimulationEngine()
         calls = []
         engine.schedule_block(
             [1.0, 2.0, 3.0], lambda times: calls.append(times.tolist()), vectorized=True
@@ -99,7 +96,7 @@ class TestScheduleBlock:
         assert engine.batches_executed == 1
 
     def test_heap_event_splits_a_vectorized_run(self):
-        engine = SimulationEngine(step_mode="batched")
+        engine = SimulationEngine()
         log = []
         engine.schedule_block(
             [1.0, 2.0, 3.0], lambda times: log.append(tuple(times.tolist())), vectorized=True
@@ -110,7 +107,7 @@ class TestScheduleBlock:
 
     def test_handler_scheduling_work_invalidates_the_run(self):
         """A per-event handler that schedules new work re-enters the merge."""
-        engine = SimulationEngine(step_mode="batched")
+        engine = SimulationEngine()
         log = []
 
         def handler(t):
@@ -123,7 +120,7 @@ class TestScheduleBlock:
         assert log == [("blk", 1.0), ("cb", 1.5), ("blk", 2.0), ("blk", 3.0)]
 
     def test_max_events_budget_respected(self):
-        engine = SimulationEngine(step_mode="batched")
+        engine = SimulationEngine()
         count = [0]
         engine.schedule_block(
             [0.5, 1.0, 1.5, 2.0], lambda t: count.__setitem__(0, count[0] + 1)
@@ -135,7 +132,7 @@ class TestScheduleBlock:
 
 class TestMergedStepping:
     def test_step_works_in_batched_mode(self):
-        engine = SimulationEngine(step_mode="batched")
+        engine = SimulationEngine()
         log = []
         engine.schedule(1.0, lambda: log.append("a"))
         engine.schedule_block([0.5], lambda t: log.append("blk"))
@@ -144,13 +141,13 @@ class TestMergedStepping:
         assert log == ["blk", "a"]
 
     def test_peek_time_merges_sources(self):
-        engine = SimulationEngine(step_mode="batched")
+        engine = SimulationEngine()
         engine.schedule(2.0, lambda: None)
         engine.schedule_block([1.0], lambda t: None)
         assert engine.peek_time() == 1.0
 
     def test_cancelled_events_are_skipped(self):
-        engine = SimulationEngine(step_mode="batched")
+        engine = SimulationEngine()
         log = []
         doomed = engine.schedule(1.0, lambda: log.append("doomed"))
         engine.schedule(2.0, lambda: log.append("kept"))

@@ -113,3 +113,45 @@ class TestHorizon:
             engine.schedule(float(i + 1), lambda: None)
         engine.run_until(10.0)
         assert engine.events_executed == 4
+
+
+class TestNaNRejected:
+    """NaN delays, offsets and horizons compare false against everything,
+    so the engine must refuse them rather than order or run on them."""
+
+    def test_nan_delay_rejected(self):
+        engine = SimulationEngine()
+        with pytest.raises(SimulationError, match="NaN"):
+            engine.schedule(float("nan"), lambda: None)
+        assert engine.peek_time() is None
+
+    def test_nan_typed_delay_rejected(self):
+        engine = SimulationEngine()
+        with pytest.raises(SimulationError, match="NaN"):
+            engine.schedule_typed(float("nan"), 0)
+        assert engine.pending == 0
+
+    @pytest.mark.parametrize("offsets", [[float("nan"), 1.0], [0.5, float("nan")]])
+    def test_nan_block_offset_rejected(self, offsets):
+        engine = SimulationEngine()
+        with pytest.raises(SimulationError, match="NaN"):
+            engine.schedule_block(offsets, lambda t: None)
+        assert engine.pending == 0
+
+    def test_infinite_block_offsets_still_accepted(self):
+        engine = SimulationEngine()
+        assert engine.schedule_block([1.0, float("inf"), float("inf")], lambda t: None) == 3
+
+    def test_nan_horizon_rejected(self):
+        engine = SimulationEngine()
+        ticks = []
+
+        def tick():
+            ticks.append(engine.now)
+            engine.schedule(0.1, tick)
+
+        engine.schedule(0.1, tick)
+        # The budget only bounds the damage if the horizon were ignored.
+        with pytest.raises(SimulationError, match="NaN"):
+            engine.run_until(float("nan"), max_events=5000)
+        assert ticks == []

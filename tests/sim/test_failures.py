@@ -15,9 +15,9 @@ from repro.analysis.sanitize import InvariantViolation
 from repro.exceptions import ConfigurationError, SimulationError
 from repro.scenarios.library import resolve
 from repro.scenarios.schema import RunConfig, ScenarioSpec, spec_from_dict
-from repro.sim.engine import STEP_MODES
 from repro.sim.failures import (
     FAILURE_KINDS,
+    FAILURES_FORMAT_VERSION,
     FailureWindow,
     failure_impact,
     main,
@@ -27,6 +27,7 @@ from repro.sim.failures import (
 )
 from repro.sim.federation import FederationSimulator
 from repro.sim.trace import TraceRecorder
+from tests.sim import event_oracle
 
 
 def federation(*clouds):
@@ -317,7 +318,7 @@ class TestSweep:
         report = failure_impact(small_failure_spec())
         assert report["welfare_baseline"] == 0.0
         assert report["kinds"] == ["outage"]
-        assert report["step_mode"] == "batched"
+        assert "step_mode" not in report
         assert len(report["per_sc"]) == 2
         entry = report["per_sc"][0]
         assert entry["utility_shift"] == pytest.approx(
@@ -325,15 +326,11 @@ class TestSweep:
         )
 
     def test_failure_impact_mode_independent(self):
-        """Welfare reports are bit-identical across stepping modes."""
+        """Welfare reports are bit-identical to the event-heap oracle's."""
         spec = small_failure_spec()
-        reports = {
-            mode: failure_impact(spec, step_mode=mode)
-            for mode in STEP_MODES
-        }
-        for report in reports.values():
-            report.pop("step_mode")
-        assert reports["batched"] == reports["event"]
+        with event_oracle.patched():
+            reference = failure_impact(spec)
+        assert failure_impact(spec) == reference
 
     def test_failure_impact_rejects_windows_past_the_horizon(self):
         # failure-000's outage opens at 567.2 s: a 400 s run would report
@@ -343,7 +340,7 @@ class TestSweep:
 
     def test_sweep_over_explicit_specs(self):
         report = sweep([small_failure_spec()], horizon=200.0)
-        assert report["format_version"] == 1
+        assert report["format_version"] == FAILURES_FORMAT_VERSION == 2
         assert [s["scenario"] for s in report["scenarios"]] == ["sweep-case"]
         assert report["scenarios"][0]["horizon"] == 200.0
 

@@ -3,6 +3,8 @@
 import pytest
 
 from repro.core.small_cloud import FederationScenario, SmallCloud
+from repro.exceptions import ConfigurationError
+from repro.sim import replications
 from repro.sim.replications import replicate
 
 pytestmark = pytest.mark.slow
@@ -53,3 +55,14 @@ class TestReplicate:
         a = replicate(scenario(), replications=3, horizon=800.0, warmup=100.0, base_seed=9)
         b = replicate(scenario(), replications=3, horizon=800.0, warmup=100.0, base_seed=9)
         assert a == b
+
+
+class TestValidation:
+    @pytest.mark.parametrize("count", [1, 0, -3])
+    def test_fewer_than_two_replications_rejected_before_running(self, count, monkeypatch):
+        def run(task):
+            raise AssertionError("a replication ran before validation")
+
+        monkeypatch.setattr(replications, "_run_replication", run)
+        with pytest.raises(ConfigurationError, match="at least 2"):
+            replicate(scenario(), replications=count)
