@@ -7,11 +7,6 @@ run:
 - ``fig6_evaluate`` — end-to-end ``evaluate`` / ``evaluate_target`` on a
   Fig. 6 scenario (the 10-SC federation in full mode, the 2-SC one with
   ``--quick``);
-- ``tabu_sweep`` — a Tabu-style neighborhood sweep: 20 single-coordinate
-  neighbor sharing vectors of the Fig. 7 federation (6 with ``--quick``),
-  each scored for one SC through a
-  :class:`~repro.market.evaluator.UtilityEvaluator` the way the best
-  responder scores trial profiles;
 - ``obs_overhead`` — prices the :mod:`repro.obs` hooks: the cost of one
   disabled hook call, the hook crossings a real solve performs, and the
   implied disabled-instrumentation overhead fraction (pinned below 2%
@@ -52,12 +47,7 @@ from pathlib import Path
 from typing import Any, Callable
 
 from repro import obs
-from repro.bench.scenarios import (
-    fig6_2sc_scenario,
-    fig6_10sc_scenario,
-    fig7_scenario,
-)
-from repro.market.evaluator import UtilityEvaluator
+from repro.bench.scenarios import fig6_2sc_scenario, fig6_10sc_scenario
 from repro.perf.approximate import ApproximateModel
 
 SCHEMA_VERSION = 1
@@ -86,52 +76,6 @@ def bench_fig6(quick: bool) -> dict[str, Any]:
         "evaluate_seconds": evaluate_seconds,
         "level_cache": model.level_cache_stats(),
         "seconds": evaluate_seconds,
-    }
-
-
-def _neighbor_vectors(base: tuple[int, ...], count: int) -> list[tuple[int, ...]]:
-    """``count`` distinct single-coordinate neighbors of ``base`` (plus
-    ``base`` itself), the shape of a Tabu neighborhood scan."""
-    vectors: list[tuple[int, ...]] = [base]
-    offsets = [1, -1, 2, -2, 3, -3, 4, -4]
-    for offset in offsets:
-        for position in range(len(base)):
-            if len(vectors) >= count:
-                return vectors
-            candidate = list(base)
-            candidate[position] = max(0, min(10, candidate[position] + offset))
-            vector = tuple(candidate)
-            if vector not in vectors:
-                vectors.append(vector)
-    return vectors
-
-
-def bench_tabu_sweep(quick: bool) -> dict[str, Any]:
-    """Score a Tabu-style neighborhood of sharing vectors end to end.
-
-    Mirrors the best-response objective: each trial vector is scored for
-    a single SC via ``utility(vector, index)``, one target rotation of
-    the hierarchical chain.
-    """
-    scenario = fig7_scenario("spread")
-    model = ApproximateModel()
-    evaluator = UtilityEvaluator(scenario, model, gamma=0.0)
-    vectors = _neighbor_vectors((5, 5, 5), 6 if quick else 20)
-
-    def sweep() -> list[float]:
-        return [
-            evaluator.utility(vector, j % len(scenario))
-            for j, vector in enumerate(vectors)
-        ]
-
-    seconds, values = _timed(sweep)
-    return {
-        "scenario": "fig7_spread_3sc",
-        "evaluations": len(vectors),
-        "per_evaluation_seconds": seconds / len(vectors),
-        "utilities": values,
-        "cache_info": evaluator.cache_info(),
-        "seconds": seconds,
     }
 
 
@@ -314,7 +258,6 @@ def bench_sim_failures(quick: bool) -> dict[str, Any]:
 
 BENCHES: dict[str, Callable[[bool], dict[str, Any]]] = {
     "fig6_evaluate": bench_fig6,
-    "tabu_sweep": bench_tabu_sweep,
     "obs_overhead": bench_obs_overhead,
     "sim_fifo": bench_sim_fifo,
     "sim_failures": bench_sim_failures,

@@ -2,11 +2,11 @@
 
 Rebuilds the paper's C++ validation simulator in Python:
 
-- :mod:`repro.sim.engine` — a generic discrete-event core: a list heap
-  with typed dispatch plus bulk-drained block channels.
+- :mod:`repro.sim.engine` — a generic discrete-event core: one list heap
+  of callback and typed events.
 - :mod:`repro.sim.rng` — reproducible independent random streams.
-- :mod:`repro.sim.stats` — time-weighted averages, Welford accumulators,
-  and batch-means confidence intervals.
+- :mod:`repro.sim.stats` — Welford accumulators and batch-means
+  confidence intervals.
 - :mod:`repro.sim.federation` — the federation simulator implementing the
   exact SC-Share sharing semantics (load-balanced lending, SLA-driven
   forwarding, owner-priority VM returns, no preemption).
@@ -23,7 +23,7 @@ from repro.sim.engine import Event, SimulationEngine
 from repro.sim.federation import FederationSimulator, SimulatedMetrics
 from repro.sim.replications import ReplicatedMetrics, replicate
 from repro.sim.rng import ExponentialBlock, RandomStreams, UniformBlock
-from repro.sim.stats import BatchMeans, TimeWeightedAverage, WelfordAccumulator
+from repro.sim.stats import BatchMeans, WelfordAccumulator
 
 # repro.sim.failures exports resolve lazily so `python -m
 # repro.sim.failures` does not find its target pre-imported by this
@@ -50,7 +50,6 @@ __all__ = [
     "replicate",
     "SimulatedMetrics",
     "SimulationEngine",
-    "TimeWeightedAverage",
     "UniformBlock",
     "validate_schedule",
     "WelfordAccumulator",

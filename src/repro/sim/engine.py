@@ -1,19 +1,18 @@
 """Generic discrete-event simulation core.
 
-A small, dependency-free event core.  Heap entries are plain lists
-``[time, priority, sequence, event, code, a, b]``, so heap maintenance
-compares floats at C speed instead of calling a Python ``__lt__``.
-Callbacks can be replaced by *typed* events dispatched through one bound
-method (no per-event closure allocation), and bulk schedules
-(:meth:`SimulationEngine.schedule_block`) keep pre-drawn event times in
-sorted NumPy arrays that the run loop drains in tight runs — including
-handing a whole run to a vectorized handler in one call.
+A small, dependency-free event core with one event source: a binary heap
+of plain lists ``[time, priority, sequence, event, code, a, b]``, so heap
+maintenance compares floats at C speed instead of calling a Python
+``__lt__``.  Callback events carry an :class:`Event` cancel handle in the
+``event`` slot; *typed* events leave it ``None`` and are dispatched as
+``typed_dispatch(code, a, b)`` through one bound method, with no
+per-event closure allocation.
 
 Events execute in the total order ``(time, priority, sequence)``: ties
-in time break by priority (lower first), then by insertion order, across
-the heap and every block channel alike.  The test suite keeps a plain
-event-heap engine (one :class:`Event` object popped at a time) as the
-bitwise oracle for this order; the engine-equivalence property suite
+in time break by priority (lower first), then by insertion order.  The
+test suite keeps a plain event-heap engine (one :class:`Event` object
+popped at a time) as the bitwise oracle for this order; the
+engine-equivalence property suite
 (``tests/property/test_engine_equivalence.py``) pins it.
 """
 
@@ -21,8 +20,6 @@ from __future__ import annotations
 
 import heapq
 from collections.abc import Callable
-
-import numpy as np
 
 from repro import obs
 from repro.exceptions import SimulationError
@@ -59,36 +56,6 @@ class Event:
         self.cancelled = True
 
 
-class _EventBlock:
-    """A bulk-scheduled channel: sorted times, consumed front to back.
-
-    Sequence numbers are the contiguous range ``[seq0, seq0 + n)`` so
-    block events participate in the same global (time, priority,
-    sequence) total order as individually scheduled ones.
-    """
-
-    __slots__ = ("times", "index", "priority", "seq0", "handler", "vectorized")
-
-    def __init__(
-        self,
-        times: np.ndarray,
-        priority: int,
-        seq0: int,
-        handler: Callable[..., None],
-        vectorized: bool,
-    ) -> None:
-        self.times = times
-        self.index = 0
-        self.priority = priority
-        self.seq0 = seq0
-        self.handler = handler
-        self.vectorized = vectorized
-
-    @property
-    def remaining(self) -> int:
-        return len(self.times) - self.index
-
-
 class SimulationEngine:
     """An event simulator with deterministic tie-breaking (see the module
     docstring)."""
@@ -98,11 +65,9 @@ class SimulationEngine:
         # compare element-wise at C speed, and seq is unique so the
         # trailing payload slots are never compared.
         self._heap: list = []
-        self._blocks: list[_EventBlock] = []
         self._seq = 0
         self.now = 0.0
         self.events_executed = 0
-        self.batches_executed = 0
         #: Receiver of typed events, ``dispatch(code, a, b)``.  Installed
         #: by the simulator built on top of the engine (one bound method
         #: replaces per-event closures on the hot path).
@@ -160,124 +125,25 @@ class SimulationEngine:
             [self.now + delay, priority, self._next_seq(), None, code, a, b],
         )
 
-    def schedule_typed_at(self, time: float, code: int, a: int = 0, b: int = 0, priority: int = 0) -> None:
-        """Typed scheduling at an absolute simulation time."""
-        self.schedule_typed(time - self.now, code, a, b, priority)
-
-    def schedule_block(
-        self,
-        offsets: "np.ndarray | list[float]",
-        handler: Callable[..., None],
-        priority: int = 0,
-        vectorized: bool = False,
-    ) -> int:
-        """Bulk-schedule events at ``now + offsets`` (non-decreasing).
-
-        ``handler`` is called per event with the event time — or, when
-        ``vectorized`` is true, once per drained run with a read-only
-        NumPy slice of consecutive times (the drain hands over every
-        event of the run in one call).
-
-        Returns the number of events scheduled.
-        """
-        times = np.asarray(offsets, dtype=float)
-        if times.ndim != 1:
-            raise SimulationError("schedule_block offsets must be one-dimensional")
-        if len(times) == 0:
-            return 0
-        # Negated comparisons so a NaN offset fails them too.
-        if not (float(times[0]) >= 0.0 and bool(np.all(times[1:] >= times[:-1]))):
-            raise SimulationError(
-                "schedule_block offsets must be non-negative, non-decreasing "
-                "and not NaN"
-            )
-        block = _EventBlock(
-            times=times + self.now,
-            priority=priority,
-            seq0=self._seq,
-            handler=handler,
-            vectorized=vectorized,
-        )
-        self._seq += len(times)
-        self._blocks.append(block)
-        return len(times)
-
     # ------------------------------------------------------------------ #
-    # introspection
+    # introspection and stepping
     # ------------------------------------------------------------------ #
 
     @property
     def pending(self) -> int:
         """Scheduled (possibly cancelled) events still waiting to run."""
-        return len(self._heap) + sum(b.remaining for b in self._blocks)
-
-    def _heap_key(self) -> "tuple[float, int, int] | None":
-        """(time, priority, seq) of the next live heap event, or None."""
-        heap = self._heap
-        while heap and heap[0][3] is not None and heap[0][3].cancelled:
-            heapq.heappop(heap)
-        if not heap:
-            return None
-        entry = heap[0]
-        return (entry[0], entry[1], entry[2])
-
-    def _next_source(self) -> "tuple[tuple[float, int, int] | None, _EventBlock | None]":
-        """Smallest (time, priority, seq) over the heap and all blocks,
-        with the block holding it (None when the heap does)."""
-        best_key = self._heap_key()
-        best_block: _EventBlock | None = None
-        for block in self._blocks:
-            if block.index < len(block.times):
-                key = (float(block.times[block.index]), block.priority, block.seq0 + block.index)
-                if best_key is None or key < best_key:
-                    best_key = key
-                    best_block = block
-        return best_key, best_block
+        return len(self._heap)
 
     def peek_time(self) -> float | None:
         """Time of the next live event, or None if everything is drained."""
-        key = self._next_source()[0]
-        return key[0] if key is not None else None
-
-    # ------------------------------------------------------------------ #
-    # stepping
-    # ------------------------------------------------------------------ #
+        heap = self._heap
+        while heap and heap[0][3] is not None and heap[0][3].cancelled:
+            heapq.heappop(heap)
+        return heap[0][0] if heap else None
 
     def step(self) -> bool:
-        """Execute the next live event.  Returns False if none remain.
-
-        The run loop uses it as the tie-breaking slow path around its
-        bulk drains.
-        """
-        best_key, best_block = self._next_source()
-        if best_key is None:
-            return False
-        if best_key[0] < self.now - 1e-9:
-            raise SimulationError("event sources produced an out-of-order event")
-        self.now = max(self.now, best_key[0])
-        self.events_executed += 1
-        if best_block is None:
-            entry = heapq.heappop(self._heap)
-            self._execute_entry(entry)
-        else:
-            index = best_block.index
-            best_block.index = index + 1
-            if best_block.vectorized:
-                best_block.handler(best_block.times[index : index + 1])
-            else:
-                best_block.handler(float(best_block.times[index]))
-        return True
-
-    def _execute_entry(self, entry: list) -> None:
-        """Run one heap entry (callback or typed)."""
-        event = entry[3]
-        if event is not None:
-            event.callback()
-            return
-        dispatch = self.typed_dispatch
-        if dispatch is None:
-            raise SimulationError("typed event scheduled without a typed_dispatch")
-        dispatch(entry[4], entry[5], entry[6])
+        """Execute the next live event.  Returns False if none remain."""
+        return self._drain(float("inf"), 1) == 1
 
     # ------------------------------------------------------------------ #
     # running
@@ -288,7 +154,8 @@ class SimulationEngine:
 
         Events scheduled exactly at the horizon are *not* executed; the
         clock is advanced to the horizon on return so time-weighted
-        statistics can be finalized consistently.
+        statistics can be finalized consistently.  ``max_events`` bounds
+        the live events executed by this call.
         """
         # `not >=` also rejects a NaN horizon, which no event time
         # compares at or beyond, so the run would never stop.
@@ -302,94 +169,34 @@ class SimulationEngine:
         self.now = max(self.now, horizon)
 
     def _drain(self, horizon: float, max_events: int | None) -> int:
-        """Merged drain: bulk runs off block channels, heap interleaved.
-
-        A run is the longest prefix of one block strictly below every
-        other source's next key and the horizon; vectorized handlers get
-        the whole run in one call, per-event handlers run in a tight loop
-        that re-checks the boundary only when the handler scheduled
-        something new.  Ties across sources fall back to one-at-a-time
-        :meth:`step`, preserving the global (time, priority, seq) order.
-        """
-        executed = 0
-        budget = max_events if max_events is not None else -1
+        """Pop and execute live events before ``horizon``, at most
+        ``max_events`` of them; returns how many ran."""
         heap = self._heap
-        while True:
-            if 0 <= budget <= executed:
-                break
-            hkey = self._heap_key()
-            best_block: _EventBlock | None = None
-            best_key = hkey
-            for block in self._blocks:
-                if block.index < len(block.times):
-                    key = (
-                        float(block.times[block.index]),
-                        block.priority,
-                        block.seq0 + block.index,
-                    )
-                    if best_key is None or key < best_key:
-                        best_key = key
-                        best_block = block
-            if best_key is None or best_key[0] >= horizon:
-                break
-            if best_block is None:
-                # Next event lives on the heap: execute exactly one, then
-                # re-evaluate (its handler may have scheduled anything).
-                self.now = max(self.now, best_key[0])
-                entry = heapq.heappop(heap)
-                self.events_executed += 1
-                executed += 1
-                self._execute_entry(entry)
-                continue
-            # Drain a run off the winning block: every event strictly
-            # before the other sources' next key and the horizon.
-            bound = horizon if hkey is None else min(horizon, hkey[0])
-            for other in self._blocks:
-                if other is not best_block and other.index < len(other.times):
-                    t = float(other.times[other.index])
-                    if t < bound:
-                        bound = t
-            start = best_block.index
-            stop = int(np.searchsorted(best_block.times, bound, side="left"))
-            if 0 <= budget:
-                stop = min(stop, start + (budget - executed))
-            if stop <= start:
-                # The run is empty only because of a cross-source tie at
-                # `bound`; resolve one event through the slow path.
-                if self.step():
-                    executed += 1
+        heappop = heapq.heappop
+        budget = -1 if max_events is None else max_events
+        executed = 0
+        try:
+            while heap and executed != budget:
+                entry = heap[0]
+                event = entry[3]
+                if event is not None and event.cancelled:
+                    heappop(heap)
                     continue
-                break
-            times = best_block.times
-            handler = best_block.handler
-            if best_block.vectorized:
-                best_block.index = stop
-                count = stop - start
-                self.now = max(self.now, float(times[stop - 1]))
-                self.events_executed += count
-                executed += count
-                self.batches_executed += 1
-                handler(times[start:stop])
-                continue
-            heap_size = len(heap)
-            block_count = len(self._blocks)
-            self.batches_executed += 1
-            # tolist() converts the whole run to Python floats in one C
-            # call — far cheaper than one numpy-scalar unboxing per event.
-            run_times = times[start:stop].tolist()
-            blocks = self._blocks
-            index = start
-            done = 0
-            for t in run_times:
-                index += 1
-                best_block.index = index
-                self.now = t
-                done += 1
-                handler(t)
-                if len(heap) != heap_size or len(blocks) != block_count:
-                    # The handler scheduled new work; the run boundary is
-                    # stale, so fall back to the outer merge.
+                if entry[0] >= horizon:
                     break
-            self.events_executed += done
-            executed += done
+                heappop(heap)
+                # An entry lies behind the clock only after a run that
+                # max_events stopped early moved the clock to its horizon.
+                if entry[0] > self.now:
+                    self.now = entry[0]
+                executed += 1
+                if event is not None:
+                    event.callback()
+                    continue
+                dispatch = self.typed_dispatch
+                if dispatch is None:
+                    raise SimulationError("typed event scheduled without a typed_dispatch")
+                dispatch(entry[4], entry[5], entry[6])
+        finally:
+            self.events_executed += executed
         return executed

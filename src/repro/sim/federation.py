@@ -81,9 +81,10 @@ class SimulatedMetrics:
 class _CloudState:
     """Mutable per-SC simulator state.
 
-    Statistics are integrated inline (plain float accumulators) rather
-    than through :class:`TimeWeightedAverage` objects — ``record`` runs on
-    every event and dominates the simulator's profile otherwise.  The
+    Time-weighted statistics are integrated inline (plain float
+    accumulators) rather than through one accumulator object per signal
+    — ``record`` runs on every event and dominates the simulator's
+    profile otherwise.  The
     ``record`` contract: it must be called, at the current simulation
     time, for every cloud whose counters changed during an event, *after*
     the mutation (the integral attributes the pre-mutation value to the

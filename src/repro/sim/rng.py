@@ -13,10 +13,12 @@ RNG stream mapping (pre-drawn blocks)
 ------------------------------------
 
 The simulator pre-draws randomness in NumPy blocks instead of one
-scalar call per event.  Replications stay seed-deterministic because a
-block draw consumes a generator's bit stream in exactly the order the
-scalar calls would — NumPy fills an array by repeating the same scalar
-routine over the stream — so for every stream the mapping is:
+scalar call per event.  Only the draws are blocked: the engine still
+schedules each event on its one heap as a draw is consumed.
+Replications stay seed-deterministic because a block draw consumes a
+generator's bit stream in exactly the order the scalar calls would —
+NumPy fills an array by repeating the same scalar routine over the
+stream — so for every stream the mapping is:
 
 - ``Generator.exponential(scale)`` repeated n times
   == ``Generator.standard_exponential(n)`` element-wise ``* scale``

@@ -1,9 +1,9 @@
 """Streaming statistics for simulation output analysis.
 
-Three accumulators cover the simulator's needs:
+Two accumulators cover the simulator's needs (the federation simulator
+integrates its time-weighted signals inline, see
+:class:`repro.sim.federation._CloudState`):
 
-- :class:`TimeWeightedAverage` — integrates a piecewise-constant signal
-  (queue lengths, busy VM counts) over simulated time.
 - :class:`WelfordAccumulator` — numerically stable mean/variance of i.i.d.
   observations (waiting times).
 - :class:`BatchMeans` — the classical batch-means method for confidence
@@ -15,51 +15,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from repro._validation import check_finite, check_positive_int
+from repro._validation import check_positive_int
 from repro.exceptions import SimulationError
 
 # Two-sided 95% normal quantile; batch counts are large enough (>= 10)
 # that the normal approximation to the t distribution is adequate and we
 # avoid a scipy.stats dependency in the hot path.
 _Z_95 = 1.959963984540054
-
-
-class TimeWeightedAverage:
-    """Time integral of a piecewise-constant signal divided by elapsed time."""
-
-    def __init__(self, initial_value: float = 0.0, start_time: float = 0.0) -> None:
-        self._value = check_finite(initial_value, "initial_value")
-        self._last_time = check_finite(start_time, "start_time")
-        self._start_time = self._last_time
-        self._integral = 0.0
-
-    def update(self, time: float, new_value: float) -> None:
-        """Record that the signal changed to ``new_value`` at ``time``."""
-        if time < self._last_time - 1e-12:
-            raise SimulationError(
-                f"time went backwards: {time} < {self._last_time}"
-            )
-        self._integral += self._value * (time - self._last_time)
-        self._value = float(new_value)
-        self._last_time = max(time, self._last_time)
-
-    def reset(self, time: float) -> None:
-        """Restart integration at ``time`` keeping the current value (warmup cut)."""
-        self._integral = 0.0
-        self._start_time = time
-        self._last_time = time
-
-    def mean(self, time: float) -> float:
-        """Time-weighted mean of the signal from the last reset to ``time``."""
-        elapsed = time - self._start_time
-        if elapsed <= 0.0:
-            return self._value
-        return (self._integral + self._value * (time - self._last_time)) / elapsed
-
-    @property
-    def current(self) -> float:
-        """Current signal value."""
-        return self._value
 
 
 class WelfordAccumulator:
@@ -90,26 +52,6 @@ class WelfordAccumulator:
     def std(self) -> float:
         """Sample standard deviation."""
         return math.sqrt(self.variance())
-
-    def merge(self, other: "WelfordAccumulator") -> None:
-        """Fold ``other``'s observations into this accumulator.
-
-        Chan et al.'s pairwise combination: exact in count and mean and
-        numerically stable in M2, so per-repeat (or per-worker)
-        accumulators reduce to the same statistics as one serial stream.
-        """
-        if other.count == 0:
-            return
-        if self.count == 0:
-            self.count = other.count
-            self._mean = other._mean
-            self._m2 = other._m2
-            return
-        total = self.count + other.count
-        delta = other._mean - self._mean
-        self._mean += delta * other.count / total
-        self._m2 += other._m2 + delta * delta * self.count * other.count / total
-        self.count = total
 
 
 @dataclass(frozen=True)

@@ -46,14 +46,6 @@ class TestProbes:
         assert result["replay_speedup"] > 1.0
         assert result["seconds"] == result["sim_seconds"]
 
-    def test_neighbor_vectors_distinct_and_sized(self):
-        vectors = micro._neighbor_vectors((5, 5, 5), 20)
-        assert len(vectors) == 20
-        assert len(set(vectors)) == 20
-        assert vectors[0] == (5, 5, 5)
-        for vector in vectors:
-            assert all(0 <= v <= 10 for v in vector)
-
 
 class TestCli:
     def test_run_and_compare(self, tmp_path, capsys):

@@ -3,7 +3,7 @@
 Random raw-engine schedules and random federation workloads (healthy and
 failure-injected) must produce identical event logs, final statistics,
 and trace-event sequences on :class:`~repro.sim.engine.SimulationEngine`
-(list heap, typed dispatch, bulk-drained blocks, pre-drawn RNG blocks)
+(list heap, typed dispatch, pre-drawn RNG blocks)
 and on the plain event-heap oracle of ``tests/sim/event_oracle.py`` —
 and replication experiments on every executor backend must reduce to
 the oracle's serial confidence intervals.  This is the
@@ -35,132 +35,80 @@ pytestmark = pytest.mark.slow
 # raw-engine schedules
 # --------------------------------------------------------------------- #
 
-# One root event: (delay, priority, follow-up delays).  Zero follow-up
-# delays schedule into the current timestamp.
-root_event = hyp.tuples(
-    hyp.floats(min_value=0.0, max_value=8.0),
-    hyp.integers(min_value=-2, max_value=2),
-    hyp.lists(
-        hyp.floats(min_value=0.0, max_value=4.0),
-        min_size=0,
-        max_size=3,
+# One event: (delay, priority, typed).  Delays repeat often, so time
+# ties, and with them the priority and sequence tie-breaks, are common.
+event_spec = hyp.tuples(
+    hyp.one_of(
+        hyp.sampled_from((0.0, 1.0, 2.5)),
+        hyp.floats(min_value=0.0, max_value=8.0),
     ),
+    hyp.integers(min_value=-2, max_value=2),
+    hyp.booleans(),
 )
 
-block_channel = hyp.lists(
-    hyp.floats(min_value=0.0, max_value=8.0), min_size=0, max_size=12
-).map(sorted)
+# One root event: its spec, the follow-ups its handler schedules (a zero
+# delay schedules into the current timestamp), and the callback handle
+# it cancels when it runs (an index modulo the handles made so far).
+root_event = hyp.tuples(
+    event_spec,
+    hyp.lists(event_spec, min_size=0, max_size=3),
+    hyp.none() | hyp.integers(min_value=0, max_value=63),
+)
 
 
-def run_schedule(engine_type, roots, block_offsets, vectorized):
-    """Run one generated schedule; return (log, events_executed, now)."""
+def run_schedule(engine_type, roots, cancelled, budget):
+    """Run one generated schedule; return (log, events_executed, now, next).
+
+    Callback and typed events share the heap; ``cancelled`` handles are
+    cancelled before the run, and roots cancel more while it runs.  The
+    run stops after ``budget`` live events, if one is given.
+    """
     engine = engine_type()
     log = []
+    handles = []
 
-    def make_handler(tag, children):
-        def handler():
-            log.append(("cb", tag, engine.now))
-            for child_index, delay in enumerate(children):
-                engine.schedule(delay, make_handler((tag, child_index), ()))
+    def fire(kind, tag):
+        log.append((kind, tag, engine.now))
+        if len(tag) == 2:
+            return
+        _, children, target = roots[tag[0]]
+        for child_index, child in enumerate(children):
+            add(child, (tag[0], child_index))
+        if target is not None and handles:
+            handles[target % len(handles)].cancel()
 
-        return handler
+    def add(spec, tag):
+        delay, priority, typed = spec
+        if typed:
+            engine.schedule_typed(delay, len(tag), tag[0], tag[-1], priority=priority)
+        else:
+            handle = engine.schedule(
+                delay, functools.partial(fire, "cb", tag), priority=priority
+            )
+            handles.append(handle)
 
-    for tag, (delay, priority, children) in enumerate(roots):
-        engine.schedule(delay, make_handler(tag, children), priority=priority)
-    if vectorized:
-        engine.schedule_block(
-            block_offsets,
-            lambda times: log.append(("vec", tuple(times.tolist()))),
-            vectorized=True,
-        )
-    else:
-        engine.schedule_block(block_offsets, lambda t: log.append(("blk", t)))
-    engine.run_until(16.0)
-    return log, engine.events_executed, engine.now
+    engine.typed_dispatch = lambda code, a, b: fire(
+        "typed", (a,) if code == 1 else (a, b)
+    )
+    for index, (spec, _, _) in enumerate(roots):
+        add(spec, (index,))
+    for index in cancelled:
+        if handles:
+            handles[index % len(handles)].cancel()
+    engine.run_until(16.0, max_events=budget)
+    return log, engine.events_executed, engine.now, engine.peek_time()
 
 
 @given(
     roots=hyp.lists(root_event, min_size=0, max_size=8),
-    block_offsets=block_channel,
+    cancelled=hyp.lists(hyp.integers(min_value=0, max_value=63), max_size=4),
+    budget=hyp.none() | hyp.integers(min_value=0, max_value=24),
 )
 @settings(max_examples=50, deadline=None)
-def test_random_schedules_identical_across_modes(roots, block_offsets):
-    """Callback + block schedules log identically to the oracle."""
-    reference = run_schedule(OracleEngine, roots, block_offsets, vectorized=False)
-    assert run_schedule(SimulationEngine, roots, block_offsets, vectorized=False) == reference
-
-
-@given(
-    roots=hyp.lists(root_event, min_size=0, max_size=6),
-    block_offsets=block_channel,
-)
-@settings(max_examples=25, deadline=None)
-def test_vectorized_blocks_cover_the_same_events(roots, block_offsets):
-    """A vectorized handler sees exactly the per-event times, in order.
-
-    The slicing differs by construction (the engine hands over whole
-    runs, the oracle one event at a time), so the comparison flattens
-    each side's vector calls back to the per-event sequence.
-    """
-
-    def flatten(log):
-        flat = []
-        for entry in log:
-            if entry[0] == "vec":
-                flat.extend(("blk", t) for t in entry[1])
-            else:
-                flat.append(entry)
-        return flat
-
-    results = {}
-    for engine_type in (OracleEngine, SimulationEngine):
-        log, executed, now = run_schedule(
-            engine_type, roots, block_offsets, vectorized=True
-        )
-        results[engine_type] = (flatten(log), executed, now)
-    assert results[SimulationEngine] == results[OracleEngine]
-
-
-# A block event: (offset, follow-up delays its handler schedules).
-block_event = hyp.tuples(
-    hyp.floats(min_value=0.0, max_value=8.0),
-    hyp.lists(hyp.floats(min_value=0.0, max_value=4.0), min_size=0, max_size=2),
-)
-
-
-def run_scheduling_block(engine_type, roots, events):
-    """A per-event block handler that schedules heap work mid-run."""
-    engine = engine_type()
-    log = []
-    events = sorted(events, key=lambda event: event[0])
-    calls = [0]
-
-    def root_handler(tag):
-        return lambda: log.append(("cb", tag, engine.now))
-
-    def block_handler(t):
-        index = calls[0]
-        calls[0] = index + 1
-        log.append(("blk", index, t))
-        for child, delay in enumerate(events[index][1]):
-            engine.schedule(delay, root_handler((index, child)))
-
-    for tag, (delay, priority, _) in enumerate(roots):
-        engine.schedule(delay, root_handler(tag), priority=priority)
-    engine.schedule_block([offset for offset, _ in events], block_handler)
-    engine.run_until(16.0)
-    return log, engine.events_executed, engine.now
-
-
-@given(
-    roots=hyp.lists(root_event, min_size=0, max_size=4),
-    events=hyp.lists(block_event, min_size=1, max_size=12),
-)
-@settings(max_examples=50, deadline=None)
-def test_block_handlers_scheduling_work_match_the_oracle(roots, events):
-    """Work a block handler schedules mid-run interleaves as on the oracle."""
-    reference = run_scheduling_block(OracleEngine, roots, events)
-    assert run_scheduling_block(SimulationEngine, roots, events) == reference
+def test_random_schedules_identical_across_modes(roots, cancelled, budget):
+    """Callback, typed and cancelled events log identically to the oracle."""
+    reference = run_schedule(OracleEngine, roots, cancelled, budget)
+    assert run_schedule(SimulationEngine, roots, cancelled, budget) == reference
 
 
 # --------------------------------------------------------------------- #

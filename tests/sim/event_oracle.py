@@ -1,11 +1,11 @@
 """The event-heap oracle for the simulation engine.
 
-:class:`repro.sim.engine.SimulationEngine` drains list-heap entries and
-bulk block channels in tight runs.  This module keeps the plain
-reference it is checked against: one heap of :class:`OracleEvent`
-objects, ordered by ``(time, priority, sequence)`` through ``__lt__``
-and popped one at a time.  Typed events become closures calling
-``typed_dispatch``, and a block schedule becomes one event per entry.
+:class:`repro.sim.engine.SimulationEngine` orders plain list entries on
+one heap and dispatches typed events without closures.  This module
+keeps the plain reference it is checked against: one heap of
+:class:`OracleEvent` objects, ordered by ``(time, priority, sequence)``
+through ``__lt__`` and popped one at a time, with typed events as
+closures calling ``typed_dispatch``.
 
 :class:`ScalarExponential` and :class:`ScalarUniform` stand in for the
 simulator's pre-drawn RNG blocks with one scalar generator call per
@@ -19,7 +19,6 @@ inside it runs entirely on the oracle path::
 
 from __future__ import annotations
 
-import functools
 import heapq
 from collections.abc import Callable, Iterator
 from contextlib import contextmanager
@@ -89,20 +88,6 @@ class OracleEngine:
             self.typed_dispatch(code, a, b)
 
         self.schedule(delay, typed, priority)
-
-    def schedule_block(
-        self,
-        offsets: "np.ndarray | list[float]",
-        handler: Callable[..., None],
-        priority: int = 0,
-        vectorized: bool = False,
-    ) -> int:
-        """One event per offset; a vectorized handler gets length-1 slices."""
-        times = [float(t) for t in np.asarray(offsets, dtype=float) + self.now]
-        for time in times:
-            arg = np.asarray([time]) if vectorized else time
-            self.schedule_at(time, functools.partial(handler, arg), priority)
-        return len(times)
 
     def peek_time(self) -> float | None:
         heap = self._heap

@@ -116,7 +116,7 @@ class TestHorizon:
 
 
 class TestNaNRejected:
-    """NaN delays, offsets and horizons compare false against everything,
+    """NaN delays and horizons compare false against everything,
     so the engine must refuse them rather than order or run on them."""
 
     def test_nan_delay_rejected(self):
@@ -131,16 +131,12 @@ class TestNaNRejected:
             engine.schedule_typed(float("nan"), 0)
         assert engine.pending == 0
 
-    @pytest.mark.parametrize("offsets", [[float("nan"), 1.0], [0.5, float("nan")]])
-    def test_nan_block_offset_rejected(self, offsets):
+    def test_infinite_delay_still_accepted(self):
         engine = SimulationEngine()
-        with pytest.raises(SimulationError, match="NaN"):
-            engine.schedule_block(offsets, lambda t: None)
-        assert engine.pending == 0
-
-    def test_infinite_block_offsets_still_accepted(self):
-        engine = SimulationEngine()
-        assert engine.schedule_block([1.0, float("inf"), float("inf")], lambda t: None) == 3
+        engine.schedule(float("inf"), lambda: None)
+        engine.run_until(10.0)
+        assert engine.pending == 1
+        assert engine.peek_time() == float("inf")
 
     def test_nan_horizon_rejected(self):
         engine = SimulationEngine()

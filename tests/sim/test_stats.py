@@ -2,51 +2,9 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as hyp
 
 from repro.exceptions import SimulationError
-from repro.sim.stats import BatchMeans, TimeWeightedAverage, WelfordAccumulator
-
-
-class TestTimeWeightedAverage:
-    def test_piecewise_constant_mean(self):
-        avg = TimeWeightedAverage(initial_value=1.0)
-        avg.update(2.0, 3.0)  # value 1 for 2 time units
-        avg.update(4.0, 0.0)  # value 3 for 2 time units
-        # mean over [0, 6]: (1*2 + 3*2 + 0*2)/6 = 8/6
-        assert avg.mean(6.0) == pytest.approx(8.0 / 6.0)
-
-    def test_reset_discards_history(self):
-        avg = TimeWeightedAverage(initial_value=10.0)
-        avg.update(5.0, 2.0)
-        avg.reset(5.0)
-        assert avg.mean(7.0) == pytest.approx(2.0)
-
-    def test_mean_at_start_returns_current(self):
-        avg = TimeWeightedAverage(initial_value=4.0, start_time=1.0)
-        assert avg.mean(1.0) == 4.0
-
-    def test_time_cannot_go_backwards(self):
-        avg = TimeWeightedAverage()
-        avg.update(2.0, 1.0)
-        with pytest.raises(SimulationError):
-            avg.update(1.0, 1.0)
-
-    @given(
-        values=hyp.lists(
-            hyp.floats(min_value=0.0, max_value=100.0), min_size=1, max_size=20
-        )
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_mean_within_value_range(self, values):
-        avg = TimeWeightedAverage(initial_value=values[0])
-        t = 0.0
-        for v in values[1:]:
-            t += 1.0
-            avg.update(t, v)
-        mean = avg.mean(t + 1.0)
-        assert min(values) - 1e-9 <= mean <= max(values) + 1e-9
+from repro.sim.stats import BatchMeans, WelfordAccumulator
 
 
 class TestWelford:
