@@ -44,6 +44,32 @@ class TestTypedEvents:
         assert log == [("typed", 5), ("cb", 0)]
 
 
+class TestScheduleBlock:
+    """A block of events scheduled up front, drained to a horizon or a budget."""
+
+    def test_pending_counts_block_remainders(self):
+        engine = SimulationEngine()
+        for delay in (1.0, 2.0, 3.0):
+            engine.schedule(delay, lambda: None)
+        engine.schedule(0.5, lambda: None)
+        assert engine.pending == 4
+        engine.run_until(2.5)
+        assert engine.pending == 1
+
+    def test_max_events_budget_respected(self):
+        engine = SimulationEngine()
+        count = [0]
+        engine.typed_dispatch = lambda code, a, b: count.__setitem__(0, count[0] + 1)
+        for delay in (0.5, 1.0, 1.5):
+            engine.schedule(delay, lambda: count.__setitem__(0, count[0] + 1))
+        engine.schedule_typed(2.0, 0)
+        engine.run_until(10.0, max_events=2)
+        assert count[0] == 2
+        assert engine.events_executed == 2
+        assert engine.pending == 2
+        assert engine.now == 10.0
+
+
 class TestMergedStepping:
     def test_step_works_in_batched_mode(self):
         engine = SimulationEngine()
@@ -55,18 +81,6 @@ class TestMergedStepping:
         assert not engine.step()
         assert log == ["typed", "a"]
         assert engine.now == 1.0
-
-    def test_pending_counts_heap_entries_left_by_the_budget(self):
-        engine = SimulationEngine()
-        engine.typed_dispatch = lambda code, a, b: None
-        for delay in (0.5, 1.0, 1.5):
-            engine.schedule(delay, lambda: None)
-        engine.schedule_typed(2.0, 0)
-        assert engine.pending == 4
-        engine.run_until(10.0, max_events=2)
-        assert engine.events_executed == 2
-        assert engine.pending == 2
-        assert engine.now == 10.0
 
     def test_cancelled_events_are_skipped(self):
         engine = SimulationEngine()
