@@ -253,7 +253,7 @@ def _run_cell(spec: DifferentialScenario, backend: str, variant: str) -> dict:
         method="exhaustive",
         executor=executor,
     )
-    result = RepeatedGame(responder, executor=executor).run()
+    result = RepeatedGame(responder).run()
     params = evaluator.params(result.equilibrium)
     observables = {
         "equilibrium": list(result.equilibrium),
@@ -304,10 +304,10 @@ def _metrics_merge_counts(backend: str) -> dict[str, int]:
     """Merged counter totals of a fixed replication workload on ``backend``.
 
     Each replication's seed is fixed up front, so every backend performs
-    identical work; :func:`repro.obs.map_with_metrics` merges the
-    per-task snapshots in input order.  Only the integer ``counter_view``
-    is returned — histogram sums hold wall-clock floats that legitimately
-    differ between runs, while counts cannot.
+    identical work; the executor's ``map`` merges the per-task snapshots
+    in input order.  Only the integer ``counter_view`` is returned —
+    histogram sums hold wall-clock floats that legitimately differ
+    between runs, while counts cannot.
     """
     from repro.sim.replications import replicate
 

@@ -80,12 +80,12 @@ class SCShare:
             :class:`repro.runtime.cache.DiskParamsCache` makes it
             persistent across runs.
         executor: optional :class:`repro.runtime.executor.Executor`
-            driving the game's parallel sections — per-round best
-            responses across SCs and per-SC candidate scoring.  Process
-            workers score candidates on shipped evaluator copies and the
-            parent seeds their solves into its cache; the executor also
-            drives an :class:`~repro.perf.approximate.ApproximateModel`
-            configured with it.
+            driving the game's one parallel section, per-SC candidate
+            scoring.  Process workers score candidates on shipped
+            evaluator copies and the parent seeds their solves into its
+            cache; the executor also drives an
+            :class:`~repro.perf.approximate.ApproximateModel` configured
+            with it.
     """
 
     def __init__(
@@ -114,7 +114,7 @@ class SCShare:
             tabu=tabu,
             executor=executor,
         )
-        self.game = RepeatedGame(self.responder, max_rounds=max_rounds, executor=executor)
+        self.game = RepeatedGame(self.responder, max_rounds=max_rounds)
 
     def run(
         self,

@@ -105,12 +105,11 @@ class BestResponder:
         with obs.span("game.respond", sc=index, method=self.method):
             obs.inc(self._respond_metric)
             if self.method == "exhaustive":
-                return self._exhaustive(objective, index, current, profile)
+                return self._exhaustive(index, current, profile)
             best, best_obj, _evals = self.tabu.search(
                 self.strategy_spaces[index],
                 objective,
                 start=current,
-                executor=self.executor,
                 scorer=self._batch_scorer(profile, index),
             )
             # Tie-break toward the incumbent: keep the current decision
@@ -131,9 +130,8 @@ class BestResponder:
         process workers solve on a shipped copy of the evaluator and the
         solved parameters are seeded back into the parent cache
         (:meth:`UtilityEvaluator.seed_target` drops duplicates, keeping
-        counts serial-equal).  A closure objective would not pickle and
-        would fall back to serial, so this task is where the per-Tabu-move
-        parallelism comes from.
+        counts serial-equal).  A closure objective would not pickle, so
+        this task is where the per-Tabu-move parallelism comes from.
         """
         executor = self.executor
 
@@ -146,7 +144,7 @@ class BestResponder:
             if executor is None or executor.workers <= 1 or len(trials) <= 1:
                 return [self.evaluator.utility(trial, index) for trial in trials]
             tasks = [(self.evaluator, tuple(trial), index) for trial in trials]
-            results = obs.map_with_metrics(executor, _score_trial_task, tasks)
+            results = executor.map(_score_trial_task, tasks)
             scored: list[float] = []
             for trial, (value, params) in zip(trials, results):
                 if params is not None:
@@ -157,17 +155,10 @@ class BestResponder:
         return score
 
     def _exhaustive(
-        self,
-        objective: Callable[[int], float],
-        index: int,
-        current: int,
-        profile: list[int],
+        self, index: int, current: int, profile: list[int]
     ) -> tuple[int, float]:
         candidates = self.strategy_spaces[index]
-        if self.executor is not None and self.executor.workers > 1 and len(candidates) > 1:
-            values = self._batch_scorer(profile, index)([int(c) for c in candidates])
-        else:
-            values = [objective(candidate) for candidate in candidates]
+        values = self._batch_scorer(profile, index)([int(c) for c in candidates])
         best_share: int | None = None
         best_utility = -1.0
         for candidate, value in zip(candidates, values):

@@ -5,8 +5,9 @@ profile.  The sequential variant lets each SC respond to the freshest
 information — SCs move one at a time, each seeing the decisions already
 made this round.  Sequential dynamics cannot cycle between two profiles
 the way simultaneous ones can (each move weakly improves the mover's
-utility against the current profile), so this is both a robustness
-fallback and an ablation for the convergence benchmark.
+utility against the current profile), so this is a robustness
+fallback for games where Algorithm 1 cycles.  No benchmark runs it; the
+game tests (``tests/game/test_dynamics.py``) compare it with Algorithm 1.
 """
 
 from __future__ import annotations

@@ -6,8 +6,9 @@ textbook version (Brown 1951) as a comparison dynamic: each SC best
 responds to the *empirical average* of every opponent's past sharing
 decisions (rounded to the nearest feasible value), rather than only to
 the previous round.  Time-averaging damps oscillations, so fictitious
-play can settle games where plain best-response dynamics cycle — one of
-the ablations in the benchmark suite.
+play can settle games where plain best-response dynamics cycle.  No
+benchmark runs it; the game tests (``tests/game/test_fictitious.py``)
+compare it with Algorithm 1.
 """
 
 from __future__ import annotations

@@ -14,15 +14,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from collections.abc import Sequence
-from typing import TYPE_CHECKING
 
 from repro import obs
 from repro._validation import check_positive_int
 from repro.exceptions import GameError
 from repro.game.best_response import BestResponder
-
-if TYPE_CHECKING:
-    from repro.runtime.executor import Executor
 
 
 @dataclass(frozen=True)
@@ -54,24 +50,16 @@ class RepeatedGame:
     Args:
         responder: the per-SC best-response engine.
         max_rounds: round budget before giving up.
-        executor: optional executor that computes the round's K best
-            responses concurrently.  Algorithm 1 updates simultaneously —
-            every SC responds to the *previous* round's profile — so the
-            responses are independent by construction and the parallel
-            round is identical to the serial one.  (Process executors
-            degrade to serial here: best responses share the evaluator's
-            in-memory state, which cannot cross process boundaries.)
+
+    The round's K best responses run one after another in this process:
+    they share the evaluator's in-memory caches, which cannot cross a
+    process boundary.  The parallel work of a round is the candidate
+    scoring inside each response (the responder's executor).
     """
 
-    def __init__(
-        self,
-        responder: BestResponder,
-        max_rounds: int = 200,
-        executor: "Executor | None" = None,
-    ) -> None:
+    def __init__(self, responder: BestResponder, max_rounds: int = 200) -> None:
         self.responder = responder
         self.max_rounds = check_positive_int(max_rounds, "max_rounds")
-        self.executor = executor
 
     def run(self, initial: Sequence[int] | None = None) -> GameResult:
         """Play until convergence from ``initial`` (default: share nothing).
@@ -118,16 +106,9 @@ class RepeatedGame:
         evaluator = self.responder.evaluator
         for round_number in range(1, self.max_rounds + 1):
             with obs.span("game.round", round=round_number) as round_span:
-                if self.executor is not None and self.executor.workers > 1 and k > 1:
-                    current = profile
-                    responses = self.executor.map(
-                        lambda i: self.responder.respond(current, i)[0], range(k)
-                    )
-                    next_profile = tuple(responses)
-                else:
-                    next_profile = tuple(
-                        self.responder.respond(profile, i)[0] for i in range(k)
-                    )
+                next_profile = tuple(
+                    self.responder.respond(profile, i)[0] for i in range(k)
+                )
                 changed = sum(
                     1 for a, b in zip(profile, next_profile) if a != b
                 )

@@ -13,14 +13,10 @@ from __future__ import annotations
 
 from collections import deque
 from collections.abc import Callable, Sequence
-from typing import TYPE_CHECKING
 
 from repro._validation import check_positive_int
 from repro import obs
 from repro.exceptions import GameError
-
-if TYPE_CHECKING:
-    from repro.runtime.executor import Executor
 
 
 class TabuSearch:
@@ -43,7 +39,6 @@ class TabuSearch:
         candidates: Sequence[int],
         objective: Callable[[int], float],
         start: int | None = None,
-        executor: "Executor | None" = None,
         scorer: "Callable[[list[int]], list[float]] | None" = None,
     ) -> tuple[int, float, int]:
         """Maximize ``objective`` over ``candidates``.
@@ -52,21 +47,15 @@ class TabuSearch:
             candidates: the (sorted or unsorted) strategy values.
             objective: maps a value to its utility.
             start: starting value (defaults to the first candidate).
-            executor: optional executor used to score the not-yet-cached
-                part of each neighborhood concurrently.  The serial path
-                scores the whole neighborhood anyway, so concurrent
-                scoring changes neither the trajectory nor the
-                evaluation count — ``objective`` must simply be safe to
-                call from the executor's workers (process executors fall
-                back to serial for non-picklable closures).
             scorer: optional batch twin of ``objective``: maps a list of
                 candidate values to their utilities, one call per
-                neighborhood.  When provided it replaces the
-                executor-mapped closure during prefetch — the caller can
-                hand in a picklable task pipeline (the best responder
-                does), which is what lets process pools score
-                neighborhoods without the closure fallback.  The scorer
-                must return exactly what ``objective`` would, in order.
+                neighborhood, scoring the not-yet-cached part of each
+                neighborhood at once.  This is the one batch lane: the
+                best responder hands in a scorer that ships picklable
+                tasks to its executor.  The serial path scores the whole
+                neighborhood anyway, so batch scoring changes neither the
+                trajectory nor the evaluation count — the scorer must
+                return exactly what ``objective`` would, in order.
 
         Returns:
             ``(best_value, best_objective, evaluations)``.
@@ -98,27 +87,18 @@ class TabuSearch:
             return value_cache[value]
 
         def prefetch(indices: list[int]) -> None:
-            # Score the uncached slice of a neighborhood in parallel; the
-            # results land in the cache, so the serial scoring loop below
-            # finds every value already computed.
+            # Batch-score the uncached slice of a neighborhood; the
+            # results land in the cache, so the scoring loop below finds
+            # every value already computed.
             nonlocal evaluations
             missing = sorted(
                 {ordered[idx] for idx in indices if ordered[idx] not in value_cache}
             )
-            if scorer is not None:
-                if not missing:
-                    return
-                for value, result in zip(missing, scorer(missing)):
-                    if value not in value_cache:
-                        value_cache[value] = result
-                        evaluations += 1
+            if not missing:
                 return
-            if executor is None or executor.workers <= 1 or len(missing) <= 1:
-                return
-            for value, result in zip(missing, executor.map(objective, missing)):
-                if value not in value_cache:
-                    value_cache[value] = result
-                    evaluations += 1
+            for value, result in zip(missing, scorer(missing)):
+                value_cache[value] = result
+                evaluations += 1
 
         best_idx = current_idx
         best_obj = evaluate(current_idx)
@@ -137,7 +117,8 @@ class TabuSearch:
             ]
             if not neighborhood:
                 break
-            prefetch(neighborhood)
+            if scorer is not None:
+                prefetch(neighborhood)
             scored = [(evaluate(idx), idx) for idx in neighborhood]
             scored.sort(key=lambda pair: (-pair[0], pair[1]))
             moved = False

@@ -15,11 +15,12 @@ checker's ``traced`` cell asserts a traced run is bit-identical to the
 untraced reference.
 
 Worker protocol: tracing is per-process (workers do not stream spans),
-but metrics cross executor boundaries.  :func:`map_with_metrics` wraps
-each task so it records into its own registry and returns
-``(result, snapshot)``; snapshots are merged back through the
-executor's *ordered* map, so merged counter totals equal a serial run's
-exactly.  The process-pool bootstrap
+but metrics cross executor boundaries.  With metrics on,
+:meth:`repro.runtime.executor.ProcessExecutor.map` wraps each task in a
+:class:`~repro.obs.metrics.MetricsTask`, so it records into its own
+registry and returns ``(result, snapshot)``; the snapshots are merged
+back in the *ordered* map's input order, so merged counter totals equal
+a serial run's exactly.  The process-pool bootstrap
 (:func:`repro.runtime.executor._worker_bootstrap`) replays the metrics
 switch into spawned workers, the same discipline as the sanitizer.
 
@@ -33,11 +34,10 @@ Typical usage::
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass
 from types import TracebackType
-from typing import TYPE_CHECKING, TypeVar
 
 import cProfile
 
@@ -47,13 +47,9 @@ from repro.obs.metrics import (
     DEFAULT_BUCKETS,
     MetricsRegistry,
     MetricsSnapshot,
-    MetricsTask,
     current_registry,
 )
 from repro.obs.tracing import NoopSpan, Span, Tracer, current_span
-
-if TYPE_CHECKING:
-    from repro.runtime.executor import Executor
 
 __all__ = [
     "Capture",
@@ -68,7 +64,6 @@ __all__ = [
     "current_span",
     "gauge",
     "inc",
-    "map_with_metrics",
     "metrics_active",
     "obs_disable",
     "obs_enable",
@@ -77,9 +72,6 @@ __all__ = [
     "suspended",
     "tracing_active",
 ]
-
-T = TypeVar("T")
-R = TypeVar("R")
 
 #: THE master switch.  Every hook reads this first; False short-circuits
 #: before any other state is touched, so the disabled path costs one
@@ -279,35 +271,3 @@ def suspended() -> Iterator[None]:
         yield
     finally:
         _active = saved
-
-
-# --------------------------------------------------------------------- #
-# the worker merge protocol
-# --------------------------------------------------------------------- #
-
-
-def map_with_metrics(
-    executor: "Executor",
-    fn: Callable[[T], R],
-    items: Sequence[T],
-) -> list[R]:
-    """``executor.map`` that carries worker metrics back to the caller.
-
-    With metrics off this is exactly ``executor.map(fn, items)``.  With
-    metrics on, each task records into its own registry and the per-task
-    snapshots are merged into the ambient registry *in input order* —
-    the same ordered-map discipline that makes parallel results
-    bit-identical to serial ones makes the merged totals exactly equal a
-    serial run's totals, on the serial and process backends alike.
-    """
-    items = list(items)
-    if not metrics_active():
-        return executor.map(fn, items)
-    task = MetricsTask(fn)
-    pairs = executor.map(task, items)
-    registry = _metrics_mod.current_registry()
-    results: list[R] = []
-    for result, snapshot in pairs:
-        registry.merge_snapshot(snapshot)
-        results.append(result)
-    return results

@@ -382,9 +382,9 @@ class MetricsTask:
     """Picklable task wrapper implementing the worker merge protocol.
 
     Wraps ``fn`` so each item runs under a fresh scoped registry and
-    returns ``(result, snapshot)``; the caller (usually
-    :func:`repro.obs.map_with_metrics`) merges the snapshots back in
-    input order.  ``fn`` must itself be picklable for process pools —
+    returns ``(result, snapshot)``; the caller
+    (:meth:`repro.runtime.executor.ProcessExecutor.map`) merges the
+    snapshots back in input order.  ``fn`` must itself be picklable for process pools —
     the same constraint the executor already imposes.
     """
 

@@ -338,10 +338,8 @@ class ApproximateModel(PerformanceModel):
                 return [self.evaluate_target(scenario, target=i) for i in range(k)]
         worker = self._worker_clone()
         with obs.span("perf.evaluate", k=k, backend="executor"):
-            return obs.map_with_metrics(
-                executor,
-                _evaluate_target_task,
-                [(worker, scenario, i) for i in range(k)],
+            return executor.map(
+                _evaluate_target_task, [(worker, scenario, i) for i in range(k)]
             )
 
     def _worker_clone(self) -> "ApproximateModel":

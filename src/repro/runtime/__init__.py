@@ -1,13 +1,14 @@
 """Parallel evaluation runtime and persistent model cache.
 
 The hot loops of the reproduction — approximate-model target rotation,
-Tabu neighborhood scoring, best-response rounds, simulation replications
-— are all embarrassingly parallel over independent deterministic tasks.
-This package supplies the shared machinery:
+best-response candidate scoring, simulation replications — are all
+embarrassingly parallel over independent deterministic tasks.  This
+package supplies the shared machinery:
 
 - :mod:`repro.runtime.executor` — ``SerialExecutor`` / ``ProcessExecutor``
-  behind one ``map`` interface with chunking and graceful serial
-  fallback;
+  behind one ``map`` interface with chunking and worker-metrics merging;
+  a process batch that cannot be pickled raises instead of running in
+  the parent;
 - :mod:`repro.runtime.seeding` — deterministic per-task seed derivation
   built on the same ``SeedSequence`` discipline as :mod:`repro.sim.rng`;
 - :mod:`repro.runtime.cache` — a persistent on-disk parameter cache

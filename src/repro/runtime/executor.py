@@ -16,18 +16,22 @@ or model configs), and makes nested parallelism safe: an inner ``map``
 issued from a worker gets a fresh pool instead of deadlocking on the
 outer one.
 
-:class:`ProcessExecutor` degrades gracefully: when the function or the
-items cannot be pickled (closures over live caches, lambdas), it runs
-the batch serially in the parent process — which is exactly what
-shared-state callers need for correctness — instead of crashing the
-pool.
+``map`` is the only way a batch runs, and it carries worker metrics
+back: with metrics on, :class:`ProcessExecutor` wraps every task in a
+:class:`~repro.obs.metrics.MetricsTask` and merges the per-task
+snapshots in input order, so merged counter totals equal a serial run's.
+
+A process batch really leaves the process or fails loudly: a function or
+item that cannot be pickled (a closure over live caches, a lambda) makes
+``map`` raise the pickling error.  Nothing falls back to running in the
+parent.  (A batch of at most one item is no batch: every backend runs it
+inline and counts nothing.)
 """
 
 from __future__ import annotations
 
 import concurrent.futures
 import os
-import pickle
 import time
 from abc import ABC, abstractmethod
 from collections.abc import Callable, Sequence
@@ -36,6 +40,7 @@ from typing import TypeVar
 from repro import obs
 from repro._validation import check_positive_int
 from repro.analysis import sanitize
+from repro.obs.metrics import MetricsSnapshot, MetricsTask, current_registry
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -74,6 +79,21 @@ def _count_batch(n_items: int) -> None:
     """
     obs.inc("runtime.executor.batches")
     obs.inc("runtime.executor.tasks", n_items)
+
+
+def _merge_worker_metrics(pairs: list[tuple[R, MetricsSnapshot]]) -> list[R]:
+    """Merge ``(result, snapshot)`` pairs into the ambient registry in
+    input order and return the bare results.
+
+    The ordered map that makes parallel results bit-identical to serial
+    ones makes the merged counter totals exactly equal a serial run's.
+    """
+    registry = current_registry()
+    results: list[R] = []
+    for result, snapshot in pairs:
+        registry.merge_snapshot(snapshot)
+        results.append(result)
+    return results
 
 
 def default_workers() -> int:
@@ -118,30 +138,21 @@ class SerialExecutor(Executor):
 
 
 class ProcessExecutor(Executor):
-    """Process-pool executor with serial fallback.
+    """Process-pool executor.
 
-    Processes sidestep the GIL, so this is the right executor for pure
+    Processes sidestep the GIL, so this is the executor for pure
     CPU-bound tasks built from picklable pieces (model + scenario
     payloads, simulator replications).  Results flow back by value; any
-    in-memory cache a worker fills stays in the worker, so shared-state
-    workloads gain nothing — and since those are exactly the workloads
-    whose closures fail to pickle, they fall back to correct serial
-    execution automatically.
+    in-memory cache a worker fills stays in the worker, so callers that
+    need worker solves in the parent ship them back with the result (see
+    :func:`repro.game.best_response._score_trial_task`).  ``fn`` and every
+    item must pickle: a batch that cannot leave the process raises.
     """
 
     def __init__(self, workers: int | None = None) -> None:
         self.workers = check_positive_int(
             workers if workers is not None else default_workers(), "workers"
         )
-
-    def _picklable(self, fn: Callable, items: Sequence) -> bool:
-        try:
-            pickle.dumps(fn)
-            if items:
-                pickle.dumps(items[0])
-        except Exception:
-            return False
-        return True
 
     def _pool(self) -> concurrent.futures.ProcessPoolExecutor:
         return concurrent.futures.ProcessPoolExecutor(
@@ -157,17 +168,16 @@ class ProcessExecutor(Executor):
         with obs.span("runtime.map", backend="process", tasks=len(items)):
             _count_batch(len(items))
             start = time.perf_counter()
-            if self.workers <= 1 or not self._picklable(fn, items):
-                if self.workers > 1:
-                    obs.inc("runtime.executor.pickle_fallback")
-                results = [fn(item) for item in items]
-            else:
-                with self._pool() as pool:
-                    results = list(
-                        pool.map(fn, items, chunksize=self.chunksize(len(items)))
-                    )
+            metrics = obs.metrics_active()
+            task = MetricsTask(fn) if metrics else fn
+            with self._pool() as pool:
+                outputs = list(
+                    pool.map(task, items, chunksize=self.chunksize(len(items)))
+                )
+            if metrics:
+                outputs = _merge_worker_metrics(outputs)
             obs.observe("runtime.batch_seconds", time.perf_counter() - start)
-            return results
+            return outputs
 
 
 def make_executor(workers: int | None) -> Executor:

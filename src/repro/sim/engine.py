@@ -149,13 +149,12 @@ class SimulationEngine:
     # running
     # ------------------------------------------------------------------ #
 
-    def run_until(self, horizon: float, max_events: int | None = None) -> None:
+    def run_until(self, horizon: float) -> None:
         """Run until simulated time reaches ``horizon``.
 
         Events scheduled exactly at the horizon are *not* executed; the
         clock is advanced to the horizon on return so time-weighted
-        statistics can be finalized consistently.  ``max_events`` bounds
-        the live events executed by this call.
+        statistics can be finalized consistently.
         """
         # `not >=` also rejects a NaN horizon, which no event time
         # compares at or beyond, so the run would never stop.
@@ -163,20 +162,19 @@ class SimulationEngine:
             raise SimulationError(
                 f"horizon {horizon} is in the past or NaN (now={self.now})"
             )
-        executed = self._drain(horizon, max_events)
+        executed = self._drain(horizon, -1)
         if executed:
             obs.inc("sim.engine.events", executed)
         self.now = max(self.now, horizon)
 
-    def _drain(self, horizon: float, max_events: int | None) -> int:
+    def _drain(self, horizon: float, limit: int) -> int:
         """Pop and execute live events before ``horizon``, at most
-        ``max_events`` of them; returns how many ran."""
+        ``limit`` of them (-1: no limit); returns how many ran."""
         heap = self._heap
         heappop = heapq.heappop
-        budget = -1 if max_events is None else max_events
         executed = 0
         try:
-            while heap and executed != budget:
+            while heap and executed != limit:
                 entry = heap[0]
                 event = entry[3]
                 if event is not None and event.cancelled:
@@ -185,10 +183,10 @@ class SimulationEngine:
                 if entry[0] >= horizon:
                     break
                 heappop(heap)
-                # An entry lies behind the clock only after a run that
-                # max_events stopped early moved the clock to its horizon.
-                if entry[0] > self.now:
-                    self.now = entry[0]
+                # No entry lies behind the clock: a drain to a horizon
+                # leaves only entries at or after it, and a step runs the
+                # earliest entry.
+                self.now = entry[0]
                 executed += 1
                 if event is not None:
                     event.callback()

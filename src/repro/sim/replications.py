@@ -133,7 +133,7 @@ def replicate(
             # included) so batch counters and merged metric totals are
             # backend-independent — the differential checker's
             # metrics-merge section relies on this.
-            all_results = obs.map_with_metrics(executor, _run_replication, tasks)
+            all_results = executor.map(_run_replication, tasks)
         else:
             all_results = [_run_replication(task) for task in tasks]
     for results in all_results:

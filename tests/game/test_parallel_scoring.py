@@ -1,9 +1,9 @@
 """Process-safe neighborhood scoring in the best responder.
 
-The batch scorer replaces the closure objective during Tabu/exhaustive
-prefetch with a picklable module-level task, so process pools genuinely
-score neighborhoods in parallel instead of silently falling back to
-serial.  The contract: same responses, same utilities, same evaluation
+The batch scorer scores Tabu neighborhoods and exhaustive scans through
+a picklable module-level task, so process pools genuinely score them in
+parallel (a closure would not pickle, and the pool would raise).  The
+contract: same responses, same utilities, same evaluation
 counts on every backend — parallel scoring is a performance knob, never
 a semantics knob.
 """
@@ -73,9 +73,9 @@ class TestScoreTask:
         assert utility == evaluator.utility([0, 1, 1, 0, 0], 0)
 
     def test_no_pickle_fallback_on_process_pool(self):
-        # The counter the old closure objective used to trip: a process
-        # pool that cannot pickle its task falls back to serial and
-        # records runtime.executor.pickle_fallback.
+        # The tasks solve in the workers, on shipped evaluator copies, and
+        # the workers' counts come back merged: one solve per trial, none
+        # of them in the parent.
         _, evaluator = make_responder()
         tasks = [
             (evaluator, (1, 1, 1, 0, 0), 0),
@@ -84,4 +84,5 @@ class TestScoreTask:
         with obs.capture(tracing=False, metrics=True) as cap:
             ProcessExecutor(workers=2).map(_score_trial_task, tasks)
         counters = dict(cap.snapshot().counter_view())
-        assert counters.get("runtime.executor.pickle_fallback", 0) == 0
+        assert counters["market.target.solve"] == 2
+        assert evaluator.total_evaluations == 0

@@ -120,7 +120,8 @@ class TestHooks:
 
 
 class TestMapWithMetrics:
-    """The worker merge protocol: totals are backend-independent."""
+    """``Executor.map`` with metrics on carries worker metrics back: merged
+    totals are backend-independent."""
 
     @staticmethod
     def _counts(executor) -> dict[str, int]:
@@ -140,7 +141,7 @@ class TestMapWithMetrics:
     def test_metrics_off_is_plain_map(self):
         calls = []
         executor = SerialExecutor()
-        assert obs.map_with_metrics(executor, lambda x: calls.append(x) or x, [1, 2]) == [1, 2]
+        assert executor.map(lambda x: calls.append(x) or x, [1, 2]) == [1, 2]
         assert calls == [1, 2]
 
     @pytest.mark.slow
@@ -153,6 +154,47 @@ class TestMapWithMetrics:
     def test_results_stay_in_input_order(self):
         executor = ProcessExecutor(workers=2)
         with obs.capture(tracing=False) as cap:
-            results = obs.map_with_metrics(executor, _square, list(range(10)))
-        assert "runtime.executor.pickle_fallback" not in dict(cap.snapshot().counter_view())
+            results = executor.map(_square, list(range(10)))
+        assert dict(cap.snapshot().counter_view())["runtime.executor.tasks"] == 10
         assert results == [x * x for x in range(10)]
+
+
+class TestHarnessWorkerMetrics:
+    """The figure harnesses' process batches carry worker counters back:
+    apart from the executor's own ``runtime.*`` bookkeeping, a process
+    run counts exactly what a serial run counts."""
+
+    @staticmethod
+    def _counts(run, executor) -> dict[str, int]:
+        with obs.capture(tracing=False, metrics=True) as cap:
+            run(executor)
+        return {
+            name: value
+            for name, value in cap.snapshot().counter_view().items()
+            if not name.startswith("runtime.")
+        }
+
+    def _assert_backends_agree(self, run, expected):
+        serial = self._counts(run, SerialExecutor())
+        for name in expected:
+            assert serial[name] > 0
+        assert self._counts(run, ProcessExecutor(2)) == serial
+
+    def test_fig5_simulation_counters(self):
+        from repro.bench.fig5 import run_fig5
+
+        self._assert_backends_agree(
+            lambda executor: run_fig5(
+                utilizations=(0.6,), horizon=300, executor=executor
+            ),
+            ("sim.arrivals", "sim.engine.events"),
+        )
+
+    @pytest.mark.slow
+    def test_fig6_solver_counters(self):
+        from repro.bench.fig6 import run_fig6_2sc
+
+        self._assert_backends_agree(
+            lambda executor: run_fig6_2sc(target_rates=(6.0,), executor=executor),
+            ("markov.solve.direct", "markov.solve.bicgstab", "perf.level_cache.miss"),
+        )

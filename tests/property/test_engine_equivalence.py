@@ -56,12 +56,13 @@ root_event = hyp.tuples(
 )
 
 
-def run_schedule(engine_type, roots, cancelled, budget):
+def run_schedule(engine_type, roots, cancelled, steps):
     """Run one generated schedule; return (log, events_executed, now, next).
 
     Callback and typed events share the heap; ``cancelled`` handles are
     cancelled before the run, and roots cancel more while it runs.  The
-    run stops after ``budget`` live events, if one is given.
+    first ``steps`` live events run one ``step()`` at a time, then
+    ``run_until`` resumes the partial run to the horizon.
     """
     engine = engine_type()
     log = []
@@ -95,20 +96,23 @@ def run_schedule(engine_type, roots, cancelled, budget):
     for index in cancelled:
         if handles:
             handles[index % len(handles)].cancel()
-    engine.run_until(16.0, max_events=budget)
+    for _ in range(steps):
+        engine.step()
+    engine.run_until(16.0)
     return log, engine.events_executed, engine.now, engine.peek_time()
 
 
 @given(
     roots=hyp.lists(root_event, min_size=0, max_size=8),
     cancelled=hyp.lists(hyp.integers(min_value=0, max_value=63), max_size=4),
-    budget=hyp.none() | hyp.integers(min_value=0, max_value=24),
+    steps=hyp.integers(min_value=0, max_value=24),
 )
 @settings(max_examples=50, deadline=None)
-def test_random_schedules_identical_across_modes(roots, cancelled, budget):
-    """Callback, typed and cancelled events log identically to the oracle."""
-    reference = run_schedule(OracleEngine, roots, cancelled, budget)
-    assert run_schedule(SimulationEngine, roots, cancelled, budget) == reference
+def test_random_schedules_identical_across_modes(roots, cancelled, steps):
+    """Callback, typed and cancelled events log identically to the oracle,
+    also when a run resumes after single steps."""
+    reference = run_schedule(OracleEngine, roots, cancelled, steps)
+    assert run_schedule(SimulationEngine, roots, cancelled, steps) == reference
 
 
 # --------------------------------------------------------------------- #

@@ -1,6 +1,6 @@
 """Property-based tests: metrics-snapshot merge algebra.
 
-The worker merge protocol (``obs.map_with_metrics``) is only correct if
+The worker merge protocol (``ProcessExecutor.map``) is only correct if
 snapshot merging is associative and commutative — the merged totals must
 not depend on how the executor happened to batch the work.  Observations
 are integer-valued in these tests: counter and bucket *counts* are the

@@ -1,5 +1,7 @@
 """Tests for the executor abstraction."""
 
+import threading
+
 import pytest
 
 from repro.runtime.executor import (
@@ -33,22 +35,22 @@ class TestMapContract:
 
 
 class TestFallbacks:
-    def test_process_executor_falls_back_on_closures(self):
+    """There is no in-parent fallback: a process batch leaves the process
+    or raises."""
+
+    def test_process_executor_raises_on_unpicklable_payloads(self):
         captured = []
 
         def closure(x):
             captured.append(x)
             return -x
 
-        result = ProcessExecutor(2).map(closure, [1, 2, 3])
-        assert result == [-1, -2, -3]
-        # Serial in-parent fallback: the closure's side effects are visible.
-        assert captured == [1, 2, 3]
-
-    def test_process_executor_falls_back_on_unpicklable_items(self):
-        lock_like = [lambda: None]
-        result = ProcessExecutor(2).map(lambda f: 1, lock_like)
-        assert result == [1]
+        with pytest.raises(Exception, match="pickle"):
+            ProcessExecutor(2).map(closure, [1, 2, 3])
+        with pytest.raises(Exception, match="pickle"):
+            ProcessExecutor(2).map(_square, [1, threading.Lock(), 3])
+        # Nothing ran in the parent.
+        assert captured == []
 
     def test_single_item_runs_inline(self):
         assert ProcessExecutor(4).map(_square, [7]) == [49]

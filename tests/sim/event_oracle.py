@@ -109,18 +109,14 @@ class OracleEngine:
             return True
         return False
 
-    def run_until(self, horizon: float, max_events: int | None = None) -> None:
+    def run_until(self, horizon: float) -> None:
         if not horizon >= self.now:
             raise SimulationError(f"horizon {horizon} is in the past or NaN (now={self.now})")
-        executed = 0
         while True:
             next_time = self.peek_time()
             if next_time is None or next_time >= horizon:
                 break
-            if max_events is not None and executed >= max_events:
-                break
             self.step()
-            executed += 1
         self.now = max(self.now, horizon)
 
 

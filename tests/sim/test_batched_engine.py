@@ -45,7 +45,7 @@ class TestTypedEvents:
 
 
 class TestScheduleBlock:
-    """A block of events scheduled up front, drained to a horizon or a budget."""
+    """A block of events scheduled up front, drained to a horizon."""
 
     def test_pending_counts_block_remainders(self):
         engine = SimulationEngine()
@@ -55,19 +55,6 @@ class TestScheduleBlock:
         assert engine.pending == 4
         engine.run_until(2.5)
         assert engine.pending == 1
-
-    def test_max_events_budget_respected(self):
-        engine = SimulationEngine()
-        count = [0]
-        engine.typed_dispatch = lambda code, a, b: count.__setitem__(0, count[0] + 1)
-        for delay in (0.5, 1.0, 1.5):
-            engine.schedule(delay, lambda: count.__setitem__(0, count[0] + 1))
-        engine.schedule_typed(2.0, 0)
-        engine.run_until(10.0, max_events=2)
-        assert count[0] == 2
-        assert engine.events_executed == 2
-        assert engine.pending == 2
-        assert engine.now == 10.0
 
 
 class TestMergedStepping:

@@ -95,18 +95,6 @@ class TestHorizon:
         with pytest.raises(SimulationError):
             engine.run_until(1.0)
 
-    def test_max_events_bound(self):
-        engine = SimulationEngine()
-        count = []
-
-        def tick():
-            count.append(1)
-            engine.schedule(0.1, tick)
-
-        engine.schedule(0.1, tick)
-        engine.run_until(1000.0, max_events=7)
-        assert len(count) == 7
-
     def test_events_executed_counter(self):
         engine = SimulationEngine()
         for i in range(4):
@@ -147,7 +135,6 @@ class TestNaNRejected:
             engine.schedule(0.1, tick)
 
         engine.schedule(0.1, tick)
-        # The budget only bounds the damage if the horizon were ignored.
         with pytest.raises(SimulationError, match="NaN"):
-            engine.run_until(float("nan"), max_events=5000)
+            engine.run_until(float("nan"))
         assert ticks == []
