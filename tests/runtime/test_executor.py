@@ -38,7 +38,11 @@ class TestFallbacks:
     """There is no in-parent fallback: a process batch leaves the process
     or raises."""
 
-    def test_process_executor_raises_on_unpicklable_payloads(self):
+    # These two tests keep the names they had when an unpicklable batch
+    # fell back to running serially in the parent; they now assert the
+    # opposite: the pool raises the pickling error and nothing runs here.
+
+    def test_process_executor_falls_back_on_closures(self):
         captured = []
 
         def closure(x):
@@ -47,10 +51,11 @@ class TestFallbacks:
 
         with pytest.raises(Exception, match="pickle"):
             ProcessExecutor(2).map(closure, [1, 2, 3])
+        assert captured == []
+
+    def test_process_executor_falls_back_on_unpicklable_items(self):
         with pytest.raises(Exception, match="pickle"):
             ProcessExecutor(2).map(_square, [1, threading.Lock(), 3])
-        # Nothing ran in the parent.
-        assert captured == []
 
     def test_single_item_runs_inline(self):
         assert ProcessExecutor(4).map(_square, [7]) == [49]
