@@ -73,11 +73,6 @@ class SimulationEngine:
         #: replaces per-event closures on the hot path).
         self.typed_dispatch: Callable[[int, int, int], None] | None = None
 
-    def _next_seq(self) -> int:
-        seq = self._seq
-        self._seq = seq + 1
-        return seq
-
     # ------------------------------------------------------------------ #
     # scheduling
     # ------------------------------------------------------------------ #
@@ -93,15 +88,15 @@ class SimulationEngine:
         # heap comparing false against every key.
         if not delay >= 0.0:
             raise SimulationError(f"cannot schedule in the past or at NaN (delay={delay})")
+        seq = self._seq
+        self._seq = seq + 1
         event = Event(
             time=self.now + delay,
             priority=priority,
-            sequence=self._next_seq(),
+            sequence=seq,
             callback=callback,
         )
-        heapq.heappush(
-            self._heap, [event.time, priority, event.sequence, event, -1, 0, 0]
-        )
+        heapq.heappush(self._heap, [event.time, priority, seq, event, -1, 0, 0])
         return event
 
     def schedule_at(
@@ -120,10 +115,9 @@ class SimulationEngine:
         """
         if not delay >= 0.0:
             raise SimulationError(f"cannot schedule in the past or at NaN (delay={delay})")
-        heapq.heappush(
-            self._heap,
-            [self.now + delay, priority, self._next_seq(), None, code, a, b],
-        )
+        seq = self._seq
+        self._seq = seq + 1
+        heapq.heappush(self._heap, [self.now + delay, priority, seq, None, code, a, b])
 
     # ------------------------------------------------------------------ #
     # introspection and stepping
@@ -172,6 +166,9 @@ class SimulationEngine:
         ``limit`` of them (-1: no limit); returns how many ran."""
         heap = self._heap
         heappop = heapq.heappop
+        # Looked up once per drain: the simulator installs its receiver
+        # before it schedules its first typed event.
+        dispatch = self.typed_dispatch
         executed = 0
         try:
             while heap and executed != limit:
@@ -191,7 +188,6 @@ class SimulationEngine:
                 if event is not None:
                     event.callback()
                     continue
-                dispatch = self.typed_dispatch
                 if dispatch is None:
                     raise SimulationError("typed event scheduled without a typed_dispatch")
                 dispatch(entry[4], entry[5], entry[6])

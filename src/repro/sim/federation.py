@@ -89,7 +89,15 @@ class _CloudState:
     time, for every cloud whose counters changed during an event, *after*
     the mutation (the integral attributes the pre-mutation value to the
     elapsed interval because integration happens before the snapshot is
-    refreshed).
+    refreshed).  The calls may not be merged or moved: integrating one
+    interval in two pieces changes the float sum
+    (``s*dt1 + s*dt2 != s*(dt1 + dt2)``), and the outputs are pinned bit
+    for bit.
+
+    The ``busy``/``free``/``backlog``/``load`` properties serve the
+    conservation check, the failure code and the tests; the per-event
+    handlers of :class:`FederationSimulator` read the fields they derive
+    from directly, one attribute lookup instead of a property call.
     """
 
     __slots__ = (
@@ -169,7 +177,10 @@ class _CloudState:
         """The load-balancing metric ``q_i + s_{i,i}`` of the paper."""
         return self.own_running + len(self.queue_arrival_times) + self.lent_total
 
-    # Called on every arrival/departure/forward event.
+    # Called on every arrival/departure/forward event.  The two busiest
+    # call sites, the end of FederationSimulator._on_arrival and the
+    # owner's refresh in _on_completion, inline this body (one Python
+    # call less on every event); keep the three copies in step.
     def record(self, time: float) -> None:
         """Integrate the previous snapshot up to ``time`` and re-snapshot."""
         dt = time - self._last_time
@@ -250,6 +261,10 @@ class FederationSimulator:
                 "service_distributions must have one entry per SC"
             )
         self.service = service_distributions
+        # Per-SC constants of the per-event handlers, computed once.  A
+        # flash-crowd window recomputes 1.0 / (rate * factor) instead.
+        self._arrival_mean = [1.0 / c.arrival_rate for c in scenario]
+        self._service_rate = [c.service_rate for c in scenario]
         if arrival_processes is not None and len(arrival_processes) != self.k:
             raise SimulationError("arrival_processes must have one entry per SC")
         self.arrivals = arrival_processes
@@ -278,8 +293,16 @@ class FederationSimulator:
             else None
             for i in range(self.k)
         ]
+        self._service_mean = [
+            self.service[i].mean() if block is not None else 0.0
+            for i, block in enumerate(self._service_block)
+        ]
         self._sla_block = UniformBlock(sla_rng)
+        # SCs whose own queue is not empty: a freed VM looks for a
+        # borrower only when some SC has a backlog.
+        self._backlogged = 0
         self.engine.typed_dispatch = self._dispatch
+        self._schedule_typed = self.engine.schedule_typed
         # Failure injection: active-window state plus scheduled
         # transitions at priority -1 (before same-time arrivals).
         self.failures: tuple[FailureWindow, ...] = tuple(failures or ())
@@ -318,24 +341,25 @@ class FederationSimulator:
         if self.arrivals is not None:
             delay = float(self.arrivals[sc].next_interarrival())
         else:
-            rate = self.scenario[sc].arrival_rate
             factor = self._arrival_factor[sc]
-            if factor != 1.0:
-                rate = rate * factor
-            delay = self._arrival_block[sc].next(1.0 / rate)
-        self.engine.schedule_typed(delay, _EV_ARRIVAL, sc)
+            if factor == 1.0:
+                mean = self._arrival_mean[sc]
+            else:
+                mean = 1.0 / (self.scenario[sc].arrival_rate * factor)
+            delay = self._arrival_block[sc].next(mean)
+        self._schedule_typed(delay, _EV_ARRIVAL, sc)
 
     # One call per service start.
     def _schedule_completion(self, owner: int, host: int) -> None:
         block = self._service_block[host]
         if block is not None:
-            duration = block.next(self.service[host].mean())
+            duration = block.next(self._service_mean[host])
         else:
             duration = self.service[host].sample(self._service_rng[host])
         factor = self._service_factor[host]
         if factor != 1.0:
             duration = duration * factor
-        self.engine.schedule_typed(duration, _EV_COMPLETION, owner, host)
+        self._schedule_typed(duration, _EV_COMPLETION, owner, host)
 
     def _dispatch(self, code: int, a: int, b: int) -> None:
         """Typed-event receiver for the engine."""
@@ -358,7 +382,8 @@ class FederationSimulator:
     def _on_failure_start(self, window: FailureWindow) -> None:
         sc = window.sc
         state = self.clouds[sc]
-        self._emit("failure_start", failure=window.kind, sc=sc, factor=window.factor)
+        if self.trace is not None:
+            self._emit("failure_start", failure=window.kind, sc=sc, factor=window.factor)
         if window.kind == "outage":
             self._out[sc] = True
             # Flush the queue to the public cloud: a dead SC cannot honor
@@ -366,9 +391,11 @@ class FederationSimulator:
             flushed = len(state.queue_arrival_times)
             if flushed:
                 state.queue_arrival_times.clear()
+                self._backlogged -= 1
                 if self._measuring:
                     state.forwarded += flushed
-                self._emit("outage_flush", sc=sc, flushed=flushed)
+                if self.trace is not None:
+                    self._emit("outage_flush", sc=sc, flushed=flushed)
             state.record(self.engine.now)
         elif window.kind == "limplock":
             self._service_factor[sc] = window.factor
@@ -377,7 +404,8 @@ class FederationSimulator:
 
     def _on_failure_end(self, window: FailureWindow) -> None:
         sc = window.sc
-        self._emit("failure_end", failure=window.kind, sc=sc)
+        if self.trace is not None:
+            self._emit("failure_end", failure=window.kind, sc=sc)
         if window.kind == "outage":
             self._out[sc] = False
         elif window.kind == "limplock":
@@ -386,108 +414,161 @@ class FederationSimulator:
             self._arrival_factor[sc] = 1.0
 
     def _emit(self, kind: str, **fields: object) -> None:
-        if self.trace is not None:
-            self.trace.record(self.engine.now, kind, **fields)
+        """Record a trace event; callers check ``self.trace is not None``
+        first, so an untraced run builds no keyword dict per event."""
+        assert self.trace is not None
+        self.trace.record(self.engine.now, kind, **fields)
 
     # ------------------------------------------------------------------ #
     # semantics
     # ------------------------------------------------------------------ #
 
+    # The handlers below run once per event.  They read the _CloudState
+    # fields themselves (``vms - own_running - lent_total`` for ``free``,
+    # ``len(queue_arrival_times)`` for ``backlog``) rather than through
+    # the properties, build a trace event only when a trace is attached,
+    # and refresh statistics exactly where the ``record`` contract places
+    # it, for the same clouds at the same times.
+
     def _on_arrival(self, sc: int) -> None:
         self._schedule_arrival(sc)
         state = self.clouds[sc]
         now = self.engine.now
-        if self._measuring:
+        measuring = self._measuring
+        if measuring:
             state.arrivals += 1
         if self._out[sc]:
             # The SC is down: its customers go straight to the public
             # cloud (no local VMs, no borrowing, no queueing under an
             # unhonorable SLA).
-            if self._measuring:
+            if measuring:
                 state.forwarded += 1
-            self._emit("outage_forward", sc=sc)
-        elif state.free > 0:
+            if self.trace is not None:
+                self._emit("outage_forward", sc=sc)
+        elif state.own_running + state.lent_total < state.vms:
             state.own_running += 1
             self._schedule_completion(sc, sc)
-            self._emit("serve_local", sc=sc)
+            if self.trace is not None:
+                self._emit("serve_local", sc=sc)
         else:
             lender = self._pick_lender(sc)
             if lender is not None:
                 host = self.clouds[lender]
-                host.lent_to[sc] = host.lent_to.get(sc, 0) + 1
+                lent_to = host.lent_to
+                lent_to[sc] = lent_to.get(sc, 0) + 1
                 host.lent_total += 1
                 state.borrowed_count += 1
                 self._schedule_completion(sc, lender)
-                self._emit("serve_borrowed", sc=sc, host=lender)
+                if self.trace is not None:
+                    self._emit("serve_borrowed", sc=sc, host=lender)
                 host.record(now)
             else:
                 self._queue_or_forward(sc)
-        state.record(now)
+        # The body of state.record(now), inlined (see _CloudState.record).
+        dt = now - state._last_time
+        if dt > 0.0:
+            state._integ_busy += state._snap_busy * dt
+            state._integ_lent += state._snap_lent * dt
+            state._integ_borrowed += state._snap_borrowed * dt
+            state._integ_queue += state._snap_queue * dt
+            state._last_time = now
+        state._snap_busy = state.own_running + state.lent_total
+        state._snap_lent = state.lent_total
+        state._snap_borrowed = state.borrowed_count
+        state._snap_queue = len(state.queue_arrival_times)
 
     def _pick_lender(self, sc: int) -> int | None:
-        """Lender with a free VM, sharing headroom, and minimum load."""
+        """Lender with a free VM, sharing headroom, and minimum load.
+
+        Candidates are scanned in index order; a tie on the minimum load
+        is broken uniformly by one ``integers`` draw on the choice stream.
+        """
         out = self._out
-        candidates = [
-            j
-            for j in range(self.k)
-            if j != sc
-            and not out[j]
-            and self.clouds[j].free > 0
-            and self.clouds[j].lent_total < self.clouds[j].share_limit
-        ]
-        if not candidates:
-            return None
-        loads = [self.clouds[j].load for j in candidates]
-        best = min(loads)
-        tied = [j for j, load in zip(candidates, loads) if load == best]
-        if len(tied) == 1:
-            return tied[0]
+        best = -1
+        tied: list[int] = []
+        for j, cloud in enumerate(self.clouds):
+            if j == sc or out[j]:
+                continue
+            lent = cloud.lent_total
+            running = cloud.own_running
+            if running + lent >= cloud.vms or lent >= cloud.share_limit:
+                continue
+            load = running + len(cloud.queue_arrival_times) + lent
+            if best < 0 or load < best:
+                best = load
+                tied = [j]
+            elif load == best:
+                tied.append(j)
+        if len(tied) <= 1:
+            return tied[0] if tied else None
         return int(tied[self._choice_rng.integers(len(tied))])
 
     def _queue_or_forward(self, sc: int) -> None:
         state = self.clouds[sc]
-        config = self.scenario[sc]
-        busy_for_own = state.own_running + state.borrowed_count
+        queue = state.queue_arrival_times
+        backlog = len(queue)
         p_queue = prob_no_forward(
-            state.backlog, busy_for_own, config.service_rate, config.sla_bound
+            backlog,
+            state.own_running + state.borrowed_count,
+            self._service_rate[sc],
+            state.sla_bound,
         )
         if self._sla_block.next() < p_queue:
-            state.queue_arrival_times.append(self.engine.now)
-            self._emit("queue", sc=sc, backlog=state.backlog)
+            queue.append(self.engine.now)
+            if not backlog:
+                self._backlogged += 1
+            if self.trace is not None:
+                self._emit("queue", sc=sc, backlog=backlog + 1)
         else:
             if self._measuring:
                 state.forwarded += 1
-            self._emit("forward", sc=sc)
+            if self.trace is not None:
+                self._emit("forward", sc=sc)
 
     def _on_completion(self, owner: int, host: int) -> None:
-        host_state = self.clouds[host]
-        owner_state = self.clouds[owner]
+        clouds = self.clouds
+        host_state = clouds[host]
         if owner == host:
             if host_state.own_running <= 0:
                 raise SimulationError("completion with no running own request")
             host_state.own_running -= 1
             if self._measuring:
-                owner_state.served_locally += 1
+                host_state.served_locally += 1
+            owner_state = host_state
         else:
-            count = host_state.lent_to.get(owner, 0)
+            owner_state = clouds[owner]
+            lent_to = host_state.lent_to
+            count = lent_to.get(owner, 0)
             if count <= 0:
                 raise SimulationError("completion of untracked borrowed VM")
             if count == 1:
-                del host_state.lent_to[owner]
+                del lent_to[owner]
             else:
-                host_state.lent_to[owner] = count - 1
+                lent_to[owner] = count - 1
             host_state.lent_total -= 1
             owner_state.borrowed_count -= 1
             if self._measuring:
                 owner_state.served_borrowed += 1
-        self._emit("complete", owner=owner, host=host)
+        if self.trace is not None:
+            self._emit("complete", owner=owner, host=host)
         extra = self._allocate_freed_vm(host)
         now = self.engine.now
-        owner_state.record(now)
+        # The body of owner_state.record(now), inlined (see _CloudState.record).
+        dt = now - owner_state._last_time
+        if dt > 0.0:
+            owner_state._integ_busy += owner_state._snap_busy * dt
+            owner_state._integ_lent += owner_state._snap_lent * dt
+            owner_state._integ_borrowed += owner_state._snap_borrowed * dt
+            owner_state._integ_queue += owner_state._snap_queue * dt
+            owner_state._last_time = now
+        owner_state._snap_busy = owner_state.own_running + owner_state.lent_total
+        owner_state._snap_lent = owner_state.lent_total
+        owner_state._snap_borrowed = owner_state.borrowed_count
+        owner_state._snap_queue = len(owner_state.queue_arrival_times)
         if host != owner:
             host_state.record(now)
-        if extra is not None and extra not in (owner, host):
-            self.clouds[extra].record(now)
+        if extra is not None and extra != owner and extra != host:
+            clouds[extra].record(now)
 
     def _allocate_freed_vm(self, host: int) -> int | None:
         """Dispatch the VM freed at ``host`` per the paper's return rules.
@@ -496,43 +577,50 @@ class FederationSimulator:
         whose queued request was started), if any, so the caller can
         refresh its statistics.
         """
-        state = self.clouds[host]
         if self._out[host]:
             # A dead SC neither serves its (flushed, empty) queue nor
             # lends freed capacity; the VM idles until recovery.
             return None
-        if state.backlog > 0:
+        state = self.clouds[host]
+        if state.queue_arrival_times:
             # Owner priority: serve the host's own queue head.
             self._start_queued(host, host)
             return None
-        if state.lent_total < state.share_limit:
+        if self._backlogged and state.lent_total < state.share_limit:
             borrower = self._pick_borrower(host)
             if borrower is not None:
                 self._start_queued(borrower, host)
-                self._emit("lend_freed", host=host, borrower=borrower)
+                if self.trace is not None:
+                    self._emit("lend_freed", host=host, borrower=borrower)
                 return borrower
         return None
 
     def _pick_borrower(self, host: int) -> int | None:
         """Borrower with the maximum backlog (uniform tie-break)."""
-        candidates = [
-            j for j in range(self.k) if j != host and self.clouds[j].backlog > 0
-        ]
-        if not candidates:
-            return None
-        backlogs = [self.clouds[j].backlog for j in candidates]
-        best = max(backlogs)
-        tied = [j for j, b in zip(candidates, backlogs) if b == best]
-        if len(tied) == 1:
-            return tied[0]
+        best = 0
+        tied: list[int] = []
+        for j, cloud in enumerate(self.clouds):
+            backlog = len(cloud.queue_arrival_times)
+            if backlog < best or not backlog or j == host:
+                continue
+            if backlog > best:
+                best = backlog
+                tied = [j]
+            else:
+                tied.append(j)
+        if len(tied) <= 1:
+            return tied[0] if tied else None
         return int(tied[self._choice_rng.integers(len(tied))])
 
     def _start_queued(self, owner: int, host: int) -> None:
         """Move the FCFS head of ``owner``'s queue onto a VM at ``host``."""
         owner_state = self.clouds[owner]
-        queued_at = owner_state.queue_arrival_times.popleft()
-        wait = self.engine.now - queued_at
+        queue = owner_state.queue_arrival_times
+        queued_at = queue.popleft()
+        if not queue:
+            self._backlogged -= 1
         if self._measuring:
+            wait = self.engine.now - queued_at
             owner_state.wait_acc.add(wait)
             if wait > owner_state.sla_bound + 1e-12:
                 owner_state.sla_violations += 1
@@ -540,7 +628,8 @@ class FederationSimulator:
             owner_state.own_running += 1
         else:
             host_state = self.clouds[host]
-            host_state.lent_to[owner] = host_state.lent_to.get(owner, 0) + 1
+            lent_to = host_state.lent_to
+            lent_to[owner] = lent_to.get(owner, 0) + 1
             host_state.lent_total += 1
             owner_state.borrowed_count += 1
         self._schedule_completion(owner, host)
@@ -621,6 +710,12 @@ class FederationSimulator:
                 raise SimulationError(
                     f"SC {state.index}: borrowed bookkeeping mismatch"
                 )
+        backlogged = sum(1 for state in self.clouds if state.backlog > 0)
+        if backlogged != self._backlogged:
+            raise SimulationError(
+                f"{self._backlogged} SCs counted as backlogged, "
+                f"{backlogged} queues are non-empty"
+            )
 
 
 class _Transition:

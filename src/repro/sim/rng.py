@@ -27,6 +27,11 @@ stream — so for every stream the mapping is:
 - ``Generator.random()`` repeated n times == ``Generator.random(n)``
   (one 53-bit double per call, :class:`UniformBlock`).
 
+A block is held as the Python list ``ndarray.tolist()`` returns: each
+float64 converts to the Python float of the same bits, so serving
+``buffer[i] * scale`` from the list equals ``float(array[i]) * scale``
+without a NumPy scalar conversion per draw.
+
 Variable-argument draws (``integers(n)`` tie-breaking, non-exponential
 ``sample()``) are *not* blocked: they stay scalar calls on their own
 streams.  This per-stream equality is what lets the test suite's scalar
@@ -68,10 +73,12 @@ class RandomStreams:
         return list(self._streams)
 
 
-#: Default pre-draw block length.  Big enough to amortize the NumPy call
-#: overhead to nothing, small enough that an abandoned block wastes only
-#: a few KiB of draws.
-DEFAULT_BLOCK = 4096
+#: Default pre-draw block length.  One NumPy call and one ``tolist`` per
+#: 512 draws costs nothing next to the events they feed, and a 512-entry
+#: list of Python floats holds about 16 KiB per stream; 4,096 entries
+#: would hold about 130 KiB per stream, most of it never drawn in a
+#: short run.
+DEFAULT_BLOCK = 512
 
 
 class ExponentialBlock:
@@ -90,7 +97,7 @@ class ExponentialBlock:
     def __init__(self, rng: np.random.Generator, block: int = DEFAULT_BLOCK) -> None:
         self._rng = rng
         self._block = check_positive_int(block, "block")
-        self._buffer = rng.standard_exponential(self._block)
+        self._buffer: list[float] = rng.standard_exponential(self._block).tolist()
         self._index = 0
         self.refills = 1
 
@@ -99,11 +106,11 @@ class ExponentialBlock:
         """The next variate, distributed ``Exponential(mean=scale)``."""
         index = self._index
         if index >= self._block:
-            self._buffer = self._rng.standard_exponential(self._block)
+            self._buffer = self._rng.standard_exponential(self._block).tolist()
             self.refills += 1
             index = 0
         self._index = index + 1
-        return float(self._buffer[index]) * scale
+        return self._buffer[index] * scale
 
 
 class UniformBlock:
@@ -118,7 +125,7 @@ class UniformBlock:
     def __init__(self, rng: np.random.Generator, block: int = DEFAULT_BLOCK) -> None:
         self._rng = rng
         self._block = check_positive_int(block, "block")
-        self._buffer = rng.random(self._block)
+        self._buffer: list[float] = rng.random(self._block).tolist()
         self._index = 0
         self.refills = 1
 
@@ -127,8 +134,8 @@ class UniformBlock:
         """The next variate, uniform on [0, 1)."""
         index = self._index
         if index >= self._block:
-            self._buffer = self._rng.random(self._block)
+            self._buffer = self._rng.random(self._block).tolist()
             self.refills += 1
             index = 0
         self._index = index + 1
-        return float(self._buffer[index])
+        return self._buffer[index]

@@ -76,9 +76,13 @@ class MMPPProcess:
             raise ConfigurationError("phase generator rows must sum to zero")
         self._rng = rng
         self.phase = 0
-
-    def _phase_exit_rate(self) -> float:
-        return -float(self.generator[self.phase, self.phase])
+        # Per-phase Python floats for the sampling loop: the same values
+        # ``float(rates[p])`` and ``-float(generator[p, p])`` would read,
+        # without a NumPy scalar conversion per draw.
+        self._phase_rates: list[float] = self.rates.tolist()
+        self._exit_rates: list[float] = [
+            -float(self.generator[p, p]) for p in range(m)
+        ]
 
     def _jump_phase(self) -> None:
         row = self.generator[self.phase].copy()
@@ -89,20 +93,21 @@ class MMPPProcess:
 
     def next_interarrival(self) -> float:
         """Sample the time until the next arrival (advancing phases)."""
+        rng = self._rng
         elapsed = 0.0
         while True:
-            rate = float(self.rates[self.phase])
-            exit_rate = self._phase_exit_rate()
+            phase = self.phase
+            rate = self._phase_rates[phase]
+            exit_rate = self._exit_rates[phase]
             if exit_rate <= 0.0:
                 if rate <= 0.0:
                     raise ConfigurationError(
                         "absorbing MMPP phase with zero arrival rate"
                     )
-                return elapsed + float(self._rng.exponential(1.0 / rate))
+                return elapsed + float(rng.exponential(1.0 / rate))
             total = rate + exit_rate
-            step = float(self._rng.exponential(1.0 / total))
-            elapsed += step
-            if self._rng.random() < rate / total:
+            elapsed += float(rng.exponential(1.0 / total))
+            if rng.random() < rate / total:
                 return elapsed
             self._jump_phase()
 

@@ -97,6 +97,27 @@ class TestRngBlocks:
             assert block.next() == scalar.random()
         assert block.refills == 4
 
+    @pytest.mark.parametrize("size", [1, 7, 512])
+    def test_exponential_block_serves_python_floats_across_refills(self, size):
+        block = ExponentialBlock(np.random.Generator(np.random.PCG64(11)), block=size)
+        scalar = np.random.Generator(np.random.PCG64(11))
+        for i in range(3 * size + 1):  # four blocks, the last one draw long
+            scale = 0.5 + 0.01 * i
+            value = block.next(scale)
+            assert type(value) is float
+            assert value == scalar.exponential(scale)
+        assert block.refills == 4
+
+    @pytest.mark.parametrize("size", [1, 7, 512])
+    def test_uniform_block_serves_python_floats_across_refills(self, size):
+        block = UniformBlock(np.random.Generator(np.random.PCG64(13)), block=size)
+        scalar = np.random.Generator(np.random.PCG64(13))
+        for _ in range(3 * size + 1):
+            value = block.next()
+            assert type(value) is float
+            assert value == scalar.random()
+        assert block.refills == 4
+
     def test_default_block_size(self):
         block = ExponentialBlock(np.random.Generator(np.random.PCG64(1)))
         assert block._block == DEFAULT_BLOCK

@@ -227,6 +227,27 @@ class TestOutage:
             for e in trace.of_kind("serve_local")
         )
 
+    def test_flush_of_a_non_empty_queue_keeps_the_backlog_count(self):
+        """The flush leaves SC 0's queue empty and the count of SCs with
+        a backlog in step, so the run's conservation check passes."""
+        jammed = federation(
+            SmallCloud(name="jam", vms=2, arrival_rate=2.4, shared_vms=0, sla_bound=5.0),
+            SmallCloud(name="calm", vms=2, arrival_rate=0.5, shared_vms=1, sla_bound=5.0),
+        )
+        window = FailureWindow(kind="outage", sc=0, start=100.0, end=150.0)
+        simulator, _, trace = run_traced(jammed, (window,))
+        flushes = [e.as_dict()["flushed"] for e in trace.of_kind("outage_flush")]
+        assert flushes and flushes[0] > 0
+        assert simulator._backlogged == sum(
+            1 for state in simulator.clouds if state.backlog > 0
+        )
+
+    def test_conservation_check_catches_a_stale_backlog_count(self):
+        simulator, _, _ = run_traced(loaded_pair(), self.failures)
+        simulator._backlogged += 1
+        with pytest.raises(SimulationError, match="backlogged"):
+            simulator._check_conservation()
+
 
 class TestLimplock:
     failures = (

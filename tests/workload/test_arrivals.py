@@ -31,6 +31,24 @@ class TestPoissonProcess:
             PoissonProcess(0.0, rng())
 
 
+def reference_interarrival(process):
+    """The scalar sampling loop, reading the NumPy arrays on every draw."""
+    elapsed = 0.0
+    while True:
+        rate = float(process.rates[process.phase])
+        exit_rate = -float(process.generator[process.phase, process.phase])
+        if exit_rate <= 0.0:
+            if rate <= 0.0:
+                raise ConfigurationError("absorbing MMPP phase with zero arrival rate")
+            return elapsed + float(process._rng.exponential(1.0 / rate))
+        total = rate + exit_rate
+        step = float(process._rng.exponential(1.0 / total))
+        elapsed += step
+        if process._rng.random() < rate / total:
+            return elapsed
+        process._jump_phase()
+
+
 class TestMMPPProcess:
     def two_phase(self, seed=0, rates=(1.0, 10.0), switch=1.0):
         generator = [[-switch, switch], [switch, -switch]]
@@ -76,3 +94,33 @@ class TestMMPPProcess:
     def test_negative_off_diagonal_rejected(self):
         with pytest.raises(ConfigurationError):
             MMPPProcess([1.0, 1.0], [[1.0, -1.0], [1.0, -1.0]], rng())
+
+    def test_draws_equal_the_scalar_reference_loop(self):
+        rates = (0.5, 4.0, 12.0)
+        generator = [[-0.9, 0.6, 0.3], [0.4, -1.0, 0.6], [1.5, 0.5, -2.0]]
+        process = MMPPProcess(rates, generator, rng(21))
+        reference = MMPPProcess(rates, generator, rng(21))
+        phases = set()
+        for _ in range(2_000):
+            value = process.next_interarrival()
+            assert type(value) is float
+            assert value == reference_interarrival(reference)
+            assert process.phase == reference.phase
+            phases.add(process.phase)
+        assert phases == {0, 1, 2}
+
+    def test_absorbing_phase_equals_the_scalar_reference_loop(self):
+        # Phase 0 leaves for the absorbing phase 1 and never returns.
+        rates = (3.0, 0.7)
+        generator = [[-0.8, 0.8], [0.0, 0.0]]
+        process = MMPPProcess(rates, generator, rng(22))
+        reference = MMPPProcess(rates, generator, rng(22))
+        for _ in range(200):
+            assert process.next_interarrival() == reference_interarrival(reference)
+        assert process.phase == reference.phase == 1
+
+    def test_absorbing_phase_without_arrivals_raises(self):
+        process = MMPPProcess([2.0, 0.0], [[-1.0, 1.0], [0.0, 0.0]], rng(23))
+        with pytest.raises(ConfigurationError, match="absorbing"):
+            for _ in range(100):
+                process.next_interarrival()
