@@ -45,7 +45,6 @@ if TYPE_CHECKING:
 
     from repro.core.small_cloud import FederationScenario
     from repro.perf.base import PerformanceModel
-    from repro.runtime.cache import DiskParamsCache
     from repro.runtime.executor import Executor
     from repro.scenarios.schema import ScenarioSpec
 
@@ -81,34 +80,17 @@ def _resolve_federation(ref: str) -> "FederationScenario":
     return load_scenario(ref)
 
 
-def _build_executor(args: argparse.Namespace) -> "Executor | None":
+def _build_model(args: argparse.Namespace) -> "tuple[PerformanceModel, Executor]":
+    """The ``--model`` and the executor of ``--workers`` width it runs
+    on; the model sits behind the persistent cache when ``--cache-dir``
+    is given."""
+    from repro.runtime.cache import cached_model
     from repro.runtime.executor import make_executor
+    from repro.scenarios.runner import make_model
 
-    return make_executor(getattr(args, "workers", 1))
-
-
-def _build_model(name: str, executor: "Executor | None" = None) -> "PerformanceModel":
-    if name == "pooled":
-        from repro.perf.pooled import PooledModel
-
-        return PooledModel()
-    if name == "approximate":
-        from repro.perf.approximate import ApproximateModel
-
-        return ApproximateModel(executor=executor)
-    raise SystemExit(f"unknown model {name!r}")
-
-
-def _build_params_cache(
-    args: argparse.Namespace,
-    scenario: "FederationScenario",
-    model: "PerformanceModel",
-) -> "DiskParamsCache | None":
-    if getattr(args, "cache_dir", None) is None:
-        return None
-    from repro.runtime.cache import DiskParamsCache
-
-    return DiskParamsCache(args.cache_dir, scenario, model)
+    executor = make_executor(args.workers)
+    model = make_model(args.model, executor=executor)
+    return cached_model(model, args.cache_dir), executor
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
@@ -117,14 +99,12 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     scenario = _resolve_federation(args.scenario)
     if args.price_ratio is not None:
         scenario = scenario.with_price_ratio(args.price_ratio)
-    executor = _build_executor(args)
-    model = _build_model(args.model, executor=executor)
+    model, executor = _build_model(args)
     runner = SCShare(
         scenario,
         model=model,
         gamma=args.gamma,
         strategy_step=args.strategy_step,
-        params_cache=_build_params_cache(args, scenario, model),
         executor=executor,
     )
     outcome = runner.run(alpha=args.alpha, optimum_method="ascent")
@@ -139,11 +119,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     from repro.bench.fig7 import ALPHAS, Fig7Row
 
     scenario = _resolve_federation(args.scenario)
-    executor = _build_executor(args)
-    model = _build_model(args.model, executor=executor)
-    cache = _build_params_cache(args, scenario, model)
-    if cache is None:
-        cache = {}
+    model, executor = _build_model(args)
+    # Performance parameters do not depend on prices: one in-memory
+    # cache serves the whole sweep.
+    cache: dict = {}
     rows = []
     for ratio in price_ratio_grid(points=args.points):
         runner = SCShare(
@@ -193,37 +172,21 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    from dataclasses import replace
+
+    from repro.scenarios.runner import simulate_spec
+
     spec = _resolve_spec(args.scenario)
-    if spec is not None:
-        # Versioned specs carry demand profiles (MMPP arrivals,
-        # phase-type service); run them through the scenario runner so
-        # the profiles actually drive the simulator.  CLI flags override
-        # the spec's run config.
-        from dataclasses import replace
+    if spec is None:
+        from repro.scenarios.library import spec_from_federation
 
-        from repro.scenarios.runner import simulate_spec
-
-        spec = replace(spec, run=replace(spec.run, seed=args.seed, horizon=args.horizon))
-        print(json.dumps(simulate_spec(spec), indent=2))
-        return 0
-    from repro.sim.federation import FederationSimulator
-
-    scenario = load_scenario(args.scenario)
-    simulator = FederationSimulator(scenario, seed=args.seed)
-    metrics = simulator.run(horizon=args.horizon, warmup=args.horizon * 0.05)
-    output = [
-        {
-            "name": cloud.name,
-            "lent_mean": m.lent_mean,
-            "borrowed_mean": m.borrowed_mean,
-            "forward_rate": m.forward_rate,
-            "forward_probability": m.forward_probability,
-            "utilization": m.utilization,
-            "mean_wait": m.mean_wait,
-        }
-        for cloud, m in zip(scenario, metrics)
-    ]
-    print(json.dumps(output, indent=2))
+        spec = spec_from_federation("legacy", load_scenario(args.scenario))
+    # The scenario runner wires a versioned spec's demand profiles (MMPP
+    # arrivals, phase-type service) into the simulator; a legacy flat
+    # file is plain Poisson/exponential.  CLI flags override the run
+    # config.
+    spec = replace(spec, run=replace(spec.run, seed=args.seed, horizon=args.horizon))
+    print(json.dumps(simulate_spec(spec), indent=2))
     return 0
 
 

@@ -35,6 +35,7 @@ from repro.perf.base import PerformanceModel
 from repro.perf.detailed import DetailedModel
 from repro.perf.params import PerformanceParams
 from repro.perf.simulation import SimulationModel
+from repro.runtime.cache import cached_model
 
 if TYPE_CHECKING:
     from repro.runtime.executor import Executor
@@ -113,14 +114,6 @@ def _run_rows(
     return [_evaluate_row(task) for task in tasks]
 
 
-def _cached(model: PerformanceModel, cache_dir: str | Path | None) -> PerformanceModel:
-    if cache_dir is None:
-        return model
-    from repro.runtime.cache import CachedModel
-
-    return CachedModel(model, cache_dir)
-
-
 def run_fig6_2sc(
     target_shares: tuple[int, ...] = (1, 9),
     target_rates: tuple[float, ...] = (5.0, 6.0, 7.0, 8.0),
@@ -128,8 +121,8 @@ def run_fig6_2sc(
     cache_dir: str | Path | None = None,
 ) -> list[Fig6Row]:
     """Panels 6a/6b: 2 SCs, exact CTMC as ground truth."""
-    approx = _cached(ApproximateModel(), cache_dir)
-    detailed = _cached(DetailedModel(), cache_dir)
+    approx = cached_model(ApproximateModel(), cache_dir)
+    detailed = cached_model(DetailedModel(), cache_dir)
     tasks = [
         _RowTask(
             panel="2sc",
@@ -154,10 +147,10 @@ def run_fig6_10sc(
     cache_dir: str | Path | None = None,
 ) -> list[Fig6Row]:
     """Panels 6c/6d: 10 SCs, simulation as ground truth."""
-    simulation = _cached(
+    simulation = cached_model(
         SimulationModel(horizon=horizon, warmup=horizon * 0.05, seed=seed), cache_dir
     )
-    approx = _cached(ApproximateModel(), cache_dir)
+    approx = cached_model(ApproximateModel(), cache_dir)
     tasks = [
         _RowTask(
             panel="10sc",
@@ -182,10 +175,10 @@ def run_fig6_100vm(
     cache_dir: str | Path | None = None,
 ) -> list[Fig6Row]:
     """Panels 6e/6f: two 100-VM SCs, simulation as ground truth."""
-    simulation = _cached(
+    simulation = cached_model(
         SimulationModel(horizon=horizon, warmup=horizon * 0.05, seed=seed), cache_dir
     )
-    approx = _cached(ApproximateModel(), cache_dir)
+    approx = cached_model(ApproximateModel(), cache_dir)
     tasks = [
         _RowTask(
             panel=f"100vm(rho={other_util})",

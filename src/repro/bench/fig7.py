@@ -26,6 +26,7 @@ from repro.market.fairness import ALPHA_MAX_MIN, ALPHA_PROPORTIONAL, ALPHA_UTILI
 from repro.market.pricing import price_ratio_grid
 from repro.perf.base import PerformanceModel
 from repro.perf.pooled import PooledModel
+from repro.runtime.cache import cached_model
 
 if TYPE_CHECKING:
     from repro.runtime.executor import Executor
@@ -81,23 +82,18 @@ def run_fig7(
             from the no-sharing profile can stall in the coordination
             trap where nobody shares because nobody else does.
         executor: optional executor for the game's parallel sections.
-        cache_dir: optional directory for a persistent parameter cache;
-            performance parameters are price-independent, so one
-            populated cache serves the entire sweep (and later re-runs)
-            without a single fresh model solve.
+        cache_dir: optional directory for the persistent model cache
+            (:class:`~repro.runtime.cache.CachedModel`); performance
+            parameters are price-independent, so a populated cache
+            serves later re-runs without a single fresh model solve.
     """
     from repro.market.efficiency import federation_efficiency, social_optimum
 
     base = fig7_scenario(loads)
     if ratios is None:
         ratios = price_ratio_grid(points=11)
-    model = model if model is not None else PooledModel()
-    if cache_dir is None:
-        params_cache: dict = {}
-    else:
-        from repro.runtime.cache import DiskParamsCache
-
-        params_cache = DiskParamsCache(cache_dir, base, model)
+    model = cached_model(model if model is not None else PooledModel(), cache_dir)
+    params_cache: dict = {}
     rows = []
     for ratio in ratios:
         scenario = base.with_price_ratio(ratio)

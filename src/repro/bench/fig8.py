@@ -28,6 +28,7 @@ from repro.game.tabu import TabuSearch
 from repro.perf.approximate import ApproximateModel
 from repro.perf.base import PerformanceModel
 from repro.perf.pooled import PooledModel
+from repro.runtime.cache import cached_model
 
 if TYPE_CHECKING:
     from repro.runtime.executor import Executor
@@ -81,20 +82,17 @@ def run_fig8b(
     """Measure game rounds to equilibrium per federation size.
 
     The search-distance runs at one federation size share a parameter
-    cache (and, with ``cache_dir``, a persistent one): Tabu variants
-    visit overlapping sharing vectors, and the solved parameters do not
-    depend on the search configuration.
+    cache: Tabu variants visit overlapping sharing vectors, and the
+    solved parameters do not depend on the search configuration.  With
+    ``cache_dir`` the model sits behind the persistent
+    :class:`~repro.runtime.cache.CachedModel`, which changes only how
+    fast the rows appear, never their counts.
     """
-    model = model if model is not None else PooledModel()
+    model = cached_model(model if model is not None else PooledModel(), cache_dir)
     rows = []
     for k in sizes:
         scenario = fig8_game_scenario(k, vms=vms).with_price_ratio(price_ratio)
-        if cache_dir is None:
-            params_cache: dict = {}
-        else:
-            from repro.runtime.cache import DiskParamsCache
-
-            params_cache = DiskParamsCache(cache_dir, scenario, model)
+        params_cache: dict = {}
         for distance in tabu_distances:
             runner = SCShare(
                 scenario,

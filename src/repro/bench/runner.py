@@ -15,10 +15,8 @@ tables are byte-identical to a serial, uncached run.
 cProfile report of the whole benchmark run; they too leave every table
 byte-identical.
 
-``scenario --scenario NAME|FILE`` drives a scenario-library entry (or a
-scenario JSON file) through the market loop instead of a paper figure —
-the same traced/profiled/cached surface, pointed at any of the 100+
-generated scenarios (``python -m repro.scenarios list``).
+Scenario-library entries run through ``python -m repro.scenarios run``
+(or ``python -m repro solve NAME``), which expose the same flags.
 """
 
 from __future__ import annotations
@@ -126,39 +124,16 @@ FIGURES = {
 }
 
 
-def _run_scenario(reference: str, workers: int, cache_dir: str | None) -> str:
-    """Run one scenario-library entry (or spec file) through the market loop."""
-    import json
-
-    from repro.scenarios.library import resolve
-    from repro.scenarios.runner import run_spec
-
-    spec = resolve(reference)
-    report = run_spec(
-        spec,
-        mode="solve",
-        workers=workers,
-        cache_dir=cache_dir,
-    )
-    return json.dumps(report, indent=2)
-
-
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point."""
     parser = argparse.ArgumentParser(
         description="Regenerate a figure of the SC-Share evaluation."
     )
-    parser.add_argument("figure", choices=sorted(FIGURES) + ["all", "scenario"])
+    parser.add_argument("figure", choices=sorted(FIGURES) + ["all"])
     parser.add_argument(
         "--quick",
         action="store_true",
         help="smaller grids / shorter simulations for a fast smoke run",
-    )
-    parser.add_argument(
-        "--scenario",
-        default=None,
-        metavar="NAME|FILE",
-        help="scenario-library entry or spec file (with the 'scenario' figure)",
     )
     parser.add_argument(
         "--workers",
@@ -187,8 +162,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.sanitize:
         sanitize_enable()
-    if args.figure == "scenario" and args.scenario is None:
-        parser.error("the 'scenario' figure needs --scenario NAME|FILE")
     executor = make_executor(args.workers)
     names = sorted(FIGURES) if args.figure == "all" else [args.figure]
     output_dir = Path(args.output) if args.output else None
@@ -197,16 +170,11 @@ def main(argv: list[str] | None = None) -> int:
 
     def run_figures() -> int:
         for name in names:
-            if name == "scenario":
-                table = _run_scenario(args.scenario, args.workers, args.cache_dir)
-                stem = "scenario"
-            else:
-                table = FIGURES[name](args.quick, executor, args.cache_dir)
-                stem = name
+            table = FIGURES[name](args.quick, executor, args.cache_dir)
             print(table)
             print()
             if output_dir is not None:
-                (output_dir / f"{stem}.txt").write_text(table + "\n")
+                (output_dir / f"{name}.txt").write_text(table + "\n")
         return 0
 
     return run_with_obs(args, run_figures)

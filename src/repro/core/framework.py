@@ -76,9 +76,9 @@ class SCShare:
         tabu: optional Tabu-search configuration.
         max_rounds: game round budget.
         params_cache: optional shared performance cache (reused across
-            price points of a sweep); a
-            :class:`repro.runtime.cache.DiskParamsCache` makes it
-            persistent across runs.
+            price points of a sweep); wrap ``model`` in a
+            :class:`repro.runtime.cache.CachedModel` to persist solves
+            across runs.
         executor: optional :class:`repro.runtime.executor.Executor`
             driving the game's one parallel section, per-SC candidate
             scoring.  Process workers score candidates on shipped

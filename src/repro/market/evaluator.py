@@ -19,7 +19,7 @@ keep using ``evaluate`` so they populate the shared params cache.
 
 from __future__ import annotations
 
-from collections.abc import MutableMapping, Sequence
+from collections.abc import Sequence
 
 from repro._validation import check_in_range
 from repro import obs
@@ -32,13 +32,10 @@ from repro.perf.base import PerformanceModel
 from repro.perf.params import PerformanceParams
 
 #: Cache type mapping sharing vectors to per-SC performance parameters.
-#: Plain dictionaries work; :class:`repro.runtime.cache.DiskParamsCache`
-#: is a persistent drop-in that survives process restarts.  Persistent
-#: implementations must key on content fingerprints only — the RPR3xx
-#: dataflow lint (:mod:`repro.analysis.dataflow`) enforces that their
-#: key-building functions omit no declared input and carry no
-#: environment taint.
-ParamsCache = MutableMapping[tuple[int, ...], list[PerformanceParams]]
+#: It lives in memory only; persistence belongs one layer down, in a
+#: :class:`repro.runtime.cache.CachedModel` wrapped around the model, so
+#: the evaluator's model calls and counts never depend on what is on disk.
+ParamsCache = dict[tuple[int, ...], list[PerformanceParams]]
 
 
 class UtilityEvaluator:

@@ -353,7 +353,7 @@ class ApproximateModel(PerformanceModel):
             level_cache=self._level_cache is not None,
         )
 
-    def level_cache_stats(self) -> dict[str, int | None]:
+    def level_cache_stats(self) -> dict[str, int]:
         """Hit/miss counters of the level-prefix cache (all zero when
         memoization is disabled)."""
         if self._level_cache is None:

@@ -11,13 +11,12 @@ package supplies the shared machinery:
   the parent;
 - :mod:`repro.runtime.seeding` — deterministic per-task seed derivation
   built on the same ``SeedSequence`` discipline as :mod:`repro.sim.rng`;
-- :mod:`repro.runtime.cache` — a persistent on-disk parameter cache
-  (content-hash keys over the performance-relevant scenario fields) that
-  extends the in-memory ``ParamsCache`` of :mod:`repro.market.evaluator`
-  and wraps any :class:`~repro.perf.base.PerformanceModel`;
+- :mod:`repro.runtime.cache` — a persistent on-disk cache of model
+  solutions (content-hash keys over the performance-relevant scenario
+  fields) that wraps any :class:`~repro.perf.base.PerformanceModel`;
 - :mod:`repro.runtime.memo` — a bounded in-memory ``LRUCache``
   for expensive intermediates (the approximate model's level-prefix
-  cache, the disk cache's in-memory front).
+  cache).
 
 Everything is engineered so that parallel and cached runs are
 *bit-identical* to serial uncached runs: executors preserve input order,
@@ -28,7 +27,6 @@ exact float values a fresh solve would produce.
 from repro.runtime.cache import (
     CachedModel,
     DiskCache,
-    DiskParamsCache,
     model_fingerprint,
     scenario_fingerprint,
 )
@@ -44,7 +42,6 @@ from repro.runtime.seeding import derive_seed, derive_seeds, derive_streams, rep
 __all__ = [
     "CachedModel",
     "DiskCache",
-    "DiskParamsCache",
     "Executor",
     "LRUCache",
     "ProcessExecutor",

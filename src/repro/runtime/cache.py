@@ -7,19 +7,17 @@ on prices or SC names.  The cache keys on a content hash of exactly those
 inputs, so a populated cache survives renames, price sweeps, process
 restarts, and concurrent writers.
 
-Two views over one store:
-
-- :class:`DiskParamsCache` — a ``MutableMapping`` from sharing vectors to
-  per-SC parameter lists, a drop-in persistent extension of the
-  in-memory ``ParamsCache`` consumed by
-  :class:`repro.market.evaluator.UtilityEvaluator`;
-- :class:`CachedModel` — wraps any :class:`~repro.perf.base.PerformanceModel`
-  so that ``evaluate`` / ``evaluate_target`` calls (the shape the fig6
-  validation harness uses) hit the same store.
+:class:`CachedModel` wraps any :class:`~repro.perf.base.PerformanceModel`
+so that ``evaluate`` / ``evaluate_target`` calls consult the store
+before solving.  It is the one persistent tier: every ``--cache-dir``
+site wraps its model in it, and the
+:class:`~repro.market.evaluator.UtilityEvaluator` above keeps a plain
+in-memory dict — so the evaluator makes the same model calls, in the
+same order and with the same counts, whatever is on disk.
 
 Writes are atomic (temp file + ``os.replace``), so concurrent writers —
 process-pool workers sharing one ``--cache-dir`` — can never interleave
-partial JSON; a corrupt or foreign file is treated as a miss and
+partial JSON; a corrupt, stale, or foreign file is treated as a miss and
 removed, then rewritten by the next solve.
 """
 
@@ -29,7 +27,7 @@ import hashlib
 import json
 import os
 import tempfile
-from collections.abc import Iterator, Mapping, MutableMapping, Sequence
+from collections.abc import Callable, Mapping
 from pathlib import Path
 from typing import Any
 
@@ -44,11 +42,12 @@ from repro.analysis import sanitize
 from repro.core.small_cloud import FederationScenario
 from repro.perf.base import PerformanceModel
 from repro.perf.params import PerformanceParams
-from repro.runtime.memo import LRUCache
 
 #: Bump when the payload layout changes; older entries become misses.
-#: Version 2 added the mandatory ``digest`` content hash.
-CACHE_FORMAT_VERSION = 2
+#: Version 2 added the mandatory ``digest`` content hash; version 3 the
+#: identity fields (scenario, model, sharing vector, target) that
+#: :class:`CachedModel` checks on every load.
+CACHE_FORMAT_VERSION = 3
 
 #: Per-SC fields that determine performance (prices and names do not).
 _PERF_FIELDS = ("vms", "arrival_rate", "service_rate", "sla_bound")
@@ -69,24 +68,15 @@ def model_fingerprint(model: PerformanceModel) -> str:
     return f"{type(model).__qualname__}:{json.dumps(config, sort_keys=True)}"
 
 
-def scenario_fingerprint(
-    scenario: FederationScenario, include_sharing: bool = True
-) -> str:
-    """Content hash of a scenario's performance-relevant fields.
-
-    Args:
-        scenario: the federation.
-        include_sharing: include the sharing vector (``False`` gives the
-            base fingerprint that :class:`DiskParamsCache` combines with
-            per-key sharing vectors).
-    """
-    payload: dict = {
+def scenario_fingerprint(scenario: FederationScenario) -> str:
+    """Content hash of a scenario's performance-relevant fields and its
+    sharing vector."""
+    payload = {
         "clouds": [
             [getattr(cloud, field) for field in _PERF_FIELDS] for cloud in scenario
-        ]
+        ],
+        "sharing": list(scenario.sharing_vector()),
     }
-    if include_sharing:
-        payload["sharing"] = list(scenario.sharing_vector())
     digest = hashlib.sha256(
         json.dumps(payload, sort_keys=True).encode("utf-8")
     ).hexdigest()
@@ -179,10 +169,6 @@ class DiskCache:
         self._discard(path)
         return existed
 
-    def keys(self) -> list[str]:
-        """Hash keys of all entries currently on disk."""
-        return sorted(path.stem for path in self.root.glob("*.json"))
-
     @staticmethod
     def _discard(path: Path) -> None:
         try:
@@ -200,175 +186,6 @@ def _decode_params(payload: dict) -> list[PerformanceParams] | None:
         return None
 
 
-class DiskParamsCache(MutableMapping):
-    """Persistent ``ParamsCache``: sharing vector -> per-SC parameters.
-
-    A drop-in for the in-memory dictionary
-    :class:`repro.market.evaluator.UtilityEvaluator` keeps — pass an
-    instance as ``params_cache`` and every solved sharing vector persists
-    to ``root``.  An in-memory :class:`~repro.runtime.memo.LRUCache`
-    fronts the disk store, so repeated hits inside one run cost a dict
-    lookup; long equilibrium searches can bound it with ``memory_size``.
-
-    Entries are namespaced by the scenario's base fingerprint and the
-    model fingerprint: caches for different federations, tolerances, or
-    model types share a directory without collisions.
-
-    Args:
-        root: cache directory (created if missing).
-        scenario: the federation the cached parameters describe (prices
-            and the scenario's own sharing values are irrelevant).
-        model: the model producing the parameters.
-        memory_size: capacity of the in-memory front (``None`` for
-            unbounded).  Evicted entries are still on disk, so bounding
-            only trades lookup latency for memory.
-        namespace: optional extra namespace component mixed into every
-            key and payload.  The scenario library passes the scenario's
-            content hash here (``scenario:<hash>``) so runs of different
-            library entries that happen to share performance-relevant
-            fields still keep disjoint cache populations.
-    """
-
-    def __init__(
-        self,
-        root: str | Path,
-        scenario: FederationScenario,
-        model: PerformanceModel,
-        memory_size: int | None = None,
-        namespace: str | None = None,
-    ) -> None:
-        require(
-            isinstance(scenario, FederationScenario),
-            f"scenario must be a FederationScenario, got {type(scenario).__name__}",
-        )
-        require(
-            isinstance(model, PerformanceModel),
-            f"model must be a PerformanceModel, got {type(model).__name__}",
-        )
-        self._store = DiskCache(root)
-        self._scenario_key = scenario_fingerprint(  # fingerprint-input: _hash
-            scenario, include_sharing=False
-        )
-        self._model_key = model_fingerprint(model)  # fingerprint-input: _hash
-        self._namespace = str(namespace) if namespace else ""  # fingerprint-input: _hash
-        self._size = len(scenario)
-        self._memory: LRUCache[tuple[int, ...], list[PerformanceParams]] = LRUCache(
-            maxsize=memory_size, name="runtime.params_memory"
-        )
-
-    def _hash(self, sharing: tuple[int, ...]) -> str:
-        blob = json.dumps(
-            {
-                "kind": "params",
-                "scenario": self._scenario_key,
-                "model": self._model_key,
-                "namespace": self._namespace,
-                "sharing": list(sharing),
-            },
-            sort_keys=True,
-        )
-        return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:40]
-
-    def _normalize(self, key: Sequence[int]) -> tuple[int, ...]:
-        return tuple(int(s) for s in key)
-
-    def _namespace_matches(self, payload: Mapping[str, Any], sharing: tuple[int, ...]) -> bool:
-        return (
-            payload.get("kind") == "params"
-            and payload.get("scenario") == self._scenario_key
-            and payload.get("model") == self._model_key
-            and payload.get("namespace", "") == self._namespace
-            and payload.get("sharing") == list(sharing)
-        )
-
-    def __getitem__(self, key: Sequence[int]) -> list[PerformanceParams]:
-        sharing = self._normalize(key)
-        cached = self._memory.get(sharing)
-        if cached is not None:
-            return cached
-        payload = self._store.load(self._hash(sharing))
-        if payload is None:
-            raise KeyError(sharing)
-        if not self._namespace_matches(payload, sharing):
-            # The entry parsed and passed its digest but describes a
-            # different scenario/model/sharing vector — a renamed or
-            # copied file.  Reject it rather than deserialize foreign
-            # parameters into this run.
-            if sanitize.sanitize_enabled():
-                raise sanitize.InvariantViolation(
-                    "cache-namespace",
-                    "cache entry does not match the requested "
-                    f"scenario/model/sharing {sharing}",
-                    {
-                        "sharing": sharing,
-                        "payload_kind": payload.get("kind"),
-                        "payload_sharing": payload.get("sharing"),
-                    },
-                )
-            self._store.discard(self._hash(sharing))
-            raise KeyError(sharing)
-        params = _decode_params(payload)
-        if params is None or len(params) != self._size:
-            self._store.discard(self._hash(sharing))
-            raise KeyError(sharing)
-        if sanitize.sanitize_enabled():
-            for i, entry in enumerate(params):
-                sanitize.check_params(entry, label=f"cache-params[{sharing}][{i}]")
-        self._memory.put(sharing, params)
-        return params
-
-    def __setitem__(self, key: Sequence[int], value: list[PerformanceParams]) -> None:
-        from repro.core.serialization import params_to_dict
-
-        sharing = self._normalize(key)
-        self._memory.put(sharing, list(value))
-        self._store.store(
-            self._hash(sharing),
-            {
-                "kind": "params",
-                "scenario": self._scenario_key,
-                "model": self._model_key,
-                "namespace": self._namespace,
-                "sharing": list(sharing),
-                "params": [params_to_dict(p) for p in value],
-            },
-        )
-
-    def __delitem__(self, key: Sequence[int]) -> None:
-        sharing = self._normalize(key)
-        in_memory = self._memory.pop(sharing)
-        on_disk = self._store.discard(self._hash(sharing))
-        if in_memory is None and not on_disk:
-            raise KeyError(sharing)
-
-    def _disk_keys(self) -> list[tuple[int, ...]]:
-        found = []
-        for key in self._store.keys():
-            payload = self._store.load(key)
-            if (
-                payload is not None
-                and payload.get("kind") == "params"
-                and payload.get("scenario") == self._scenario_key
-                and payload.get("model") == self._model_key
-                and payload.get("namespace", "") == self._namespace
-                and isinstance(payload.get("sharing"), list)
-            ):
-                found.append(tuple(int(s) for s in payload["sharing"]))
-        return found
-
-    def __iter__(self) -> Iterator[tuple[int, ...]]:
-        mem_keys = self._memory.keys()
-        seen = set(mem_keys)
-        yield from mem_keys
-        for sharing in self._disk_keys():
-            if sharing not in seen:
-                seen.add(sharing)
-                yield sharing
-
-    def __len__(self) -> int:
-        return len(set(self._memory.keys()) | set(self._disk_keys()))
-
-
 class CachedModel(PerformanceModel):
     """A persistent read-through cache around any performance model.
 
@@ -376,6 +193,14 @@ class CachedModel(PerformanceModel):
     delegating; misses are solved by the wrapped model and written back.
     Wrapping changes nothing observable but latency: cached entries are
     the exact floats the wrapped model produced.
+
+    Every payload records the identity it was stored under — scenario
+    fingerprint, model fingerprint, sharing vector, and target — and a
+    load whose identity differs from the request (a renamed or copied
+    file) is discarded as a miss, or raises
+    :class:`~repro.analysis.sanitize.InvariantViolation` under the
+    sanitizer.  Under the sanitizer, loaded parameters also pass
+    :func:`~repro.analysis.sanitize.check_params`.
 
     Attributes:
         hits: store hits served so far.
@@ -387,60 +212,115 @@ class CachedModel(PerformanceModel):
             isinstance(model, PerformanceModel),
             f"model must be a PerformanceModel, got {type(model).__name__}",
         )
-        self.model = model  # fingerprint-input: _hash
+        self.model = model  # fingerprint-input: _fingerprint
         self.store = cache if isinstance(cache, DiskCache) else DiskCache(cache)
         self.hits = 0
         self.misses = 0
 
-    def _hash(self, scenario: FederationScenario, target: int | None) -> str:
-        blob = json.dumps(
-            {
-                "kind": "model",
-                "scenario": scenario_fingerprint(scenario),
-                "model": model_fingerprint(self.model),
-                "target": target,
-            },
-            sort_keys=True,
-        )
+    def _fingerprint(
+        self, scenario: FederationScenario, target: int | None
+    ) -> dict[str, Any]:
+        """The identity an entry is keyed by and stores in its payload."""
+        return {
+            "kind": "model",
+            "scenario": scenario_fingerprint(scenario),
+            "model": model_fingerprint(self.model),
+            "sharing": list(scenario.sharing_vector()),
+            "target": target,
+        }
+
+    @staticmethod
+    def _hash(fingerprint: Mapping[str, Any]) -> str:
+        blob = json.dumps(fingerprint, sort_keys=True)
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:40]
 
-    def evaluate(self, scenario: FederationScenario) -> list[PerformanceParams]:
+    def _load(
+        self, key: str, fingerprint: Mapping[str, Any], size: int
+    ) -> list[PerformanceParams] | None:
+        """The ``size`` parameters stored under ``key``, or ``None``
+        (entries that are missing, foreign, or undecodable are misses)."""
+        payload = self.store.load(key)
+        if payload is None:
+            return None
+        if any(payload.get(name) != value for name, value in fingerprint.items()):
+            # The entry parsed and passed its digest but describes a
+            # different scenario/model/sharing vector/target — a renamed
+            # or copied file.  Reject it rather than deserialize foreign
+            # parameters into this run.
+            if sanitize.sanitize_enabled():
+                raise sanitize.InvariantViolation(
+                    "cache-namespace",
+                    "cache entry does not match the requested "
+                    f"scenario/model/sharing {fingerprint['sharing']}",
+                    {
+                        "sharing": fingerprint["sharing"],
+                        "target": fingerprint["target"],
+                        "payload_kind": payload.get("kind"),
+                        "payload_sharing": payload.get("sharing"),
+                        "payload_target": payload.get("target"),
+                    },
+                )
+            self.store.discard(key)
+            return None
+        params = _decode_params(payload)
+        if params is None or len(params) != size:
+            self.store.discard(key)
+            return None
+        if sanitize.sanitize_enabled():
+            for i, entry in enumerate(params):
+                sanitize.check_params(
+                    entry, label=f"cache-params[{fingerprint['sharing']}][{i}]"
+                )
+        return params
+
+    def _solve(
+        self,
+        scenario: FederationScenario,
+        target: int | None,
+        size: int,
+        solve: Callable[[], list[PerformanceParams]],
+    ) -> list[PerformanceParams]:
         from repro.core.serialization import params_to_dict
 
-        key = self._hash(scenario, target=None)
-        payload = self.store.load(key)
-        if payload is not None:
-            params = _decode_params(payload)
-            if params is not None and len(params) == len(scenario):
-                self.hits += 1
-                obs.inc("runtime.cached_model.hit")
-                return params
-            self.store.discard(key)
-        params = self.model.evaluate(scenario)
+        fingerprint = self._fingerprint(scenario, target)
+        key = self._hash(fingerprint)
+        params = self._load(key, fingerprint, size)
+        if params is not None:
+            self.hits += 1
+            obs.inc("runtime.cached_model.hit")
+            return params
+        params = solve()
         self.misses += 1
         obs.inc("runtime.cached_model.miss")
-        self.store.store(key, {"params": [params_to_dict(p) for p in params]})
+        self.store.store(
+            key, {**fingerprint, "params": [params_to_dict(p) for p in params]}
+        )
         return params
+
+    def evaluate(self, scenario: FederationScenario) -> list[PerformanceParams]:
+        return self._solve(
+            scenario, None, len(scenario), lambda: self.model.evaluate(scenario)
+        )
 
     def evaluate_target(
         self,
         scenario: FederationScenario,
         target: int | None = None,
     ) -> PerformanceParams:
-        from repro.core.serialization import params_to_dict
-
         index = len(scenario) - 1 if target is None else int(target)
-        key = self._hash(scenario, target=index)
-        payload = self.store.load(key)
-        if payload is not None:
-            params = _decode_params(payload)
-            if params is not None and len(params) == 1:
-                self.hits += 1
-                obs.inc("runtime.cached_model.hit")
-                return params[0]
-            self.store.discard(key)
-        result = self.model.evaluate_target(scenario, index)
-        self.misses += 1
-        obs.inc("runtime.cached_model.miss")
-        self.store.store(key, {"params": [params_to_dict(result)]})
-        return result
+        return self._solve(
+            scenario,
+            index,
+            1,
+            lambda: [self.model.evaluate_target(scenario, index)],
+        )[0]
+
+
+def cached_model(
+    model: PerformanceModel, cache_dir: str | Path | None
+) -> PerformanceModel:
+    """``model`` behind a :class:`CachedModel` on ``cache_dir``, or
+    ``model`` itself when no directory is given."""
+    if cache_dir is None:
+        return model
+    return CachedModel(model, cache_dir)

@@ -7,14 +7,13 @@ are pure functions of a content key but too large or too short-lived
 to serialize.  The first consumer is the approximate model's
 level-prefix cache (:mod:`repro.perf.approximate`), which memoizes
 solved hierarchy levels keyed by the ordered prefix of
-``(cloud spec, pool)`` pairs; :class:`repro.runtime.cache.DiskParamsCache`
-can also bound its in-memory front with one.
+``(cloud spec, pool)`` pairs.
 
 Design constraints inherited from the runtime package:
 
 - **One owner per process** — the only parallel backend is a process
   pool, so a cache is never shared between concurrent callers and
-  needs no lock: ``get_or_create`` is a plain look-up-then-build.
+  needs no lock: a ``get`` then ``put`` is a plain look-up-then-build.
 - **Process-pool friendliness** — executors pickle models into task
   payloads.  A cache full of sparse matrices is expensive to ship, so
   pickling an :class:`LRUCache` deliberately transfers only its
@@ -33,7 +32,7 @@ Design constraints inherited from the runtime package:
 from __future__ import annotations
 
 from collections import OrderedDict
-from collections.abc import Callable, Hashable
+from collections.abc import Hashable
 from typing import Any, Generic, TypeVar
 
 from repro import obs
@@ -47,8 +46,7 @@ class LRUCache(Generic[K, V]):
     """A bounded mapping with least-recently-used eviction.
 
     Args:
-        maxsize: capacity in entries; ``None`` means unbounded (the
-            cache then degenerates to a dict with stats).
+        maxsize: capacity in entries (at least 1).
         name: optional metric namespace.  A named cache reports
             ``<name>.hit`` / ``<name>.miss`` / ``<name>.eviction``
             counters through :mod:`repro.obs` (no-ops unless metrics are
@@ -60,11 +58,9 @@ class LRUCache(Generic[K, V]):
         misses: failed lookups so far.
     """
 
-    def __init__(self, maxsize: int | None = 128, name: str | None = None) -> None:
-        if maxsize is not None:
-            require(int(maxsize) >= 1, "LRUCache maxsize must be >= 1 or None")
-            maxsize = int(maxsize)
-        self.maxsize = maxsize
+    def __init__(self, maxsize: int = 128, name: str | None = None) -> None:
+        require(int(maxsize) >= 1, "LRUCache maxsize must be >= 1")
+        self.maxsize = int(maxsize)
         self.name = name
         # Metric names are precomputed so the per-operation cost of an
         # enabled-metrics run is one counter add, not a string build.
@@ -75,25 +71,18 @@ class LRUCache(Generic[K, V]):
         self.misses = 0
         self._data: OrderedDict[K, V] = OrderedDict()
 
-    def _hit(self, key: K) -> V:
-        """Refresh ``key``'s recency and count a hit; ``key`` must be cached."""
-        self._data.move_to_end(key)
-        self.hits += 1
-        if self._metric_hit is not None:
-            obs.inc(self._metric_hit)
-        return self._data[key]
-
-    def _miss(self) -> None:
-        self.misses += 1
-        if self._metric_miss is not None:
-            obs.inc(self._metric_miss)
-
     def get(self, key: K) -> V | None:
         """Return the cached value for ``key`` (refreshing its recency)
         or ``None`` on a miss."""
         if key in self._data:
-            return self._hit(key)
-        self._miss()
+            self._data.move_to_end(key)
+            self.hits += 1
+            if self._metric_hit is not None:
+                obs.inc(self._metric_hit)
+            return self._data[key]
+        self.misses += 1
+        if self._metric_miss is not None:
+            obs.inc(self._metric_miss)
         return None
 
     def put(self, key: K, value: V) -> None:
@@ -102,26 +91,15 @@ class LRUCache(Generic[K, V]):
         self._data[key] = value
         self._data.move_to_end(key)
         evicted = 0
-        if self.maxsize is not None:
-            while len(self._data) > self.maxsize:
-                self._data.popitem(last=False)
-                evicted += 1
+        while len(self._data) > self.maxsize:
+            self._data.popitem(last=False)
+            evicted += 1
         if evicted and self._metric_eviction is not None:
             obs.inc(self._metric_eviction, evicted)
 
-    def get_or_create(self, key: K, factory: Callable[[], V]) -> V:
-        """Return the cached value for ``key``, building it with
-        ``factory`` on a miss.  A factory that raises caches nothing."""
-        if key in self._data:
-            return self._hit(key)
-        self._miss()
-        value = factory()
-        self.put(key, value)
-        return value
-
     def ensure_capacity(self, minsize: int) -> None:
         """Grow ``maxsize`` to at least ``minsize`` (monotone; never
-        shrinks, and an unbounded cache stays unbounded).
+        shrinks).
 
         The approximate model sizes its level-prefix cache this way: one
         federation of ``K`` SCs needs ``K`` live entries per chain and a
@@ -131,17 +109,7 @@ class LRUCache(Generic[K, V]):
         only how long it is retained."""
         minsize = int(minsize)
         require(minsize >= 1, "ensure_capacity minsize must be >= 1")
-        if self.maxsize is not None and self.maxsize < minsize:
-            self.maxsize = minsize
-
-    def pop(self, key: K) -> V | None:
-        """Remove and return the value under ``key`` (``None`` if absent);
-        never counts toward hit/miss statistics."""
-        return self._data.pop(key, None)
-
-    def keys(self) -> list[K]:
-        """A snapshot of the cached keys, least recently used first."""
-        return list(self._data)
+        self.maxsize = max(self.maxsize, minsize)
 
     def __contains__(self, key: K) -> bool:
         return key in self._data
@@ -153,7 +121,7 @@ class LRUCache(Generic[K, V]):
         """Drop all entries (statistics are kept)."""
         self._data.clear()
 
-    def stats(self) -> dict[str, int | None]:
+    def stats(self) -> dict[str, int]:
         """A snapshot of the cache counters (for logs and benchmarks)."""
         return {
             "size": len(self._data),

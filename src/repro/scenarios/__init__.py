@@ -9,7 +9,8 @@
 - :mod:`repro.scenarios.library` — the registry: paper-figure scenarios
   plus the generated corpus, name resolution, committed-manifest checks.
 - :mod:`repro.scenarios.runner` — drive one scenario (solve/simulate)
-  under its declared run config, cache namespaced by content hash.
+  under its declared run config, optionally behind the persistent model
+  cache; the one spec -> simulator wiring.
 - :mod:`repro.scenarios.sweep` — run scenario subsets serially and on a
   process pool with bitwise-identical results asserted.
 - :mod:`repro.scenarios.cli` — ``python -m repro.scenarios``

@@ -3,9 +3,9 @@
 This module is the execution half of the scenario subsystem — the schema
 says *what*, the runner says *how*: build the model the spec's
 :class:`~repro.scenarios.schema.RunConfig` asks for on an executor of the
-caller's width, wire the demand
-profiles into the simulator, namespace the persistent cache by the
-scenario's content hash, and hand back JSON-able results plus a
+caller's width (behind the persistent model cache when a directory is
+given), wire the demand profiles and failure schedule into the
+simulator, and hand back JSON-able results plus a
 ``float.hex`` digest for bitwise cross-backend comparison (the same
 discipline :mod:`repro.analysis.differential` uses).
 """
@@ -21,39 +21,26 @@ from repro.scenarios.schema import ScenarioSpec
 if TYPE_CHECKING:
     from repro.core.framework import SCShareOutcome
     from repro.perf.base import PerformanceModel
-    from repro.runtime.cache import DiskParamsCache
     from repro.runtime.executor import Executor
+    from repro.sim.federation import FederationSimulator
 
 
-def make_model(spec: ScenarioSpec, executor: "Executor | None" = None) -> "PerformanceModel":
-    """The performance model the spec's run config asks for."""
-    if spec.run.model == "approximate":
+def make_model(name: str, executor: "Executor | None" = None) -> "PerformanceModel":
+    """The performance model called ``name`` (a run config's ``model``:
+    ``pooled``, ``approximate`` or ``auto``)."""
+    if name == "pooled":
+        from repro.perf.pooled import PooledModel
+
+        return PooledModel()
+    if name == "approximate":
         from repro.perf.approximate import ApproximateModel
 
         return ApproximateModel(executor=executor)
-    if spec.run.model == "auto":
+    if name == "auto":
         from repro.perf.auto import AutoModel
 
         return AutoModel(executor=executor)
-    from repro.perf.pooled import PooledModel
-
-    return PooledModel()
-
-
-def make_params_cache(
-    spec: ScenarioSpec, model: "PerformanceModel", cache_dir: str | None
-) -> "DiskParamsCache | None":
-    """Persistent cache namespaced by the scenario's content hash."""
-    if cache_dir is None:
-        return None
-    from repro.runtime.cache import DiskParamsCache
-
-    return DiskParamsCache(
-        cache_dir,
-        spec.federation(),
-        model,
-        namespace=f"scenario:{spec.content_hash()[:16]}",
-    )
+    raise ValueError(f"unknown model {name!r}")
 
 
 def solve_spec(
@@ -64,31 +51,29 @@ def solve_spec(
     """Run the SC-Share market loop under the spec's run config.
 
     ``workers`` is the parallel width (``None`` or 1 runs serially, more
-    runs a process pool); every width gives the same bits.
+    runs a process pool); every width gives the same bits, and so does
+    a cold or warm ``cache_dir``.
     """
     from repro.core.framework import SCShare
+    from repro.runtime.cache import cached_model
     from repro.runtime.executor import make_executor
 
     executor = make_executor(workers)
-    model = make_model(spec, executor=executor)
     runner = SCShare(
         spec.federation(),
-        model=model,
+        model=cached_model(make_model(spec.run.model, executor=executor), cache_dir),
         gamma=spec.run.gamma,
         strategy_step=spec.run.strategy_step,
-        params_cache=make_params_cache(spec, model, cache_dir),
         executor=executor,
     )
     return runner.run(alpha=spec.run.alpha, optimum_method="ascent")
 
 
-def simulate_spec(
-    spec: ScenarioSpec, horizon: float | None = None
-) -> list[dict[str, Any]]:
-    """Run the discrete-event simulator with the spec's demand profiles.
-
-    The spec's failure schedule (if any) is injected.
-    """
+def build_simulator(spec: ScenarioSpec) -> "FederationSimulator":
+    """The discrete-event simulator of ``spec``: its federation, seed,
+    demand profiles (non-Poisson arrivals, non-exponential service) and
+    failure schedule.  Every call builds fresh arrival processes, so two
+    simulators of one spec replay the same random numbers."""
     import numpy as np
 
     from repro.runtime.seeding import derive_seed
@@ -112,15 +97,25 @@ def simulate_spec(
             )
             for i, (cloud, profile) in enumerate(zip(scenario, spec.demand))
         ]
-    simulator = FederationSimulator(
+    return FederationSimulator(
         scenario,
         seed=spec.run.seed,
         service_distributions=service,
         arrival_processes=arrivals,
         failures=spec.failures or None,
     )
+
+
+def simulate_spec(
+    spec: ScenarioSpec, horizon: float | None = None
+) -> list[dict[str, Any]]:
+    """Run the discrete-event simulator with the spec's demand profiles.
+
+    The spec's failure schedule (if any) is injected.
+    """
+    scenario = spec.federation()
     span = horizon if horizon is not None else spec.run.horizon
-    metrics = simulator.run(horizon=span, warmup=span * 0.05)
+    metrics = build_simulator(spec).run(horizon=span, warmup=span * 0.05)
     return [
         {
             "name": cloud.name,

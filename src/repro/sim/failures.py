@@ -192,8 +192,10 @@ def failure_impact(
 ) -> dict[str, Any]:
     """Welfare and per-SC utility shift of one failure scenario.
 
-    Runs the spec's federation twice under common random numbers — once
-    healthy, once with ``spec.failures`` injected — and maps the
+    Runs the spec's simulator (demand profiles included, as
+    :func:`repro.scenarios.runner.simulate_spec` builds it) twice under
+    common random numbers — once healthy, once with ``spec.failures``
+    injected — and maps the
     simulated metrics through the paper's Eq. (1)-(3) chain.  The
     no-sharing/public-cloud baseline has zero utility for every SC by
     Eq. (2) (no sharing, no cost reduction), so ``welfare_failed > 0``
@@ -204,8 +206,10 @@ def failure_impact(
         ConfigurationError: a window starts at or after the horizon, so
             the failed run would silently equal the healthy one.
     """
+    from dataclasses import replace
+
     from repro.market.fairness import welfare
-    from repro.sim.federation import FederationSimulator
+    from repro.scenarios.runner import build_simulator
 
     scenario = spec.federation()
     span = float(horizon if horizon is not None else spec.run.horizon)
@@ -216,12 +220,8 @@ def failure_impact(
             f"never opens before horizon {span}"
         )
     warmup = span * 0.05
-    healthy = FederationSimulator(scenario, seed=spec.run.seed).run(
-        horizon=span, warmup=warmup
-    )
-    failed = FederationSimulator(
-        scenario, seed=spec.run.seed, failures=spec.failures
-    ).run(horizon=span, warmup=warmup)
+    healthy = build_simulator(replace(spec, failures=())).run(horizon=span, warmup=warmup)
+    failed = build_simulator(spec).run(horizon=span, warmup=warmup)
     gamma = spec.run.gamma
     shares = [cloud.shared_vms for cloud in scenario]
     utils_healthy, costs_healthy = _sc_utilities(scenario, healthy, gamma)

@@ -75,8 +75,9 @@ class TestRunSelfTest:
         output = stream.getvalue()
         assert "(100%)" in output
         assert "MISSED" not in output
-        # The three cache tiers must all contribute mutants.
-        assert "DiskParamsCache._hash" in output
+        # Both cache tiers (the persistent model cache and the level
+        # cache) must contribute mutants.
+        assert "CachedModel._fingerprint" in output
         assert "CachedModel._hash" in output
         assert "ApproximateModel._config_key" in output
 

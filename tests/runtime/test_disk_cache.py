@@ -13,7 +13,6 @@ from repro.runtime.cache import (
     CACHE_FORMAT_VERSION,
     CachedModel,
     DiskCache,
-    DiskParamsCache,
     model_fingerprint,
     payload_digest,
     scenario_fingerprint,
@@ -51,11 +50,6 @@ class TestFingerprints:
         a = scenario_fingerprint(_scenario(shares=(2, 1)))
         b = scenario_fingerprint(_scenario(shares=(1, 2)))
         assert a != b
-
-    def test_base_fingerprint_ignores_sharing(self):
-        a = scenario_fingerprint(_scenario(shares=(2, 1)), include_sharing=False)
-        b = scenario_fingerprint(_scenario(shares=(1, 2)), include_sharing=False)
-        assert a == b
 
     def test_model_fingerprint_distinguishes_types(self):
         from repro.perf.approximate import ApproximateModel
@@ -100,77 +94,14 @@ class TestDiskCache:
         cache = DiskCache(tmp_path)
         cache.store("k1", {})
         cache.store("k2", {})
-        assert cache.keys() == ["k1", "k2"]
+        assert sorted(p.stem for p in tmp_path.glob("*.json")) == ["k1", "k2"]
         assert cache.discard("k1") is True
         assert cache.discard("k1") is False
-        assert cache.keys() == ["k2"]
+        assert sorted(p.stem for p in tmp_path.glob("*.json")) == ["k2"]
 
     def test_survives_reopening(self, tmp_path):
         DiskCache(tmp_path).store("persist", {"y": 2})
         assert DiskCache(tmp_path).load("persist")["y"] == 2
-
-
-class TestDiskParamsCache:
-    def _params(self, n=2):
-        return [
-            PerformanceParams(
-                lent_mean=0.5 + i,
-                borrowed_mean=0.25,
-                forward_rate=0.1,
-                utilization=0.6,
-            )
-            for i in range(n)
-        ]
-
-    def test_miss_raises_keyerror(self, tmp_path):
-        cache = DiskParamsCache(tmp_path, _scenario(), PooledModel())
-        with pytest.raises(KeyError):
-            cache[(2, 1)]
-
-    def test_set_get_roundtrip(self, tmp_path):
-        cache = DiskParamsCache(tmp_path, _scenario(), PooledModel())
-        params = self._params()
-        cache[(2, 1)] = params
-        assert cache[(2, 1)] == params
-
-    def test_persists_across_instances(self, tmp_path):
-        first = DiskParamsCache(tmp_path, _scenario(), PooledModel())
-        first[(2, 1)] = self._params()
-        second = DiskParamsCache(tmp_path, _scenario(), PooledModel())
-        restored = second[(2, 1)]
-        assert [p.lent_mean for p in restored] == [0.5, 1.5]
-
-    def test_namespaced_by_model(self, tmp_path):
-        from repro.perf.approximate import ApproximateModel
-
-        pooled_view = DiskParamsCache(tmp_path, _scenario(), PooledModel())
-        pooled_view[(2, 1)] = self._params()
-        approx_view = DiskParamsCache(tmp_path, _scenario(), ApproximateModel())
-        with pytest.raises(KeyError):
-            approx_view[(2, 1)]
-
-    def test_mapping_protocol(self, tmp_path):
-        cache = DiskParamsCache(tmp_path, _scenario(), PooledModel())
-        cache[(2, 1)] = self._params()
-        cache[(0, 0)] = self._params()
-        assert len(cache) == 2
-        assert set(cache) == {(2, 1), (0, 0)}
-        assert (2, 1) in cache
-        del cache[(2, 1)]
-        assert (2, 1) not in cache
-        assert len(DiskParamsCache(tmp_path, _scenario(), PooledModel())) == 1
-
-    def test_corrupt_entry_recovers(self, tmp_path):
-        cache = DiskParamsCache(tmp_path, _scenario(), PooledModel())
-        cache[(2, 1)] = self._params()
-        for path in tmp_path.glob("*.json"):
-            path.write_text("garbage")
-        fresh = DiskParamsCache(tmp_path, _scenario(), PooledModel())
-        with pytest.raises(KeyError):
-            fresh[(2, 1)]
-        # The corrupt file is gone; a re-store works normally.
-        fresh[(2, 1)] = self._params()
-        assert fresh[(2, 1)] == self._params()
 
 
 class TestCachedModel:
@@ -206,6 +137,15 @@ class TestCachedModel:
         assert cached.evaluate_target(scenario, len(scenario) - 1) == PooledModel(
         ).evaluate_target(scenario, len(scenario) - 1)
         assert cached.hits == 1
+
+    def test_namespaced_by_model(self, tmp_path):
+        from repro.perf.approximate import ApproximateModel
+
+        scenario = _scenario()
+        CachedModel(PooledModel(), tmp_path).evaluate(scenario)
+        approx_view = CachedModel(ApproximateModel(), tmp_path)
+        approx_view.evaluate(scenario)
+        assert (approx_view.misses, approx_view.hits) == (1, 0)
 
     def test_corrupt_entry_resolved_by_resolve(self, tmp_path):
         scenario = _scenario()
@@ -266,80 +206,96 @@ class TestCacheIntegrity:
         with sanitized(False):
             assert cache.load("entry") is None
 
+    def _stored(self, root, scenario):
+        """A warm cache dir: one full-vector entry for ``scenario``."""
+        CachedModel(PooledModel(), root).evaluate(scenario)
+        return CachedModel(PooledModel(), root)
+
     def test_params_cache_rejects_tampered_values(self, tmp_path):
-        cache = DiskParamsCache(tmp_path, _scenario(), PooledModel())
-        cache[(2, 1)] = self._params()
+        scenario = _scenario()
+        fresh = self._stored(tmp_path, scenario)
 
         def corrupt(payload):
-            payload["params"][0]["lent_mean"] = 99.0
+            payload["params"][0]["lent_mean"] = 99.0  # digest now stale
 
-        for path in tmp_path.glob("*.json"):
-            payload = json.loads(path.read_text())
-            corrupt(payload)
-            path.write_text(json.dumps(payload))
-        fresh = DiskParamsCache(tmp_path, _scenario(), PooledModel())
+        self._tamper(tmp_path, corrupt)
         with sanitized(False):
-            with pytest.raises(KeyError):
-                fresh[(2, 1)]
+            assert fresh.evaluate(scenario) == PooledModel().evaluate(scenario)
+        assert (fresh.misses, fresh.hits) == (1, 0)
 
     def test_params_cache_rejects_stale_schema_version(self, tmp_path):
-        cache = DiskParamsCache(tmp_path, _scenario(), PooledModel())
-        cache[(2, 1)] = self._params()
-        for path in tmp_path.glob("*.json"):
-            payload = json.loads(path.read_text())
+        scenario = _scenario()
+        fresh = self._stored(tmp_path, scenario)
+
+        def downgrade(payload):
             payload["version"] = CACHE_FORMAT_VERSION - 1
             payload["digest"] = payload_digest(payload)
-            path.write_text(json.dumps(payload))
-        fresh = DiskParamsCache(tmp_path, _scenario(), PooledModel())
-        with pytest.raises(KeyError):
-            fresh[(2, 1)]
 
-    def test_params_cache_rejects_foreign_namespace(self, tmp_path):
+        self._tamper(tmp_path, downgrade)
+        assert fresh.evaluate(scenario) == PooledModel().evaluate(scenario)
+        assert (fresh.misses, fresh.hits) == (1, 0)
+
+    def _rename_to_foreign_key(self, root, foreign):
         # A cache file copied under another key (or a renamed directory)
         # carries a valid digest but describes different inputs.
-        cache = DiskParamsCache(tmp_path, _scenario(), PooledModel())
-        cache[(2, 1)] = self._params()
-        src = next(iter(tmp_path.glob("*.json")))
-        foreign_key = cache._hash((0, 0))
-        src.rename(tmp_path / f"{foreign_key}.json")
-        fresh = DiskParamsCache(tmp_path, _scenario(), PooledModel())
+        src = next(iter(root.glob("*.json")))
+        cached = CachedModel(PooledModel(), root)
+        foreign_key = cached._hash(cached._fingerprint(foreign, None))
+        src.rename(root / f"{foreign_key}.json")
+        return cached
+
+    def test_params_cache_rejects_foreign_namespace(self, tmp_path):
+        foreign = _scenario(shares=(0, 0))
+        fresh = self._stored(tmp_path, _scenario())
+        self._rename_to_foreign_key(tmp_path, foreign)
         with sanitized(False):
-            with pytest.raises(KeyError):
-                fresh[(0, 0)]
+            assert fresh.evaluate(foreign) == PooledModel().evaluate(foreign)
+        assert (fresh.misses, fresh.hits) == (1, 0)
 
     def test_params_cache_foreign_namespace_raises_under_sanitizer(self, tmp_path):
-        cache = DiskParamsCache(tmp_path, _scenario(), PooledModel())
-        cache[(2, 1)] = self._params()
-        src = next(iter(tmp_path.glob("*.json")))
-        foreign_key = cache._hash((0, 0))
-        src.rename(tmp_path / f"{foreign_key}.json")
-        fresh = DiskParamsCache(tmp_path, _scenario(), PooledModel())
+        foreign = _scenario(shares=(0, 0))
+        fresh = self._stored(tmp_path, _scenario())
+        self._rename_to_foreign_key(tmp_path, foreign)
         with sanitized(True):
             with pytest.raises(InvariantViolation) as exc:
-                fresh[(0, 0)]
+                fresh.evaluate(foreign)
         assert exc.value.invariant == "cache-namespace"
 
+    def test_foreign_target_is_a_miss(self, tmp_path):
+        # Same scenario, different target: the identity check covers the
+        # target index as well as the sharing vector.
+        scenario = _scenario()
+        CachedModel(PooledModel(), tmp_path).evaluate_target(scenario, 0)
+        cached = CachedModel(PooledModel(), tmp_path)
+        src = next(iter(tmp_path.glob("*.json")))
+        src.rename(tmp_path / f"{cached._hash(cached._fingerprint(scenario, 1))}.json")
+        with sanitized(False):
+            assert cached.evaluate_target(scenario, 1) == PooledModel().evaluate_target(
+                scenario, 1
+            )
+        assert (cached.misses, cached.hits) == (1, 0)
+
     def test_params_cache_checks_loaded_params_under_sanitizer(self, tmp_path):
-        cache = DiskParamsCache(tmp_path, _scenario(), PooledModel())
-        cache[(2, 1)] = self._params()
-        for path in tmp_path.glob("*.json"):
-            payload = json.loads(path.read_text())
+        scenario = _scenario()
+        fresh = self._stored(tmp_path, scenario)
+
+        def poison(payload):
             payload["params"][0]["lent_mean"] = float("nan")
             payload["digest"] = payload_digest(payload)
-            path.write_text(json.dumps(payload))
-        fresh = DiskParamsCache(tmp_path, _scenario(), PooledModel())
+
+        self._tamper(tmp_path, poison)
         with sanitized(True):
             with pytest.raises(InvariantViolation) as exc:
-                fresh[(2, 1)]
+                fresh.evaluate(scenario)
         assert exc.value.invariant == "params-finite"
 
 
-def _write_vectors(task):
-    """Process-pool task: store every payload through one shared cache dir."""
-    cache, payloads = task
-    for vector, params in payloads:
-        cache[vector] = params
-    return len(payloads)
+def _evaluate_vectors(task):
+    """Process-pool task: solve every scenario through one shared cache dir."""
+    cached, scenarios = task
+    for scenario in scenarios:
+        cached.evaluate(scenario)
+    return len(scenarios)
 
 
 class TestProcessWriters:
@@ -349,24 +305,35 @@ class TestProcessWriters:
         from repro.runtime.executor import ProcessExecutor
         from tests.helpers import StubModel
 
-        scenario = FederationScenario(
+        base = FederationScenario(
             clouds=(
                 SmallCloud(name="a", vms=4, arrival_rate=2.0),
                 SmallCloud(name="b", vms=5, arrival_rate=3.0),
             )
         )
-        model = StubModel()
-        cache = DiskParamsCache(tmp_path, scenario, model, memory_size=3)
         vectors = sorted({(i % 5, j % 6) for i in range(4) for j in range(4)})
-        payloads = [
-            (vector, model.evaluate(scenario.with_sharing(vector)))
-            for vector in vectors
-        ]
-        tasks = [(cache, payloads[offset:] + payloads[:offset]) for offset in range(4)]
-        written = ProcessExecutor(4).map(_write_vectors, tasks)
+        scenarios = [base.with_sharing(vector) for vector in vectors]
+        cached = CachedModel(StubModel(), tmp_path)
+        tasks = [(cached, scenarios[offset:] + scenarios[:offset]) for offset in range(4)]
+        written = ProcessExecutor(4).map(_evaluate_vectors, tasks)
         assert written == [len(vectors)] * 4
 
-        fresh = DiskParamsCache(tmp_path, scenario, model)
-        assert len(fresh) == len(vectors)
-        for vector, params in payloads:
-            assert fresh[vector] == params
+        assert len(list(tmp_path.glob("*.json"))) == len(vectors)
+        fresh = CachedModel(StubModel(), tmp_path)
+        for scenario in scenarios:
+            assert fresh.evaluate(scenario) == StubModel().evaluate(scenario)
+        assert (fresh.misses, fresh.hits) == (0, len(vectors))
+
+
+class TestWarmCacheIdentity:
+    def test_fig8b_rows_equal_uncached_cold_and_warm(self, tmp_path):
+        # The evaluator above the cache counts model calls ("model
+        # evals"); a warm cache must leave those counts untouched.
+        from repro.bench.fig8 import run_fig8b
+
+        def run(cache_dir=None):
+            return run_fig8b(sizes=(2,), tabu_distances=(1,), vms=5, cache_dir=cache_dir)
+
+        uncached = run()
+        assert run(tmp_path) == uncached  # cold
+        assert run(tmp_path) == uncached  # warm

@@ -30,30 +30,6 @@ class TestBasics:
         assert 2 not in cache
         assert len(cache) == 1
 
-    def test_get_or_create_builds_once_cached_after(self):
-        cache: LRUCache[str, int] = LRUCache(maxsize=4)
-        calls = []
-
-        def factory():
-            calls.append(1)
-            return 42
-
-        assert cache.get_or_create("k", factory) == 42
-        assert cache.get_or_create("k", factory) == 42
-        assert len(calls) == 1
-
-    def test_failed_factory_caches_nothing(self):
-        cache: LRUCache[str, int] = LRUCache(maxsize=4)
-
-        def factory():
-            raise RuntimeError("build failed")
-
-        with pytest.raises(RuntimeError):
-            cache.get_or_create("k", factory)
-        assert "k" not in cache
-        assert cache.get_or_create("k", lambda: 7) == 7
-        assert cache.stats()["misses"] == 2
-
     def test_clear_keeps_stats(self):
         cache: LRUCache[str, int] = LRUCache(maxsize=4)
         cache.put("a", 1)
@@ -61,21 +37,6 @@ class TestBasics:
         cache.clear()
         assert len(cache) == 0
         assert cache.stats()["hits"] == 1
-
-    def test_pop_removes_without_counting(self):
-        cache: LRUCache[str, int] = LRUCache(maxsize=4)
-        cache.put("a", 1)
-        assert cache.pop("a") == 1
-        assert cache.pop("a") is None
-        assert cache.stats()["hits"] == 0
-        assert cache.stats()["misses"] == 0
-
-    def test_keys_snapshot_lru_order(self):
-        cache: LRUCache[str, int] = LRUCache(maxsize=4)
-        cache.put("a", 1)
-        cache.put("b", 2)
-        cache.get("a")  # refresh "a": now "b" is least recent
-        assert cache.keys() == ["b", "a"]
 
 
 class TestEviction:
@@ -87,12 +48,6 @@ class TestEviction:
         cache.put(3, 3)
         assert 1 in cache and 3 in cache
         assert 2 not in cache
-
-    def test_unbounded_never_evicts(self):
-        cache: LRUCache[int, int] = LRUCache(maxsize=None)
-        for i in range(1000):
-            cache.put(i, i)
-        assert len(cache) == 1000
 
     def test_rejects_non_positive_maxsize(self):
         with pytest.raises(ConfigurationError):
@@ -125,11 +80,6 @@ class TestEnsureCapacity:
         cache = LRUCache(maxsize=16)
         cache.ensure_capacity(4)
         assert cache.maxsize == 16
-
-    def test_unbounded_stays_unbounded(self):
-        cache = LRUCache(maxsize=None)
-        cache.ensure_capacity(1000)
-        assert cache.maxsize is None
 
     def test_keeps_existing_entries(self):
         cache = LRUCache(maxsize=2)

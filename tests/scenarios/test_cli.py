@@ -2,8 +2,6 @@
 
 import json
 
-import pytest
-
 from repro.scenarios.cli import main
 from repro.scenarios.schema import save_spec
 
@@ -128,18 +126,3 @@ class TestModuleEntryPoints:
         assert repro_main(["simulate", str(path), "--horizon", "200"]) == 0
         metrics = json.loads(capsys.readouterr().out)
         assert [m["name"] for m in metrics] == ["sc1", "sc2"]
-
-    def test_bench_runner_scenario_figure(self, tmp_path, capsys):
-        from repro.bench.runner import main as bench_main
-
-        path = tmp_path / "tiny.json"
-        save_spec(tiny_spec(), path)
-        assert bench_main(["scenario", "--scenario", str(path)]) == 0
-        report = json.loads(capsys.readouterr().out)
-        assert report["scenario"] == "tiny-pair"
-
-    def test_bench_runner_scenario_requires_reference(self, capsys):
-        from repro.bench.runner import main as bench_main
-
-        with pytest.raises(SystemExit):
-            bench_main(["scenario"])

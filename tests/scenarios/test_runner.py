@@ -1,10 +1,9 @@
-"""Scenario execution: solve/simulate, digests, cache namespacing."""
+"""Scenario execution: solve/simulate, digests, the persistent cache."""
 
 import pytest
 
 from repro.scenarios.runner import (
     make_model,
-    make_params_cache,
     observables_digest,
     outcome_observables,
     run_spec,
@@ -19,27 +18,37 @@ class TestFactories:
         from repro.perf.approximate import ApproximateModel
         from repro.perf.pooled import PooledModel
 
-        assert isinstance(make_model(tiny_spec()), PooledModel)
-        assert isinstance(make_model(tiny_spec(model="approximate")), ApproximateModel)
+        assert isinstance(make_model(tiny_spec().run.model), PooledModel)
+        assert isinstance(
+            make_model(tiny_spec(model="approximate").run.model), ApproximateModel
+        )
+        with pytest.raises(ValueError):
+            make_model("oracle")
 
     def test_cache_namespaced_by_content_hash(self, tmp_path):
-        spec_a = tiny_spec()
-        spec_b = tiny_spec(seed=8)
-        model = make_model(spec_a)
-        cache_a = make_params_cache(spec_a, model, str(tmp_path))
-        cache_b = make_params_cache(spec_b, model, str(tmp_path))
-        federation = spec_a.federation()
-        params = model.evaluate(federation)
-        key = tuple(c.shared_vms for c in federation)
-        cache_a[key] = params
-        # Same federation, same key, same directory — but a different
-        # scenario hash must not see the entry.
-        assert key in cache_a
-        assert key not in cache_b
+        # An edited spec (a different arrival rate, same names and
+        # sharing) must never replay the original's solve, while a
+        # price-only edit legitimately shares it.
+        from dataclasses import replace
 
-    def test_no_cache_dir_means_no_cache(self):
+        from repro.runtime.cache import CachedModel
+
         spec = tiny_spec()
-        assert make_params_cache(spec, make_model(spec), None) is None
+        CachedModel(make_model(spec.run.model), tmp_path).evaluate(spec.federation())
+        edited = replace(spec.clouds[0], arrival_rate=3.5)
+        repriced = replace(spec.clouds[0], federation_price=6.0)
+        for cloud, hits in ((edited, 0), (repriced, 1)):
+            federation = replace(spec, clouds=(cloud, spec.clouds[1])).federation()
+            cached = CachedModel(make_model(spec.run.model), tmp_path)
+            cached.evaluate(federation)
+            assert cached.hits == hits
+
+    def test_no_cache_dir_means_no_cache(self, tmp_path):
+        from repro.runtime.cache import cached_model
+
+        model = make_model(tiny_spec().run.model)
+        assert cached_model(model, None) is model
+        assert cached_model(model, tmp_path).model is model
 
 
 class TestSolve:
@@ -48,6 +57,14 @@ class TestSolve:
         serial = observables_digest(outcome_observables(solve_spec(spec)))
         processed = observables_digest(outcome_observables(solve_spec(spec, workers=2)))
         assert serial == processed
+
+    def test_solve_is_bitwise_stable_across_cold_and_warm_cache(self, tmp_path):
+        spec = tiny_spec()
+        plain = observables_digest(outcome_observables(solve_spec(spec)))
+        for _ in ("cold", "warm"):
+            cached = solve_spec(spec, cache_dir=str(tmp_path))
+            assert observables_digest(outcome_observables(cached)) == plain
+        assert any(tmp_path.glob("*.json"))
 
     def test_run_spec_solve_report(self):
         spec = tiny_spec()

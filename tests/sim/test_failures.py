@@ -353,6 +353,24 @@ class TestSweep:
             reference = failure_impact(spec)
         assert failure_impact(spec) == reference
 
+    def test_failure_impact_runs_the_spec_demand_profiles(self):
+        # bursty-000 draws MMPP arrivals: the failed run must be the very
+        # simulation simulate_spec runs, not a Poisson stand-in.
+        from repro.scenarios.runner import simulate_spec
+
+        spec = resolve("bursty-000")
+        assert any(p.arrival.kind != "poisson" for p in spec.demand)
+        spec = replace(
+            spec,
+            run=replace(spec.run, horizon=1000.0),
+            failures=(FailureWindow(kind="outage", sc=0, start=100.0, end=300.0),),
+        )
+        report = failure_impact(spec)
+        simulated = simulate_spec(spec)
+        assert [e["forward_probability_failed"] for e in report["per_sc"]] == [
+            m["forward_probability"] for m in simulated
+        ]
+
     def test_failure_impact_rejects_windows_past_the_horizon(self):
         # failure-000's outage opens at 567.2 s: a 400 s run would report
         # the healthy federation as the failed one.
