@@ -152,6 +152,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 iterations=iterations,
                 efficiency=efficiency,
                 welfare=welfare,
+                evaluator=runner.evaluator,
+                strategy_spaces=runner.strategy_spaces,
             )
         )
     report = analyze_regions(rows)

@@ -4,9 +4,9 @@ For each of the four configurations (N in {10, 100} x Q in {0.2, 0.5})
 the harness sweeps the arrival rate so the achieved utilization covers
 the paper's range, computing the forwarding probability twice: from the
 Sect. III-A analytic model and from the discrete-event simulator.  The
-paper's claims checked here: the model tracks simulation closely, higher
-Q forwards less, and at equal utilization the smaller cloud forwards
-more.
+paper's claims checked here: higher Q forwards less and at equal
+utilization the smaller cloud forwards more (:func:`check_shape`), and
+the model tracks simulation closely (:func:`check_simulation`).
 """
 
 from __future__ import annotations
@@ -159,4 +159,21 @@ def check_shape(rows: list[Fig5Row]) -> list[str]:
         for u, row in small.items():
             if u in big and big[u].model_forward_probability > row.model_forward_probability + 1e-12:
                 problems.append(f"Q={sla}, rho={u}: big cloud forwards more than small")
+    return problems
+
+
+def check_simulation(rows: list[Fig5Row]) -> list[str]:
+    """Check that each model P_f is within 20% of simulation (2e-3 below a simulated 1e-3).
+
+    The band needs simulations of 8,000 time units or more: at 5,000 the
+    N=10 points near rho = 0.6 drift outside it from noise alone.
+    """
+    problems = []
+    for r in rows:
+        model, sim = r.model_forward_probability, r.simulated_forward_probability
+        if not (r.relative_error < 0.2 or (sim < 1e-3 and abs(model - sim) < 2e-3)):
+            problems.append(
+                f"{r.config.label}, lambda={r.arrival_rate:g}: "
+                f"model P_f {model:.4f} against {sim:.4f} simulated"
+            )
     return problems

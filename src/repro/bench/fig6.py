@@ -14,7 +14,8 @@ Three scenario families, as in the paper:
 Each row reports the approximate and exact ``Ibar``/``Obar`` of the
 target SC and the error of the *difference* ``Obar - Ibar`` (the
 quantity the cost function consumes; the paper's headline accuracy claim
-is about this difference).
+is about this difference).  :func:`check_shape` holds the paper's error
+bands, the pool bounds and the direction of the approximation's bias.
 """
 
 from __future__ import annotations
@@ -224,3 +225,44 @@ def render(rows: list[Fig6Row]) -> str:
         ],
         title="Fig. 6 — approximate model vs ground truth (target SC)",
     )
+
+
+def check_shape(rows: list[Fig6Row]) -> list[str]:
+    """Check the paper's Fig. 6 accuracy claims; returns violations.
+
+    Every panel keeps the ``Obar - Ibar`` error below 0.6.  On 2 SCs the
+    ``Ibar``/``Obar`` errors stay below 0.15 at S=1 (the paper: "nearly the
+    same") and 0.45 at S=9, where lambda >= 8 underestimates ``Ibar`` and
+    overestimates ``Obar`` (Sect. V-A) to within 0.05.  The pools bound the
+    target: 18 VMs from the nine fixed SCs of 6c/6d, 10 each way on 6e/6f.
+    """
+    problems = []
+    for r in rows:
+        where = f"{r.panel} S={r.target_share} lambda={r.target_rate}"
+        if r.net_error >= 0.6:
+            problems.append(f"{where}: err(O-I) {r.net_error:.3f} >= 0.6")
+        if r.panel == "2sc":
+            band = 0.15 if r.target_share == 1 else 0.45
+            for name, error, approx, exact in (
+                ("Ibar", r.lent_error, r.approx.lent_mean, r.exact.lent_mean),
+                ("Obar", r.borrowed_error, r.approx.borrowed_mean, r.exact.borrowed_mean),
+            ):
+                if error >= band:
+                    problems.append(
+                        f"{where}: {name} error {error:.3f} >= {band} "
+                        f"({approx:.4f} approx against {exact:.4f} exact)"
+                    )
+            if r.target_share == 9 and r.target_rate >= 8.0:
+                if r.approx.lent_mean > r.exact.lent_mean + 0.05:
+                    problems.append(f"{where}: Ibar overestimated")
+                if r.approx.borrowed_mean < r.exact.borrowed_mean - 0.05:
+                    problems.append(f"{where}: Obar underestimated")
+        elif r.panel == "10sc":
+            if r.approx.borrowed_mean > 18.0 + 1e-9:
+                problems.append(f"{where}: Obar above the 18-VM pool")
+        else:
+            if r.approx.lent_mean > 10.0 + 1e-9:
+                problems.append(f"{where}: Ibar above the 10 shared VMs")
+            if r.approx.borrowed_mean > 10.0 + 1e-9:
+                problems.append(f"{where}: Obar above the other SC's 10 VMs")
+    return problems

@@ -11,17 +11,23 @@ a full sweep finishes in minutes; pass ``model=ApproximateModel()`` for
 the paper-faithful hierarchy (hours at strategy_step=1 — use a coarser
 ``strategy_step``).  Performance parameters are cached across the whole
 sweep since they do not depend on prices.
+
+:func:`check_shape` holds the paper's market claims, including a Nash
+check of every reported equilibrium through the evaluator that scored it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING
 
 from repro.bench.scenarios import fig7_scenario
 from repro.bench.tables import render_table
 from repro.core.framework import SCShare
+from repro.game.equilibrium import is_nash_equilibrium
+from repro.market.evaluator import UtilityEvaluator
 from repro.market.fairness import ALPHA_MAX_MIN, ALPHA_PROPORTIONAL, ALPHA_UTILITARIAN
 from repro.market.pricing import price_ratio_grid
 from repro.perf.base import PerformanceModel
@@ -50,6 +56,10 @@ class Fig7Row:
     iterations: int
     efficiency: dict[str, float]
     welfare: dict[str, float]
+    #: The evaluator and strategy spaces the game ran on, kept so that
+    #: :func:`check_shape` can verify the equilibrium at this price.
+    evaluator: UtilityEvaluator = field(compare=False, repr=False)
+    strategy_spaces: Sequence[Sequence[int]] = field(compare=False, repr=False)
 
     @property
     def federation_formed(self) -> bool:
@@ -143,6 +153,8 @@ def run_fig7(
                 iterations=iterations,
                 efficiency=efficiency,
                 welfare=welfare,
+                evaluator=runner.evaluator,
+                strategy_spaces=runner.strategy_spaces,
             )
         )
     return rows
@@ -169,8 +181,20 @@ def render(rows: list[Fig7Row]) -> str:
 
 
 def check_shape(rows: list[Fig7Row]) -> list[str]:
-    """Check the paper's qualitative Fig. 7 claims; returns violations."""
-    problems = []
+    """Check the paper's qualitative Fig. 7 claims; returns violations.
+
+    Every panel: a federation forms, also at a low/middle price, and each
+    equilibrium is a pure-strategy Nash point.  7a (UF0, spread loads):
+    some price ratio in 0.2-0.6 sustains 3 shared VMs in total.  7b (UF1,
+    spread): no SC shares more than 3 VMs (the paper: "only ~1 VM
+    regardless of price").  7d (UF1, medium): a federation at some ratio
+    up to 0.5.
+    """
+    problems = [
+        f"C^G/C^P={r.price_ratio:g}: {r.equilibrium} is not a Nash equilibrium"
+        for r in rows
+        if not is_nash_equilibrium(r.evaluator, r.equilibrium, r.strategy_spaces)
+    ]
     formed = [r for r in rows if r.federation_formed]
     if not formed:
         problems.append("the federation never forms at any price ratio")
@@ -179,4 +203,17 @@ def check_shape(rows: list[Fig7Row]) -> list[str]:
     low_mid = [r for r in rows if 0.1 <= r.price_ratio <= 0.6]
     if low_mid and not any(r.federation_formed for r in low_mid):
         problems.append("no federation in the low/middle price range")
+    loads, uf1 = rows[0].loads, rows[0].gamma > 0.0
+    if loads == "spread" and not uf1:
+        mid = [r for r in rows if 0.2 <= r.price_ratio <= 0.6]
+        if mid and not any(sum(r.equilibrium) >= 3 for r in mid):
+            problems.append("no mid-range price sustains 3 shared VMs")
+    if loads == "spread" and uf1:
+        for r in formed:
+            if max(r.equilibrium) > 3:
+                problems.append(f"C^G/C^P={r.price_ratio:g}: UF1 share {r.equilibrium} above 3")
+    if loads == "medium" and uf1:
+        low = [r for r in rows if r.price_ratio <= 0.5]
+        if low and not any(r.federation_formed for r in low):
+            problems.append("no UF1 federation at price ratios up to 0.5")
     return problems

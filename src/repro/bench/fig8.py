@@ -11,12 +11,13 @@
   federations.
 
 Absolute times are machine-specific (the substitution table in DESIGN.md);
-the shapes are what the benchmarks assert.
+the shapes are what :func:`check_8a` and :func:`check_8b` verify.
 """
 
 from __future__ import annotations
 
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -81,10 +82,12 @@ def run_fig8b(
 ) -> list[Fig8bRow]:
     """Measure game rounds to equilibrium per federation size.
 
-    The search-distance runs at one federation size share a parameter
-    cache: Tabu variants visit overlapping sharing vectors, and the
-    solved parameters do not depend on the search configuration.  With
-    ``cache_dir`` the model sits behind the persistent
+    The search-distance runs at one federation size share only the
+    full-vector params dict: each distance builds its own evaluator, so
+    its single-SC target solves run again even where another distance
+    already solved them.  Sharing the target solves too would lower the
+    "model evals" column, which counts them.  With ``cache_dir`` the
+    model sits behind the persistent
     :class:`~repro.runtime.cache.CachedModel`, which changes only how
     fast the rows appear, never their counts.
     """
@@ -135,3 +138,32 @@ def render_8b(rows: list[Fig8bRow]) -> str:
         ],
         title="Fig. 8b — game iterations to equilibrium vs federation size",
     )
+
+
+def check_8a(rows: Sequence[Fig8aRow]) -> list[str]:
+    """Fig. 8a violations: the target chain's states grow with K; each size solves in < 300 s."""
+    problems = []
+    states = [r.states for r in rows]
+    if states != sorted(states):
+        problems.append("8a: target chain states do not grow with K")
+    for r in rows:
+        if r.seconds >= 300.0:
+            problems.append(f"8a K={r.n_clouds}: {r.seconds:.1f} s >= 300 s")
+    return problems
+
+
+def check_8b(rows: Sequence[Fig8bRow]) -> list[str]:
+    """Fig. 8b violations: every game converges, and at each search distance the
+    largest K needs at most 2 rounds more than the smallest (the paper: rounds
+    shrink as each decision matters less)."""
+    problems = []
+    by_distance: dict[int, list[Fig8bRow]] = {}
+    for r in rows:
+        by_distance.setdefault(r.tabu_distance, []).append(r)
+        if not r.converged:
+            problems.append(f"8b K={r.n_clouds} distance {r.tabu_distance}: not converged")
+    for distance, group in by_distance.items():
+        group.sort(key=lambda r: r.n_clouds)
+        if group[-1].iterations > group[0].iterations + 2:
+            problems.append(f"8b distance {distance}: rounds grew with K")
+    return problems

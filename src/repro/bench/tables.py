@@ -7,7 +7,7 @@ diff-able in CI logs.
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
+from collections.abc import Sequence
 
 
 def render_table(
@@ -43,18 +43,3 @@ def render_table(
         lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)))
     return "\n".join(lines)
 
-
-def render_series(series: Mapping[str, Sequence[tuple[float, float]]], title: str) -> str:
-    """Render named (x, y) series as one table with a column per series."""
-    xs = sorted({x for points in series.values() for x, _y in points})
-    headers = ["x"] + list(series)
-    lookup = {
-        name: {x: y for x, y in points} for name, points in series.items()
-    }
-    rows = []
-    for x in xs:
-        row: list[object] = [x]
-        for name in series:
-            row.append(lookup[name].get(x, float("nan")))
-        rows.append(row)
-    return render_table(headers, rows, title=title)

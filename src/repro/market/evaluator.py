@@ -207,20 +207,3 @@ class UtilityEvaluator:
     def cache_size(self) -> int:
         """Number of distinct sharing vectors evaluated so far."""
         return len(self._cache)
-
-    def cache_info(self) -> dict[str, object]:
-        """Cache effectiveness counters for logs and benchmarks.
-
-        Combines this evaluator's params cache with the wrapped model's
-        level-prefix cache statistics when the model exposes them (the
-        approximate model does via ``level_cache_stats``)."""
-        info: dict[str, object] = {
-            "params_cache_size": len(self._cache),
-            "target_cache_size": len(self._target_cache),
-            "model_evaluations": self.evaluations,
-            "target_evaluations": self.target_evaluations,
-        }
-        stats = getattr(self.model, "level_cache_stats", None)
-        if callable(stats):
-            info["level_cache"] = stats()
-        return info

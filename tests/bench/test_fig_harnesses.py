@@ -1,4 +1,4 @@
-"""Smoke tests for the figure harnesses (tiny grids, no simulation)."""
+"""Smoke tests for the figure harnesses (tiny grids, one simulated Fig. 5 grid)."""
 
 import pytest
 
@@ -22,6 +22,10 @@ class TestFig5Harness:
         text = fig5.render(rows)
         for label in ("N=10, Q=0.2", "N=100, Q=0.5"):
             assert label in text
+
+    def test_model_tracks_simulation(self):
+        rows = fig5.run_fig5(utilizations=(0.7, 0.9), horizon=8_000.0)
+        assert fig5.check_simulation(rows) == []
 
     def test_relative_error_nan_handling(self, rows):
         # Without simulation the error is NaN-ish; accessing it must not

@@ -9,7 +9,7 @@ pytestmark = pytest.mark.slow
 
 class TestRunnerCli:
     def test_figures_registered(self):
-        assert set(runner.FIGURES) == {"fig5", "fig6", "fig7", "fig8"}
+        assert set(runner.FIGURES) == {"fig5", "fig6", "fig7", "fig8", "ablations"}
 
     def test_unknown_figure_rejected(self):
         with pytest.raises(SystemExit):

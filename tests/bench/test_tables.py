@@ -1,6 +1,6 @@
 """Tests for the benchmark table renderer."""
 
-from repro.bench.tables import render_series, render_table
+from repro.bench.tables import render_table
 
 
 class TestRenderTable:
@@ -35,21 +35,3 @@ class TestRenderTable:
         header, divider, row = text.splitlines()
         assert len(divider) >= len("a-very-long-cell")
 
-
-class TestRenderSeries:
-    def test_merges_series_on_x(self):
-        text = render_series(
-            {"up": [(1.0, 10.0), (2.0, 20.0)], "down": [(1.0, 5.0)]},
-            title="Series",
-        )
-        lines = text.splitlines()
-        assert lines[0] == "Series"
-        assert "up" in lines[1] and "down" in lines[1]
-        # x=2.0 has no 'down' value -> NaN cell.
-        assert "nan" in text
-
-    def test_x_values_sorted(self):
-        text = render_series({"s": [(3.0, 1.0), (1.0, 2.0)]}, title="t")
-        rows = text.splitlines()[3:]
-        assert rows[0].startswith("1.0")
-        assert rows[1].startswith("3.0")

@@ -109,16 +109,6 @@ class TestTargetPath:
         assert evaluator.target_evaluations == 0
         assert evaluator.cache_size() == 1
 
-    def test_cache_info_reports_both_tiers(self, scenario):
-        evaluator = UtilityEvaluator(scenario, CountingModel())
-        evaluator.utilities((2, 3))
-        evaluator.utility((4, 1), 0)
-        info = evaluator.cache_info()
-        assert info["params_cache_size"] == 1
-        assert info["target_cache_size"] == 1
-        assert info["model_evaluations"] == 1
-        assert info["target_evaluations"] == 1
-
 
 class TestQuantities:
     def test_cost_uses_equation_one(self, scenario):

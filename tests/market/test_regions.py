@@ -20,6 +20,8 @@ def row(ratio, utilitarian, proportional, maxmin, equilibrium=(1, 1, 1)):
             "max-min": maxmin,
         },
         welfare={"utilitarian": 1.0, "proportional": 1.0, "max-min": 1.0},
+        evaluator=None,  # the region analysis reads efficiencies only
+        strategy_spaces=(),
     )
 
 
