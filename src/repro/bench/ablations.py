@@ -11,7 +11,7 @@ support.
 from __future__ import annotations
 
 import time
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +22,7 @@ from repro.core.framework import SCShare
 from repro.core.small_cloud import FederationScenario, SmallCloud
 from repro.game.tabu import TabuSearch
 from repro.perf.approximate import ApproximateModel
+from repro.perf.base import PerformanceModel
 from repro.perf.detailed import DetailedModel
 from repro.perf.pooled import PooledModel
 from repro.perf.simulation import SimulationModel
@@ -79,23 +80,38 @@ class WorkloadRow:
         return self.isolated - self.federated
 
 
+#: Cold ``evaluate`` calls timed per analytic model; the fastest is reported.
+_COLD_RUNS = 3
+
+
 def run_models(horizon: float = 30_000.0) -> list[ModelRow]:
-    """Time each model on two 10-VM SCs (simulating ``horizon``); score it against exact."""
+    """Time each model on two 10-VM SCs (simulating ``horizon``); score it against exact.
+
+    A model's time is the fastest of :data:`_COLD_RUNS` cold ``evaluate``
+    calls, each on a fresh model (a reused :class:`ApproximateModel` would
+    answer from its level cache), so one slow call on a busy host does
+    not flip the speed ordering :func:`check_models` asserts.  The
+    simulation, far slower than the rest, runs once.
+    """
     scenario = FederationScenario((
         SmallCloud(name="a", vms=10, arrival_rate=7.0, shared_vms=5),
         SmallCloud(name="b", vms=10, arrival_rate=8.0, shared_vms=3),
     ))
-    models = {
-        "detailed": DetailedModel(),
-        "approximate": ApproximateModel(),
-        "pooled": PooledModel(),
-        "simulation": SimulationModel(horizon=horizon, warmup=1_000.0, seed=7),
+    models: dict[str, Callable[[], PerformanceModel]] = {
+        "detailed": DetailedModel,
+        "approximate": ApproximateModel,
+        "pooled": PooledModel,
+        "simulation": lambda: SimulationModel(horizon=horizon, warmup=1_000.0, seed=7),
     }
     timed = {}
-    for name, model in models.items():
-        start = time.perf_counter()
-        params = model.evaluate(scenario)
-        timed[name] = (time.perf_counter() - start, params)
+    for name, make in models.items():
+        best = float("inf")
+        for _ in range(1 if name == "simulation" else _COLD_RUNS):
+            model = make()
+            start = time.perf_counter()
+            params = model.evaluate(scenario)
+            best = min(best, time.perf_counter() - start)
+        timed[name] = (best, params)
     exact = timed["detailed"][1]
     return [
         ModelRow(name, i, seconds, p.lent_mean, p.borrowed_mean,

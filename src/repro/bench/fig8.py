@@ -82,11 +82,14 @@ def run_fig8b(
 ) -> list[Fig8bRow]:
     """Measure game rounds to equilibrium per federation size.
 
-    The search-distance runs at one federation size share only the
-    full-vector params dict: each distance builds its own evaluator, so
-    its single-SC target solves run again even where another distance
-    already solved them.  Sharing the target solves too would lower the
-    "model evals" column, which counts them.  With ``cache_dir`` the
+    The search-distance runs at one federation size share the
+    full-vector params dict, each with its own evaluator, so a distance's
+    "model evals" counts only the vectors no earlier distance solved.
+    On the default :class:`PooledModel` every solve is a full-vector
+    one; on a model with a target path
+    (:attr:`~repro.perf.base.PerformanceModel.has_target_path`) the
+    single-SC target solves stay per evaluator and run again even where
+    another distance already solved them.  With ``cache_dir`` the
     model sits behind the persistent
     :class:`~repro.runtime.cache.CachedModel`, which changes only how
     fast the rows appear, never their counts.

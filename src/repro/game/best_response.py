@@ -33,20 +33,25 @@ _TIE_TOLERANCE = 1e-12
 
 def _score_trial_task(
     task: "tuple[UtilityEvaluator, tuple[int, ...], int]",
-) -> "tuple[float, PerformanceParams | None]":
+) -> "tuple[float, PerformanceParams | list[PerformanceParams] | None]":
     """Score one candidate sharing vector for one SC.
 
     Module-level (not a closure) so process executors can pickle it: the
     evaluator ships with its solved caches, and the model solve is a pure function of the trial vector,
     so a worker returns exactly the floats a serial scan would.  The
     solved parameters ride back with the utility so the parent can seed
-    its own cache (:meth:`UtilityEvaluator.seed_target`) instead of
-    re-solving the winning candidate at move time.
+    its own cache instead of re-solving the winning candidate at move
+    time: the target solve on a model with a target path
+    (:meth:`UtilityEvaluator.seed_target`), else the full vector
+    (:meth:`UtilityEvaluator.seed_params`).
     """
     evaluator, trial, index = task
     value = evaluator.utility(trial, index)
-    params = evaluator.params_target(trial, index) if trial[index] != 0 else None
-    return value, params
+    if trial[index] == 0:
+        return value, None
+    if evaluator.target_path:
+        return value, evaluator.params_target(trial, index)
+    return value, evaluator.params(trial)
 
 
 class BestResponder:
@@ -129,8 +134,8 @@ class BestResponder:
         batches go through the picklable :func:`_score_trial_task`:
         process workers solve on a shipped copy of the evaluator and the
         solved parameters are seeded back into the parent cache
-        (:meth:`UtilityEvaluator.seed_target` drops duplicates, keeping
-        counts serial-equal).  A closure objective would not pickle, so
+        (the seeding methods drop duplicates, keeping counts
+        serial-equal).  A closure objective would not pickle, so
         this task is where the per-Tabu-move parallelism comes from.
         """
         executor = self.executor
@@ -146,9 +151,12 @@ class BestResponder:
             tasks = [(self.evaluator, tuple(trial), index) for trial in trials]
             results = executor.map(_score_trial_task, tasks)
             scored: list[float] = []
+            evaluator = self.evaluator
             for trial, (value, params) in zip(trials, results):
-                if params is not None:
-                    self.evaluator.seed_target(trial, index, params)
+                if isinstance(params, list):
+                    evaluator.seed_params(trial, params)
+                elif params is not None:
+                    evaluator.seed_target(trial, index, params)
                 scored.append(value)
             return scored
 

@@ -8,13 +8,17 @@ depend only on the sharing vector (and the SCs' rates), never on prices.
 sharing vector, so an entire ``C^G/C^P`` sweep (which changes only
 prices) reuses one set of model solutions.
 
-Single-SC queries (``utility`` / ``cost``, the best-response objective)
-additionally take a *target-indexed* path: they ask the model for SC
-``i``'s parameters only (``evaluate_target``), which the hierarchical
-approximate model answers with one chain rotation instead of all ``K``.
-The contract ``evaluate_target(s, i) == evaluate(s)[i]`` makes the two
-paths interchangeable; full-vector queries (``utilities`` / ``welfare``)
-keep using ``evaluate`` so they populate the shared params cache.
+Each sharing vector costs one model solve.  A model whose
+``evaluate_target`` answers one SC more cheaply than a full solve
+(:attr:`~repro.perf.base.PerformanceModel.has_target_path`: the
+hierarchical approximate model, one chain rotation instead of ``K``)
+serves single-SC queries (``utility`` / ``cost``, the best-response
+objective) from a separate *target-indexed* cache; the contract
+``evaluate_target(s, i) == evaluate(s)[i]`` makes the two paths
+interchangeable.  For every other model a single-SC query is a
+full-vector query into the one params cache, so a later query of
+another SC, or ``utilities`` / ``welfare``, on the same vector re-uses
+that solve.
 """
 
 from __future__ import annotations
@@ -69,6 +73,8 @@ class UtilityEvaluator:
         self.evaluations = 0
         self.target_evaluations = 0
         self._target_cache: dict[tuple[tuple[int, ...], int], PerformanceParams] = {}
+        #: Read once: whether single-SC queries take the target path.
+        self.target_path = model.has_target_path
 
     def baseline(self, index: int) -> BaselineMetrics:
         """The no-sharing reference of SC ``index``."""
@@ -81,6 +87,11 @@ class UtilityEvaluator:
         if cached is not None:
             obs.inc("market.params.hit")
             return cached
+        return self._solve(key)
+
+    def _solve(self, key: tuple[int, ...]) -> list[PerformanceParams]:
+        """Solve ``key`` in full and cache it (the caller checked for a
+        cached entry)."""
         params = self.model.evaluate(self.scenario.with_sharing(key))
         if sanitize.sanitize_enabled():
             for i, entry in enumerate(params):
@@ -97,21 +108,26 @@ class UtilityEvaluator:
     ) -> PerformanceParams:
         """Performance parameters of SC ``index`` only (cached).
 
-        Uses :meth:`PerformanceModel.evaluate_target`, whose contract is
-        ``evaluate_target(s, i) == evaluate(s)[i]`` — the hierarchical
-        approximate model answers it with one chain rotation instead of
-        all ``K``, which makes best-response scans (many single-SC
-        queries over trial vectors) roughly ``K`` times cheaper.  A full
-        cached vector is always preferred; target solves land in a
-        separate per-``(vector, index)`` cache and are counted in
-        ``target_evaluations``, not ``evaluations``.
+        A full cached vector is always preferred.  Without a cheaper
+        target path (:attr:`~repro.perf.base.PerformanceModel.has_target_path`)
+        the query solves the full vector into the params cache, counted
+        in ``evaluations``: one solve per vector, whichever SC asks.
+        With one, it calls :meth:`PerformanceModel.evaluate_target`,
+        whose contract is ``evaluate_target(s, i) == evaluate(s)[i]`` —
+        the hierarchical approximate model answers it with one chain
+        rotation instead of all ``K``, which makes best-response scans
+        (many single-SC queries over trial vectors) roughly ``K`` times
+        cheaper.  Target solves land in a separate per-``(vector,
+        index)`` cache and are counted in ``target_evaluations``.
         """
         key = tuple(int(s) for s in sharing)
-        target = (key, int(index))
-        if key in self._cache:
-            result = self._cache[key][index]
+        cached = self._cache.get(key)
+        if cached is not None:
             obs.inc("market.target.full_hit")
-            return result
+            return cached[index]
+        if not self.target_path:
+            return self._solve(key)[index]
+        target = (key, int(index))
         if target in self._target_cache:
             result = self._target_cache[target]
             obs.inc("market.target.hit")
@@ -126,6 +142,29 @@ class UtilityEvaluator:
         self.target_evaluations += 1
         obs.inc("market.target.solve")
         return params
+
+    def seed_params(
+        self, sharing: Sequence[int], params: list[PerformanceParams]
+    ) -> bool:
+        """Install a full-vector solve computed elsewhere (a process-pool
+        worker scoring a best-response candidate on a model without a
+        target path) into the params cache.
+
+        The same contract as :meth:`seed_target`: the parameters are
+        exactly what :meth:`params` would have produced, and the first
+        writer wins, so ``evaluations`` equals a serial run's count.
+
+        Returns:
+            ``True`` if the entry was inserted, ``False`` on a duplicate.
+        """
+        key = tuple(int(s) for s in sharing)
+        if key in self._cache:
+            obs.inc("market.params.seed_duplicate")
+            return False
+        self._cache[key] = params
+        self.evaluations += 1
+        obs.inc("market.params.seeded")
+        return True
 
     def seed_target(
         self, sharing: Sequence[int], index: int, params: PerformanceParams

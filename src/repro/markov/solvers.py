@@ -81,16 +81,37 @@ def _bandwidth(m: sp.spmatrix) -> int:
     return int(np.abs(m.indices - major).max(initial=0))
 
 
-def _direct(q: sp.spmatrix) -> tuple[np.ndarray, SolveInfo]:
-    """:func:`steady_state_direct` plus its telemetry."""
+def _pinned_system(q: sp.csr_matrix) -> tuple[sp.csc_matrix, np.ndarray]:
+    """The pinned system ``Q^T[1:, 1:] x = -Q^T[1:, 0]`` of a CSR generator.
+
+    Row ``i`` of ``Q`` is column ``i`` of ``Q^T``, so the CSC matrix comes
+    straight from ``Q``'s arrays: rows 1.. with the entries of column 0
+    removed and every column index shifted down by one, in stored order.
+    Row 0 gives the right-hand side, duplicates summed in stored order and
+    the sum negated, as densifying the sliced column would.
+    """
+    n = q.shape[0]
+    indptr, indices, data = q.indptr, q.indices, q.data
+    first = indptr[1]
+    tail_indices = indices[first:]
+    keep = tail_indices != 0
+    kept = np.concatenate(([0], np.cumsum(keep)))
+    a = sp.csc_matrix(
+        (data[first:][keep], tail_indices[keep] - 1, kept[indptr[1:] - first]),
+        shape=(n - 1, n - 1),
+    )
+    rhs = np.zeros(n - 1)
+    head = indices[:first] != 0
+    np.add.at(rhs, indices[:first][head] - 1, data[:first][head])
+    return a, -rhs
+
+
+def _direct(q: sp.csr_matrix) -> tuple[np.ndarray, SolveInfo]:
+    """:func:`steady_state_direct` plus its telemetry, on a CSR generator."""
     n = q.shape[0]
     if n == 1:
         return np.array([1.0]), {}
-    qt = sp.csc_matrix(q.transpose())
-    a = sp.csc_matrix(qt[1:, 1:])
-    # Densifying one n-1 column (the RHS the solver needs dense anyway)
-    # is O(n), not an O(n^2) matrix materialization.
-    b = -qt[1:, 0].toarray().ravel()
+    a, b = _pinned_system(q)
     ordering = "NATURAL" if _BANDED_FRACTION * _bandwidth(a) <= n else "COLAMD"
     try:
         lu = spla.splu(a, permc_spec=ordering)
@@ -123,7 +144,7 @@ def steady_state_direct(q: sp.spmatrix) -> np.ndarray:
     A banded system (bandwidth at most ``n / 8``) is factored in its
     natural order, any other with SuperLU's default COLAMD ordering.
     """
-    return _direct(q)[0]
+    return _direct(sp.csr_matrix(q))[0]
 
 
 def steady_state_bicgstab(

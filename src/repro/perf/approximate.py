@@ -302,6 +302,11 @@ class ApproximateModel(PerformanceModel):
     # public interface
     # ------------------------------------------------------------------ #
 
+    @property
+    def has_target_path(self) -> bool:
+        """One SC costs one chain rotation instead of all ``K``."""
+        return True
+
     def evaluate_target(
         self,
         scenario: FederationScenario,

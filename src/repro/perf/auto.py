@@ -197,6 +197,11 @@ class AutoModel(PerformanceModel):
         with obs.span("perf.auto.evaluate", k=len(scenario), tier=name):
             return model.evaluate(scenario)
 
+    @property
+    def has_target_path(self) -> bool:
+        """The approximate tier answers one SC with one chain rotation."""
+        return True
+
     def evaluate_target(
         self,
         scenario: FederationScenario,

@@ -18,6 +18,18 @@ from repro.perf.params import PerformanceParams
 class PerformanceModel(abc.ABC):
     """Abstract estimator of federation performance parameters."""
 
+    @property
+    def has_target_path(self) -> bool:
+        """Whether :meth:`evaluate_target` answers one SC more cheaply than
+        a full :meth:`evaluate`.
+
+        False here, where it projects a full solve.  A caller that caches
+        solves (:class:`~repro.market.evaluator.UtilityEvaluator`) asks a
+        model without a target path for full vectors only, so each sharing
+        vector costs one solve whichever SC is queried first.
+        """
+        return False
+
     @abc.abstractmethod
     def evaluate(self, scenario: FederationScenario) -> list[PerformanceParams]:
         """Return one :class:`PerformanceParams` per SC, in scenario order."""

@@ -28,10 +28,12 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any
 
 import numpy as np
+import scipy.sparse as sp
 
 from repro._validation import check_in_range, check_positive, check_positive_int
 from repro.core.small_cloud import FederationScenario, SmallCloud
 from repro.exceptions import ConvergenceError
+from repro.markov.solvers import steady_state
 from repro.perf.base import PerformanceModel
 from repro.perf.params import PerformanceParams
 from repro.queueing.forwarding import queue_truncation_level
@@ -106,6 +108,10 @@ def _fractional_prob_no_forward(
     return float(value) if value.ndim == 0 else value
 
 
+#: The slots of the generator's band that lie off its diagonal.
+_OFF_DIAGONAL = [0, 1, 3, 4]
+
+
 def _running_sum(terms: np.ndarray) -> float:
     """``0.0 + t[0] + t[1] + ...`` summed left to right, as a loop would.
 
@@ -124,6 +130,9 @@ class _CloudChain:
     loop's guards, since a stored zero would change the sparsity pattern
     and with it the LU ordering; it multiplies each rate's operands in the
     loop's order; and it sums each moment left to right in state order.
+    The generator's CSR arrays come straight from five band slots per
+    state, byte for byte what a COO build, ``tocsr`` and a ``sp.diags``
+    subtraction give, without their sorting and temporaries.
     """
 
     def __init__(self, cloud: SmallCloud, pool_size: int, tail_epsilon: float) -> None:
@@ -169,46 +178,62 @@ class _CloudChain:
         arrives = q < self.q_max  # at q_max every arrival is forwarded
         spills = arrives & (saturated > 0.0)
 
-        sources: list[np.ndarray] = []
-        targets: list[np.ndarray] = []
-        rates: list[np.ndarray] = []
+        # One slot per band of the generator: -width, -1, the diagonal, +1
+        # and +width, in column order (at width 1 the +-1 slots stay empty:
+        # with no pool nothing is borrowed or returned).
+        slot_rates = np.zeros(index.shape + (5,))
+        slot_used = np.zeros(index.shape + (5,), dtype=bool)
 
-        def add(mask: np.ndarray, step: int, grid_rates: np.ndarray) -> None:
-            mask = np.broadcast_to(mask, index.shape)
-            sources.append(index[mask])
-            targets.append(sources[-1] + step)
-            rates.append(np.broadcast_to(grid_rates, index.shape)[mask])
+        def emit(slot: int, mask: np.ndarray, grid_rates: np.ndarray) -> None:
+            # A second emission into a slot adds to the first, as the
+            # duplicate entries of a COO build are summed.
+            slot_rates[..., slot] += np.where(mask, grid_rates, 0.0)
+            slot_used[..., slot] |= mask
 
         # Arrivals (split continuously at the fractional capacity).
-        add(arrives & (w_local > 0.0), width, lam * w_local)
+        emit(4, arrives & (w_local > 0.0), lam * w_local)
         if beta > 0.0:
-            add(spills & (o < pool), 1, (lam * saturated) * beta)
+            emit(3, spills & (o < pool), (lam * saturated) * beta)
         blocked = saturated * np.where(o < pool, 1.0 - beta, 1.0)
         blocked_flow = lam * blocked
         p_queue = _fractional_prob_no_forward(
             waiting, own_running + o, mu, cloud.sla_bound, table=self.pnf_table
         )
         queue_or_forward = spills & (blocked > 0.0)
-        add(queue_or_forward & (p_queue > 0.0), width, blocked_flow * p_queue)
+        emit(4, queue_or_forward & (p_queue > 0.0), blocked_flow * p_queue)
         forward_flow = np.where(queue_or_forward, blocked_flow * (1.0 - p_queue), 0.0)
         forward_flow[-1] = lam
         # Local departures.
-        add(own_running > 0.0, -width, own_running * mu)
+        emit(0, own_running > 0.0, own_running * mu)
         # Remote departures (continuous keep/return split).
-        add((w_keep > 0.0) & (o > 0.0), -width, (o * mu) * w_keep)
-        add((w_keep < 1.0) & (o > 0.0), -1, (o * mu) * (1.0 - w_keep))
+        emit(0, (w_keep > 0.0) & (o > 0.0), (o * mu) * w_keep)
+        emit(1, (w_keep < 1.0) & (o > 0.0), (o * mu) * (1.0 - w_keep))
 
-        import scipy.sparse as sp
-
-        q_matrix = sp.coo_matrix(
-            (np.concatenate(rates), (np.concatenate(sources), np.concatenate(targets))),
+        # The diagonal is minus each row's exit rate, summed over the row's
+        # entries in column order by ``np.add.reduceat`` as
+        # ``csr_matrix.sum(axis=1)`` does (it adds the first entry to the
+        # sum of the rest, so a left-to-right sum would round differently).
+        # Exact zeros are dropped, as subtracting ``sp.diags`` of it would.
+        slot_rates = slot_rates.reshape(n_states, 5)
+        slot_used = slot_used.reshape(n_states, 5)
+        off_diagonal = slot_used[:, _OFF_DIAGONAL]
+        row_entries = off_diagonal.sum(axis=1)
+        nonempty = np.flatnonzero(row_entries)
+        starts = np.concatenate(([0], np.cumsum(row_entries)[:-1]))[nonempty]
+        exits = np.zeros(n_states)
+        exits[nonempty] = np.add.reduceat(slot_rates[:, _OFF_DIAGONAL][off_diagonal], starts)
+        slot_rates[:, 2] = -exits
+        slot_used[:, 2] = True
+        stored = slot_used & (slot_rates != 0.0)
+        columns = index.reshape(-1, 1) + np.array([-width, -1, 0, 1, width])
+        q_matrix = sp.csr_matrix(
+            (
+                slot_rates[stored],
+                columns[stored],
+                np.concatenate(([0], np.cumsum(stored.sum(axis=1)))),
+            ),
             shape=(n_states, n_states),
-        ).tocsr()
-        q_matrix = q_matrix - sp.diags(
-            np.asarray(q_matrix.sum(axis=1)).ravel(), format="csr"
         )
-        from repro.markov.solvers import steady_state
-
         pi = steady_state(q_matrix)
 
         forward_rate = float(forward_flow.ravel() @ pi)

@@ -297,6 +297,11 @@ class CachedModel(PerformanceModel):
         )
         return params
 
+    @property
+    def has_target_path(self) -> bool:
+        """Whatever the wrapped model reports."""
+        return self.model.has_target_path
+
     def evaluate(self, scenario: FederationScenario) -> list[PerformanceParams]:
         return self._solve(
             scenario, None, len(scenario), lambda: self.model.evaluate(scenario)

@@ -4,6 +4,7 @@ import pytest
 
 from repro.bench import ablations
 from repro.bench.ablations import GameRow, ModelRow, TruncationRow, WorkloadRow
+from repro.perf.params import PerformanceParams
 
 SECONDS = {"detailed": 3.0, "approximate": 0.5, "pooled": 0.01, "simulation": 2.0}
 ERRORS = {"detailed": 0.0, "approximate": 0.1, "pooled": 0.2, "simulation": 0.05}
@@ -74,6 +75,50 @@ def test_checks_flag_violations_only(check, rows, expected):
 def test_render_keeps_tolerances_apart():
     lines = ablations.render_truncation(truncation_rows()).splitlines()[3:]
     assert [line.split()[1] for line in lines] == ["1e-06", "1e-09", "1e-12"] * 2
+
+
+def test_run_models_times_fastest_of_fresh_cold_calls(monkeypatch):
+    """Each analytic model is timed as the minimum of three cold calls, each
+    on a fresh model; the simulation runs once."""
+    # Multiples of 1/8, so the fake clock's differences are exact.
+    durations = {
+        "detailed": [4.0, 1.0, 2.0],
+        "approximate": [0.5, 0.75, 0.25],
+        "pooled": [0.375, 0.125, 0.25],
+        "simulation": [8.0],
+    }
+    clock = [0.0]
+    made = {name: [] for name in durations}
+
+    def stub(name):
+        class Stub:
+            def __init__(self, **_config):
+                self.calls = 0
+                made[name].append(self)
+
+            def evaluate(self, scenario):
+                self.calls += 1
+                clock[0] += durations[name][len(made[name]) - 1]
+                return [PerformanceParams(1.0, 1.0, 0.1, 0.5) for _ in scenario]
+
+        return Stub
+
+    for name, attr in [
+        ("detailed", "DetailedModel"),
+        ("approximate", "ApproximateModel"),
+        ("pooled", "PooledModel"),
+        ("simulation", "SimulationModel"),
+    ]:
+        monkeypatch.setattr(ablations, attr, stub(name))
+    monkeypatch.setattr(ablations.time, "perf_counter", lambda: clock[0])
+    rows = ablations.run_models(horizon=10.0)
+    assert {r.model: r.seconds for r in rows} == {
+        "detailed": 1.0, "approximate": 0.25, "pooled": 0.125, "simulation": 8.0,
+    }
+    assert {name: len(models) for name, models in made.items()} == {
+        "detailed": 3, "approximate": 3, "pooled": 3, "simulation": 1,
+    }
+    assert all(model.calls == 1 for models in made.values() for model in models)
 
 
 @pytest.mark.slow

@@ -19,14 +19,15 @@ from repro.bench.scenarios import kscale_scenario
 from repro.game.best_response import BestResponder, _score_trial_task
 from repro.market.evaluator import UtilityEvaluator
 from repro.perf.approximate import ApproximateModel
+from repro.perf.pooled import PooledModel
 from repro.runtime.executor import ProcessExecutor, SerialExecutor
 
 
-def make_responder(executor=None, method="tabu"):
+def make_responder(executor=None, method="tabu", model=None):
     scenario = kscale_scenario(5, sharers=3, vms=2)
-    evaluator = UtilityEvaluator(
-        scenario, ApproximateModel(executor=executor), gamma=0.5
-    )
+    if model is None:
+        model = ApproximateModel(executor=executor)
+    evaluator = UtilityEvaluator(scenario, model, gamma=0.5)
     spaces = [[0, 1, 2] if i < 3 else [0] for i in range(5)]
     responder = BestResponder(
         evaluator, spaces, method=method, executor=executor
@@ -53,6 +54,30 @@ class TestCrossBackendEquivalence:
             ProcessExecutor(workers=2), method="exhaustive"
         )
         assert respond_all(process_responder) == respond_all(serial_responder)
+
+
+class TestFullVectorModel:
+    """A model without a target path: workers ship full vectors back and
+    the parent seeds its params cache, so counts stay serial-equal."""
+
+    @pytest.mark.parametrize("method", ["exhaustive", "tabu"])
+    def test_process_matches_serial(self, method):
+        serial_responder, serial_eval = make_responder(
+            SerialExecutor(), method=method, model=PooledModel()
+        )
+        process_responder, process_eval = make_responder(
+            ProcessExecutor(workers=2), method=method, model=PooledModel()
+        )
+        assert respond_all(process_responder) == respond_all(serial_responder)
+        assert process_eval.total_evaluations == serial_eval.total_evaluations
+        assert process_eval.target_evaluations == serial_eval.target_evaluations == 0
+
+    def test_task_returns_the_full_vector(self):
+        _, evaluator = make_responder(model=PooledModel())
+        utility, params = _score_trial_task((evaluator, (1, 1, 1, 0, 0), 0))
+        assert utility == evaluator.utility([1, 1, 1, 0, 0], 0)
+        assert params == evaluator.params([1, 1, 1, 0, 0])
+        assert evaluator.total_evaluations == 1
 
 
 class TestScoreTask:

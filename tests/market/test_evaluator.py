@@ -8,23 +8,44 @@ from repro.perf.base import PerformanceModel
 from repro.perf.params import PerformanceParams
 
 
+def _fixed_params(scenario):
+    return [
+        PerformanceParams(
+            lent_mean=float(c.shared_vms) * 0.1,
+            borrowed_mean=0.2,
+            forward_rate=0.05,
+            utilization=0.7,
+        )
+        for c in scenario
+    ]
+
+
 class CountingModel(PerformanceModel):
-    """A trivial model that counts its evaluations."""
+    """A trivial model that counts its evaluations; it has no target path."""
 
     def __init__(self):
         self.calls = 0
 
     def evaluate(self, scenario):
         self.calls += 1
-        return [
-            PerformanceParams(
-                lent_mean=float(c.shared_vms) * 0.1,
-                borrowed_mean=0.2,
-                forward_rate=0.05,
-                utilization=0.7,
-            )
-            for c in scenario
-        ]
+        return _fixed_params(scenario)
+
+
+class TargetCountingModel(CountingModel):
+    """A counting model whose single-SC solves are cheaper than a full one,
+    so the evaluator takes its target path; target solves count apart."""
+
+    def __init__(self):
+        super().__init__()
+        self.target_calls = 0
+
+    @property
+    def has_target_path(self):
+        return True
+
+    def evaluate_target(self, scenario, target):
+        self.target_calls += 1
+        return _fixed_params(scenario)[target]
 
 
 @pytest.fixture
@@ -72,34 +93,61 @@ class TestCaching:
 
 class TestTargetPath:
     def test_target_solve_counts_separately(self, scenario):
+        # Without a target path, a single-SC query is a full-vector solve:
+        # counted in ``evaluations``, and shared by every later query of
+        # the vector, on any index, and by ``utilities``.
         model = CountingModel()
+        evaluator = UtilityEvaluator(scenario, model)
+        evaluator.utility((2, 3), 0)
+        assert evaluator.evaluations == 1
+        assert evaluator.target_evaluations == 0
+        evaluator.cost((2, 3), 1)
+        evaluator.utilities((2, 3))
+        assert model.calls == 1
+        assert evaluator.total_evaluations == 1
+
+    def test_target_path_solve_counts_separately(self, scenario):
+        model = TargetCountingModel()
         evaluator = UtilityEvaluator(scenario, model)
         evaluator.utility((2, 3), 0)
         assert evaluator.evaluations == 0
         assert evaluator.target_evaluations == 1
-        assert model.calls == 1  # the base class delegates to evaluate()
+        assert (model.calls, model.target_calls) == (0, 1)
 
     def test_full_cache_preferred_over_target_solve(self, scenario):
-        model = CountingModel()
+        model = TargetCountingModel()
         evaluator = UtilityEvaluator(scenario, model)
         evaluator.params((2, 3))
         evaluator.utility((2, 3), 0)
         evaluator.cost((2, 3), 1)
-        assert model.calls == 1
+        assert (model.calls, model.target_calls) == (1, 0)
         assert evaluator.target_evaluations == 0
 
     def test_target_queries_cached_per_index(self, scenario):
+        # One model call per vector across queries of either index.
         model = CountingModel()
         evaluator = UtilityEvaluator(scenario, model)
         evaluator.utility((2, 3), 0)
         evaluator.cost((2, 3), 0)
-        assert model.calls == 1
         evaluator.utility((2, 3), 1)
+        evaluator.cost((2, 3), 1)
+        assert model.calls == 1
+        evaluator.utility((3, 3), 1)
         assert model.calls == 2
 
+    def test_target_path_queries_cached_per_index(self, scenario):
+        model = TargetCountingModel()
+        evaluator = UtilityEvaluator(scenario, model)
+        evaluator.utility((2, 3), 0)
+        evaluator.cost((2, 3), 0)
+        assert model.target_calls == 1
+        evaluator.utility((2, 3), 1)
+        assert model.target_calls == 2
+        assert model.calls == 0
+
     def test_target_utility_matches_full_vector_utility(self, scenario):
-        target_first = UtilityEvaluator(scenario, CountingModel())
-        full_first = UtilityEvaluator(scenario, CountingModel())
+        target_first = UtilityEvaluator(scenario, TargetCountingModel())
+        full_first = UtilityEvaluator(scenario, TargetCountingModel())
         assert target_first.utility((2, 3), 1) == full_first.utilities((2, 3))[1]
 
     def test_utilities_populates_shared_full_cache(self, scenario):
@@ -108,6 +156,10 @@ class TestTargetPath:
         assert evaluator.evaluations == 1
         assert evaluator.target_evaluations == 0
         assert evaluator.cache_size() == 1
+
+    def test_target_path_read_from_the_model(self, scenario):
+        assert not UtilityEvaluator(scenario, CountingModel()).target_path
+        assert UtilityEvaluator(scenario, TargetCountingModel()).target_path
 
 
 class TestQuantities:
@@ -150,18 +202,18 @@ class TestQuantities:
 
 class TestSeedTarget:
     def test_seed_then_query_skips_model(self, scenario):
-        model = CountingModel()
+        model = TargetCountingModel()
         evaluator = UtilityEvaluator(scenario, model)
         params = PerformanceParams(
             lent_mean=0.1, borrowed_mean=0.2, forward_rate=0.05, utilization=0.7
         )
         assert evaluator.seed_target([1, 0], 0, params) is True
         assert evaluator.params_target([1, 0], 0) == params
-        assert model.calls == 0
+        assert (model.calls, model.target_calls) == (0, 0)
         assert evaluator.target_evaluations == 1
 
     def test_duplicate_seed_is_ignored(self, scenario):
-        evaluator = UtilityEvaluator(scenario, CountingModel())
+        evaluator = UtilityEvaluator(scenario, TargetCountingModel())
         params = PerformanceParams(
             lent_mean=0.1, borrowed_mean=0.2, forward_rate=0.05, utilization=0.7
         )
@@ -170,7 +222,7 @@ class TestSeedTarget:
         assert evaluator.target_evaluations == 1
 
     def test_seed_after_evaluation_is_ignored(self, scenario):
-        evaluator = UtilityEvaluator(scenario, CountingModel())
+        evaluator = UtilityEvaluator(scenario, TargetCountingModel())
         first = evaluator.params_target([1, 0], 0)
         replacement = PerformanceParams(
             lent_mean=9.9, borrowed_mean=9.9, forward_rate=9.9, utilization=0.9
@@ -178,3 +230,26 @@ class TestSeedTarget:
         assert evaluator.seed_target([1, 0], 0, replacement) is False
         # First writer wins: the evaluated result stays authoritative.
         assert evaluator.params_target([1, 0], 0) == first
+
+
+class TestSeedParams:
+    def test_seed_then_any_query_skips_model(self, scenario):
+        model = CountingModel()
+        evaluator = UtilityEvaluator(scenario, model)
+        params = _fixed_params(scenario.with_sharing((1, 2)))
+        assert evaluator.seed_params([1, 2], params) is True
+        assert evaluator.params_target([1, 2], 1) == params[1]
+        assert evaluator.utilities([1, 2]) == [
+            evaluator.utility([1, 2], 0),
+            evaluator.utility([1, 2], 1),
+        ]
+        assert model.calls == 0
+        assert evaluator.evaluations == 1
+
+    def test_duplicate_seed_is_ignored(self, scenario):
+        evaluator = UtilityEvaluator(scenario, CountingModel())
+        first = evaluator.params([1, 2])
+        replacement = _fixed_params(scenario.with_sharing((9, 9)))
+        assert evaluator.seed_params([1, 2], replacement) is False
+        assert evaluator.params([1, 2]) is first
+        assert evaluator.evaluations == 1

@@ -224,6 +224,82 @@ class TestOrdering:
         assert calls == ["direct"]
 
 
+def _slice_pinned_system(q: sp.csr_matrix) -> tuple[sp.csc_matrix, np.ndarray]:
+    """The pinned system built by slicing ``Q^T``: the reference
+    :func:`solvers._pinned_system` must reproduce byte for byte."""
+    qt = sp.csc_matrix(q.transpose())
+    return sp.csc_matrix(qt[1:, 1:]), -qt[1:, 0].toarray().ravel()
+
+
+def _unsorted(q: sp.csr_matrix, seed: int) -> sp.csr_matrix:
+    """``q`` with every row's stored entries shuffled."""
+    rng = np.random.default_rng(seed)
+    indices, data = q.indices.copy(), q.data.copy()
+    for start, end in zip(q.indptr[:-1], q.indptr[1:]):
+        order = start + rng.permutation(end - start)
+        indices[start:end], data[start:end] = indices[order], data[order]
+    shuffled = sp.csr_matrix((data, indices, q.indptr.copy()), shape=q.shape)
+    assert not shuffled.has_sorted_indices
+    return shuffled
+
+
+class TestPinnedSystem:
+    """``_direct`` slices the pinned system out of ``Q``'s CSR arrays and
+    hands SuperLU the very arrays the ``Q^T`` slicing gave."""
+
+    @pytest.mark.parametrize(
+        "make, ordering",
+        [
+            (lambda: banded_generator(400, 3, seed=1), "NATURAL"),
+            (
+                lambda: DetailedModel()
+                .build(fig6_2sc_scenario(target_share=1, target_rate=6.0))[1]
+                .generator,
+                "COLAMD",
+            ),
+            (lambda: _unsorted(random_ergodic_generator(40, 7), seed=8), "COLAMD"),
+        ],
+        ids=["banded", "fig6-detailed", "unsorted"],
+    )
+    def test_matches_transpose_slicing_bytes(self, make, ordering):
+        q = sp.csr_matrix(make())
+        a, b = solvers._pinned_system(q)
+        want_a, want_b = _slice_pinned_system(q)
+        for got, want in [
+            (a.indptr, want_a.indptr),
+            (a.indices, want_a.indices),
+            (a.data, want_a.data),
+            (b, want_b),
+        ]:
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+        assert a.shape == want_a.shape
+        assert traced_solve(q, method="direct")[1]["ordering"] == ordering
+
+    def test_public_entry_accepts_any_format(self):
+        q = random_ergodic_generator(12, 3)
+        expected = steady_state_direct(q)
+        for other in (q.tocsc(), q.tocoo(), q.toarray()):
+            assert steady_state_direct(other).tobytes() == expected.tobytes()
+
+    def test_duplicate_entries_sum_in_stored_order(self):
+        # Row 0 stores column 1 twice and column 0 once; row 2 stores
+        # column 1 twice.  The right-hand side sums row 0's duplicates.
+        q = sp.csr_matrix(
+            (
+                np.array([0.1, -0.7, 0.2, 0.3, 1.0, 2.0, 3.0, 0.5, 0.25]),
+                np.array([1, 0, 1, 2, 0, 0, 0, 1, 1]),
+                np.array([0, 4, 6, 9]),
+            ),
+            shape=(3, 3),
+        )
+        a, b = solvers._pinned_system(q)
+        want_a, want_b = _slice_pinned_system(q)
+        assert b.tobytes() == want_b.tobytes()
+        assert a.indices.tobytes() == want_a.indices.tobytes()
+        assert a.data.tobytes() == want_a.data.tobytes()
+
+
 class TestSpanTelemetry:
     def test_direct_solve_attributes(self):
         q = banded_generator(200, 2, seed=5)

@@ -9,6 +9,7 @@ import scipy.sparse as sp
 from repro.bench.scenarios import fig7_scenario
 from repro.core.small_cloud import FederationScenario, SmallCloud
 from repro.markov.solvers import steady_state
+from repro.perf import pooled
 from repro.perf.pooled import PooledModel, _CloudChain, _fractional_prob_no_forward
 from repro.queueing.forwarding import NoSharingModel
 from repro.queueing.sla import prob_no_forward
@@ -136,9 +137,10 @@ def _scalar_prob_no_forward(waiting, busy, service_rate, sla_bound):
     return (1.0 - frac) * low_val + frac * high_val
 
 
-def scalar_chain_solve(chain, ell, beta):
-    """Bitwise oracle for ``_CloudChain.solve``: the chain assembled and
-    reduced one state at a time."""
+def scalar_generator(chain, ell, beta):
+    """The chain's generator assembled one state at a time through a COO
+    build, ``tocsr`` and a ``diags`` subtraction, with each state's
+    forwarded flow."""
     cloud = chain.cloud
     mu = cloud.service_rate
     lam = cloud.arrival_rate
@@ -193,6 +195,16 @@ def scalar_chain_solve(chain, ell, beta):
 
     q_matrix = sp.coo_matrix((vals, (rows, cols)), shape=(n_states, n_states)).tocsr()
     q_matrix = q_matrix - sp.diags(np.asarray(q_matrix.sum(axis=1)).ravel(), format="csr")
+    return q_matrix, forward_flow
+
+
+def scalar_chain_solve(chain, ell, beta):
+    """Bitwise oracle for ``_CloudChain.solve``: the chain assembled and
+    reduced one state at a time."""
+    cloud = chain.cloud
+    capacity = cloud.vms - ell
+    width = chain.pool_size + 1
+    q_matrix, forward_flow = scalar_generator(chain, ell, beta)
     pi = steady_state(q_matrix)
 
     borrowed = busy_own = idle_sharable = free_prob = 0.0
@@ -248,6 +260,36 @@ class TestVectorizedChainMatchesOracle:
         chain = _CloudChain(cloud, pool_size=pool_size, tail_epsilon=1e-9)
         expected = scalar_chain_solve(chain, ell, beta)
         assert _hex(chain.solve(ell, beta)) == _hex(expected)
+
+    @pytest.mark.parametrize("pool_size", [0, 6])
+    @pytest.mark.parametrize("beta", [0.0, 0.42, 1.0])
+    # With every VM lent (2vm-all-lent) no state can serve: at pool 0 every
+    # row is empty, and at pool 6 the rows of the states that can neither
+    # borrow nor queue are, so their zero diagonals must not be stored.
+    @pytest.mark.parametrize(
+        "cloud, ell",
+        [(TEN, 0.0), (TEN, 1.3), (TEN, 3.0), (TWO, 1.37), (TWO, 2.0)],
+        ids=["10vm-none", "10vm-fractional", "10vm-shared", "2vm-fractional", "2vm-all-lent"],
+    )
+    def test_generator_bytes(self, cloud, ell, beta, pool_size, monkeypatch):
+        """The band-built CSR arrays are the COO build's, byte for byte:
+        same duplicate sums, same diagonal rounding, same dropped zeros."""
+        chain = _CloudChain(cloud, pool_size=pool_size, tail_epsilon=1e-9)
+        solved = []
+        # The bytes are the point, not the solve (an all-lent chain has
+        # absorbing states), so the solver is replaced by a uniform answer.
+        monkeypatch.setattr(
+            pooled,
+            "steady_state",
+            lambda q: solved.append(q) or np.full(q.shape[0], 1.0 / q.shape[0]),
+        )
+        chain.solve(ell, beta)
+        expected, _ = scalar_generator(chain, ell, beta)
+        (generator,) = solved
+        for name in ("indptr", "indices", "data"):
+            got, want = getattr(generator, name), getattr(expected, name)
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize(
         "scenario",

@@ -57,7 +57,7 @@ class TestGameEquivalence:
         assert processed.equilibrium == serial.equilibrium
         assert processed.welfare == serial.welfare
         assert processed.efficiency == serial.efficiency
-        # seed_target drops worker solves the parent already holds, so the
+        # The seeding drops worker solves the parent already holds, so the
         # solve count equals a serial run's.
         assert processed.game.model_evaluations == serial.game.model_evaluations
 
