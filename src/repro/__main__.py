@@ -16,10 +16,11 @@ Commands:
 scenario-library entry (``python -m repro.scenarios list``) — so any
 library entry can drive a traced/profiled run directly.
 
-All commands accept ``--model {pooled,approximate}`` where applicable;
-``solve`` and ``sweep`` also accept ``--workers N`` (parallel evaluation)
-and ``--cache-dir PATH`` (persistent model-solution cache) — neither
-changes any printed number, only how fast it appears.
+``solve`` and ``sweep`` accept ``--model {pooled,approximate}`` (the
+names in :data:`repro.scenarios.schema.MODELS`), ``--workers N``
+(parallel evaluation) and ``--cache-dir PATH`` (persistent
+model-solution cache) — neither of the last two changes any printed
+number, only how fast it appears.
 
 Observability (any command): ``--trace FILE`` exports the span tree
 (``.json`` tree, ``.chrome.json`` Chrome trace, ``.folded``
@@ -278,12 +279,14 @@ def _add_runtime_arguments(command: argparse.ArgumentParser) -> None:
 
 def build_parser() -> argparse.ArgumentParser:
     """Construct the CLI parser (exposed for testing)."""
+    from repro.scenarios.schema import MODELS
+
     parser = argparse.ArgumentParser(prog="repro", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     solve = sub.add_parser("solve", help="run the market loop to equilibrium")
     solve.add_argument("scenario", help="scenario JSON file or library scenario name")
-    solve.add_argument("--model", default="pooled", choices=["pooled", "approximate"])
+    solve.add_argument("--model", default="pooled", choices=MODELS)
     solve.add_argument("--gamma", type=float, default=0.0)
     solve.add_argument("--alpha", type=float, default=0.0)
     solve.add_argument("--price-ratio", type=float, default=None)
@@ -294,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sweep = sub.add_parser("sweep", help="sweep C^G/C^P and recommend regions")
     sweep.add_argument("scenario", help="scenario JSON file or library scenario name")
-    sweep.add_argument("--model", default="pooled", choices=["pooled", "approximate"])
+    sweep.add_argument("--model", default="pooled", choices=MODELS)
     sweep.add_argument("--gamma", type=float, default=0.0)
     sweep.add_argument("--points", type=int, default=6)
     sweep.add_argument("--strategy-step", type=int, default=2)

@@ -82,23 +82,16 @@ def run_fig8b(
 ) -> list[Fig8bRow]:
     """Measure game rounds to equilibrium per federation size.
 
-    The search-distance runs at one federation size share the
-    full-vector params dict, each with its own evaluator, so a distance's
-    "model evals" counts only the vectors no earlier distance solved.
-    On the default :class:`PooledModel` every solve is a full-vector
-    one; on a model with a target path
-    (:attr:`~repro.perf.base.PerformanceModel.has_target_path`) the
-    single-SC target solves stay per evaluator and run again even where
-    another distance already solved them.  With ``cache_dir`` the
-    model sits behind the persistent
-    :class:`~repro.runtime.cache.CachedModel`, which changes only how
-    fast the rows appear, never their counts.
+    Each search-distance run has its own evaluator and params cache, so
+    a row's "model evals" counts every solve its game needs, whichever
+    distances ran before it.  With ``cache_dir`` the model sits behind
+    the persistent :class:`~repro.runtime.cache.CachedModel`, which
+    changes only how fast the rows appear, never their counts.
     """
     model = cached_model(model if model is not None else PooledModel(), cache_dir)
     rows = []
     for k in sizes:
         scenario = fig8_game_scenario(k, vms=vms).with_price_ratio(price_ratio)
-        params_cache: dict = {}
         for distance in tabu_distances:
             runner = SCShare(
                 scenario,
@@ -106,7 +99,6 @@ def run_fig8b(
                 gamma=gamma,
                 best_response="tabu",
                 tabu=TabuSearch(distance=distance),
-                params_cache=params_cache,
                 executor=executor,
             )
             result = runner.game.run()

@@ -51,6 +51,12 @@ def _clean(pi: np.ndarray, residual_scale: float = 1e-8) -> np.ndarray:
     return pi / total
 
 
+def _as_csr(q: sp.spmatrix) -> sp.csr_matrix:
+    """``q`` as a CSR matrix, wrapped afresh only if it is not one (the
+    direct solver reads a CSR generator's arrays)."""
+    return q if type(q) is sp.csr_matrix else sp.csr_matrix(q)
+
+
 #: Telemetry a solver reports for the ``markov.steady_state`` span.
 SolveInfo = dict[str, object]
 
@@ -144,7 +150,7 @@ def steady_state_direct(q: sp.spmatrix) -> np.ndarray:
     A banded system (bandwidth at most ``n / 8``) is factored in its
     natural order, any other with SuperLU's default COLAMD ordering.
     """
-    return _direct(sp.csr_matrix(q))[0]
+    return _direct(_as_csr(q))[0]
 
 
 def steady_state_bicgstab(
@@ -310,7 +316,7 @@ def steady_state(q: sp.spmatrix, method: str = "auto") -> np.ndarray:
     small chains, BiCGSTAB first for large ones); the first solver that
     produces a residual-checked distribution wins.
     """
-    q = sp.csr_matrix(q)
+    q = _as_csr(q)
     with obs.span("markov.steady_state", n=q.shape[0], method=method) as span:
         if method in _SOLVERS:
             order = [(method, _SOLVERS[method])]

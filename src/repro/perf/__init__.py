@@ -12,16 +12,9 @@ Four interchangeable estimators of the per-SC performance parameters
   sweeps and as an ablation baseline).
 - :class:`~repro.perf.simulation.SimulationModel` — an adapter over the
   discrete-event simulator (ground truth, stochastic).
-
-Plus a budget-driven hybrid front (:class:`~repro.perf.auto.AutoModel`)
-that picks detailed/approximate/pooled per query from a declared
-:class:`~repro.perf.auto.ErrorBudget`, calibrated against the analytic
-brackets in :mod:`repro.perf.bounds`.
 """
 
 from repro.perf.approximate import ApproximateModel
-from repro.perf.auto import AutoModel, ErrorBudget
-from repro.perf.bounds import ForwardingBounds, forwarding_bounds, pooling_gain_captured
 from repro.perf.base import PerformanceModel
 from repro.perf.detailed import DetailedModel
 from repro.perf.params import PerformanceParams
@@ -30,11 +23,6 @@ from repro.perf.simulation import SimulationModel
 
 __all__ = [
     "ApproximateModel",
-    "AutoModel",
-    "ErrorBudget",
-    "ForwardingBounds",
-    "forwarding_bounds",
-    "pooling_gain_captured",
     "DetailedModel",
     "PerformanceModel",
     "PerformanceParams",

@@ -27,7 +27,7 @@ if TYPE_CHECKING:
 
 def make_model(name: str, executor: "Executor | None" = None) -> "PerformanceModel":
     """The performance model called ``name`` (a run config's ``model``:
-    ``pooled``, ``approximate`` or ``auto``)."""
+    one of :data:`~repro.scenarios.schema.MODELS`)."""
     if name == "pooled":
         from repro.perf.pooled import PooledModel
 
@@ -36,10 +36,6 @@ def make_model(name: str, executor: "Executor | None" = None) -> "PerformanceMod
         from repro.perf.approximate import ApproximateModel
 
         return ApproximateModel(executor=executor)
-    if name == "auto":
-        from repro.perf.auto import AutoModel
-
-        return AutoModel(executor=executor)
     raise ValueError(f"unknown model {name!r}")
 
 

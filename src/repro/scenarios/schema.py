@@ -39,9 +39,12 @@ from repro.workload.profiles import DemandProfile
 #: fans out is the caller's choice, not scenario content.
 SCHEMA_VERSION = 2
 
-#: Performance models a scenario may request (``auto`` is the
-#: budget-driven hybrid tier, :class:`repro.perf.auto.AutoModel`).
-MODELS = ("pooled", "approximate", "auto")
+#: Performance models a run config may name: the fixed-point
+#: :class:`~repro.perf.pooled.PooledModel` and the paper's hierarchical
+#: :class:`~repro.perf.approximate.ApproximateModel`.  The CLI's
+#: ``--model`` offers exactly these, and
+#: :func:`repro.scenarios.runner.make_model` builds each.
+MODELS = ("pooled", "approximate")
 
 #: Relative tolerance for demand-profile vs. SC rate consistency.
 _RATE_TOLERANCE = 1e-6

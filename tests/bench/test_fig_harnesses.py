@@ -72,3 +72,11 @@ class TestFig8Harness:
         assert len(rows) == 1
         assert rows[0].converged
         assert "Fig. 8b" in fig8.render_8b(rows)
+
+    def test_fig8b_distance_rows_are_independent(self):
+        # A distance's row, "model evals" included, must not depend on
+        # which distances ran before it at the same K.
+        after_one = fig8.run_fig8b(sizes=(2,), tabu_distances=(1, 4), vms=5)
+        alone = fig8.run_fig8b(sizes=(2,), tabu_distances=(4,), vms=5)
+        assert after_one[1] == alone[0]
+        assert alone[0].model_evaluations > 0

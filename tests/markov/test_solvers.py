@@ -154,6 +154,18 @@ class TestDispatch:
         with pytest.raises(TypeError):
             steady_state(random_ergodic_generator(5, 6), method=method, x0=np.ones(5))
 
+    def test_csr_input_reaches_the_solver_unwrapped(self, monkeypatch):
+        q = banded_generator(50, 2, seed=4)
+        seen = []
+
+        def spy(matrix):
+            seen.append(matrix)
+            return solvers._direct(matrix)
+
+        monkeypatch.setitem(solvers._SOLVERS, "direct", spy)
+        steady_state(q, method="direct")
+        assert len(seen) == 1 and seen[0] is q
+
 
 class TestOrdering:
     """A banded generator is LU-factored in its natural order, any other

@@ -1,10 +1,10 @@
-"""Tests for the analytic forwarding bounds."""
+"""Tests for the isolation bound on total forwarding."""
 
 import pytest
 
 from repro.core.small_cloud import FederationScenario, SmallCloud
-from repro.perf.bounds import forwarding_bounds, pooling_gain_captured
 from repro.perf.detailed import DetailedModel
+from repro.queueing.forwarding import NoSharingModel
 
 
 def scenario(share=2):
@@ -14,54 +14,17 @@ def scenario(share=2):
     ))
 
 
+def isolated_total_forwarding(scn):
+    """Upper bound: every SC runs alone and forwards on its own."""
+    return sum(
+        NoSharingModel(c.vms, c.arrival_rate, c.service_rate, c.sla_bound).forward_rate
+        for c in scn
+    )
+
+
 class TestForwardingBounds:
-    def test_pooling_beats_isolation(self):
-        bounds = forwarding_bounds(scenario())
-        assert bounds.lower < bounds.upper
-        assert bounds.width > 0.0
-
-    def test_exact_model_lands_inside_bracket(self):
-        scn = scenario()
-        params = DetailedModel().evaluate(scn)
-        total = sum(p.forward_rate for p in params)
-        bounds = forwarding_bounds(scn)
-        assert bounds.contains(total), (
-            f"exact total {total} outside [{bounds.lower}, {bounds.upper}]"
-        )
-
     def test_no_sharing_hits_the_upper_bound(self):
         scn = scenario(share=0)
         params = DetailedModel().evaluate(scn)
         total = sum(p.forward_rate for p in params)
-        bounds = forwarding_bounds(scn)
-        assert total == pytest.approx(bounds.upper, rel=1e-4)
-
-    def test_bounds_independent_of_sharing_vector(self):
-        # The bracket depends only on sizes/loads, not on S.
-        a = forwarding_bounds(scenario(share=0))
-        b = forwarding_bounds(scenario(share=5))
-        assert a == b
-
-
-class TestPoolingGain:
-    def test_isolation_captures_nothing(self):
-        scn = scenario()
-        bounds = forwarding_bounds(scn)
-        assert pooling_gain_captured(scn, bounds.upper) == 0.0
-
-    def test_perfect_pooling_captures_everything(self):
-        scn = scenario()
-        bounds = forwarding_bounds(scn)
-        assert pooling_gain_captured(scn, bounds.lower) == 1.0
-
-    def test_sharing_captures_part_of_the_gain(self):
-        scn = scenario(share=3)
-        params = DetailedModel().evaluate(scn)
-        total = sum(p.forward_rate for p in params)
-        captured = pooling_gain_captured(scn, total)
-        assert 0.0 < captured <= 1.0
-
-    def test_clipping(self):
-        scn = scenario()
-        assert pooling_gain_captured(scn, 1e9) == 0.0
-        assert pooling_gain_captured(scn, 0.0) == 1.0
+        assert total == pytest.approx(isolated_total_forwarding(scn), rel=1e-4)

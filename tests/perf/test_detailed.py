@@ -86,6 +86,24 @@ class TestSharingEffects:
             p.forward_rate for p in without
         )
 
+    def test_exact_total_forwarding_lies_in_the_pooling_bracket(self):
+        # Isolation forwards the most; one merged system with every VM,
+        # all the load, the tightest SLA and the slowest service forwards
+        # the least.  Real sharing lands in between.
+        scenario = small_2sc()
+        total = sum(p.forward_rate for p in DetailedModel().evaluate(scenario))
+        isolated = sum(
+            NoSharingModel(c.vms, c.arrival_rate, c.service_rate, c.sla_bound).forward_rate
+            for c in scenario
+        )
+        merged = NoSharingModel(
+            sum(c.vms for c in scenario),
+            sum(c.arrival_rate for c in scenario),
+            min(c.service_rate for c in scenario),
+            min(c.sla_bound for c in scenario),
+        ).forward_rate
+        assert merged < total < isolated
+
     def test_hot_sc_is_net_borrower(self):
         # rate_b > rate_a: SC b should borrow more than it lends.
         a, b = DetailedModel().evaluate(small_2sc(rate_a=2.0, rate_b=4.8))

@@ -10,6 +10,7 @@ from repro.scenarios.runner import (
     simulate_spec,
     solve_spec,
 )
+from repro.scenarios.schema import MODELS
 from tests.scenarios.helpers import tiny_spec
 
 
@@ -24,6 +25,12 @@ class TestFactories:
         )
         with pytest.raises(ValueError):
             make_model("oracle")
+
+    @pytest.mark.parametrize("name", MODELS)
+    def test_every_schema_model_builds(self, name):
+        from repro.perf.base import PerformanceModel
+
+        assert isinstance(make_model(name), PerformanceModel)
 
     def test_cache_namespaced_by_content_hash(self, tmp_path):
         # An edited spec (a different arrival rate, same names and

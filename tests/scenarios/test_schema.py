@@ -191,6 +191,7 @@ class TestRunConfig:
             {"alpha": -0.1},
             {"strategy_step": 0},
             {"horizon": 0.0},
+            {"model": "auto"},
         ],
     )
     def test_bad_values_rejected(self, overrides):

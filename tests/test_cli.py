@@ -38,6 +38,15 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["solve", "f.json", "--model", "oracle"])
 
+    @pytest.mark.parametrize("command", ["solve", "sweep"])
+    def test_model_choices_are_the_schema_models(self, command):
+        from repro.scenarios.schema import MODELS
+
+        parser = build_parser()
+        for model in MODELS:
+            args = parser.parse_args([command, "f.json", "--model", model])
+            assert args.model == model
+
 
 class TestSimulateCommand:
     def test_prints_metrics_json(self, scenario_file, capsys):
