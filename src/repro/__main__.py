@@ -210,7 +210,7 @@ def add_obs_arguments(command: argparse.ArgumentParser) -> None:
         "--metrics",
         default=None,
         metavar="FILE",
-        help="export counters/gauges/histograms as JSON",
+        help="export the metric counters as JSON",
     )
     command.add_argument(
         "--profile",

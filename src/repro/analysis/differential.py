@@ -305,9 +305,7 @@ def _metrics_merge_counts(backend: str) -> dict[str, int]:
 
     Each replication's seed is fixed up front, so every backend performs
     identical work; the executor's ``map`` merges the per-task snapshots
-    in input order.  Only the integer ``counter_view`` is returned —
-    histogram sums hold wall-clock floats that legitimately differ
-    between runs, while counts cannot.
+    in input order, so the integer counter totals cannot differ.
     """
     from repro.sim.replications import replicate
 

@@ -85,7 +85,7 @@ def bench_obs_overhead(quick: bool) -> dict[str, Any]:
     Three measurements:
 
     - the per-call cost of a *disabled* hook, timed over a tight loop of
-      span/inc/observe calls under :func:`repro.obs.suspended`;
+      span/inc/add_event calls under :func:`repro.obs.suspended`;
     - the hook crossings one real solve performs (spans started plus
       metric recordings, counted by an enabled run of the same solve);
     - the traced/untraced wall-clock ratio of that solve.
@@ -101,7 +101,7 @@ def bench_obs_overhead(quick: bool) -> dict[str, Any]:
             with obs.span("bench.noop"):
                 pass
             obs.inc("bench.counter")
-            obs.observe("bench.hist", 0.5)
+            obs.add_event("bench.event", 0.5)
         disabled_seconds = time.perf_counter() - start
     per_hook_seconds = disabled_seconds / (3 * calls)
 

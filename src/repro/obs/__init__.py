@@ -1,10 +1,10 @@
-"""``repro.obs`` — zero-dependency observability: tracing, metrics, profiling.
+"""``repro.obs`` — zero-dependency observability: spans and counters.
 
-The library's hot paths call five hooks — :func:`span`, :func:`inc`,
-:func:`gauge`, :func:`observe`, :func:`add_event` — all guarded by ONE
-module-level flag, ``_active``.  When instrumentation is disabled (the
-default) every hook is a constant-time no-op: one global read, one
-branch, no allocation (``span`` returns a shared :class:`NoopSpan`).
+The library's hot paths call three hooks — :func:`span`, :func:`inc`,
+:func:`add_event` — all guarded by ONE module-level flag, ``_active``.
+When instrumentation is disabled (the default) every hook is a
+constant-time no-op: one global read, one branch, no allocation
+(``span`` returns a shared :class:`NoopSpan`).
 The overhead of the disabled path is priced by the ``obs_overhead``
 microbenchmark and pinned below 2% by ``tests/obs/test_overhead.py``.
 
@@ -14,8 +14,12 @@ float the models produce, and do not reorder work — the differential
 checker's ``traced`` cell asserts a traced run is bit-identical to the
 untraced reference.
 
+One process, one thread: the pipeline parallelises only through process
+pools, so the span stack and the metrics registry are plain module
+state with no locks.
+
 Worker protocol: tracing is per-process (workers do not stream spans),
-but metrics cross executor boundaries.  With metrics on,
+but counters cross executor boundaries.  With metrics on,
 :meth:`repro.runtime.executor.ProcessExecutor.map` wraps each task in a
 :class:`~repro.obs.metrics.MetricsTask`, so it records into its own
 registry and returns ``(result, snapshot)``; the snapshots are merged
@@ -37,18 +41,9 @@ from __future__ import annotations
 from collections.abc import Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass
-from types import TracebackType
-
-import cProfile
 
 from repro.obs import metrics as _metrics_mod
-from repro.obs import profiling as _profiling_mod
-from repro.obs.metrics import (
-    DEFAULT_BUCKETS,
-    MetricsRegistry,
-    MetricsSnapshot,
-    current_registry,
-)
+from repro.obs.metrics import MetricsRegistry, MetricsSnapshot, current_registry
 from repro.obs.tracing import NoopSpan, Span, Tracer, current_span
 
 __all__ = [
@@ -62,12 +57,10 @@ __all__ = [
     "capture",
     "current_registry",
     "current_span",
-    "gauge",
     "inc",
     "metrics_active",
     "obs_disable",
     "obs_enable",
-    "observe",
     "span",
     "suspended",
     "tracing_active",
@@ -94,7 +87,7 @@ _NOOP = NoopSpan()
 # --------------------------------------------------------------------- #
 
 
-def span(name: str, **attrs: object) -> "Span | NoopSpan | _ProfiledSpan":
+def span(name: str, **attrs: object) -> "Span | NoopSpan":
     """Open a traced region::
 
         with obs.span("perf.solve", sc=i) as sp:
@@ -107,11 +100,7 @@ def span(name: str, **attrs: object) -> "Span | NoopSpan | _ProfiledSpan":
     tracer = _tracer
     if tracer is None:
         return _NOOP
-    real = tracer.span(name, dict(attrs))
-    profiler = _profiling_mod.maybe_start(name)
-    if profiler is not None:
-        return _ProfiledSpan(real, profiler)
-    return real
+    return tracer.span(name, dict(attrs))
 
 
 def inc(name: str, value: int = 1) -> None:
@@ -119,24 +108,6 @@ def inc(name: str, value: int = 1) -> None:
     if not _active or not _metrics_on:
         return
     _metrics_mod.current_registry().inc(name, value)
-
-
-def gauge(name: str, value: float) -> None:
-    """Record a gauge (merge semantics: maximum; no-op when disabled)."""
-    if not _active or not _metrics_on:
-        return
-    _metrics_mod.current_registry().gauge(name, value)
-
-
-def observe(
-    name: str,
-    value: float,
-    boundaries: tuple[float, ...] = DEFAULT_BUCKETS,
-) -> None:
-    """Record one histogram observation (no-op when disabled)."""
-    if not _active or not _metrics_on:
-        return
-    _metrics_mod.current_registry().observe(name, value, boundaries)
 
 
 def add_event(kind: str, time: float | None = None, **fields: object) -> None:
@@ -149,30 +120,6 @@ def add_event(kind: str, time: float | None = None, **fields: object) -> None:
     open_span = current_span()
     if open_span is not None:
         open_span.event(kind, time, tuple(sorted(fields.items())))
-
-
-class _ProfiledSpan:
-    """A span wrapper that runs a cProfile over the spanned region."""
-
-    __slots__ = ("_span", "_profiler")
-
-    def __init__(  # repro: noqa[RPR104]
-        self, span: Span, profiler: "cProfile.Profile"
-    ) -> None:
-        self._span = span
-        self._profiler = profiler
-
-    def __enter__(self) -> Span:
-        return self._span.__enter__()
-
-    def __exit__(
-        self,
-        exc_type: type[BaseException] | None,
-        exc: BaseException | None,
-        tb: "TracebackType | None",
-    ) -> None:
-        self._span.attrs["profile"] = _profiling_mod.stop(self._profiler)
-        self._span.__exit__(exc_type, exc, tb)
 
 
 # --------------------------------------------------------------------- #
@@ -188,11 +135,6 @@ def tracing_active() -> bool:
 def metrics_active() -> bool:
     """Whether metric hooks currently record."""
     return _active and _metrics_on
-
-
-def active_tracer() -> Tracer | None:
-    """The tracer spans currently land in (``None`` when tracing is off)."""
-    return _tracer if tracing_active() else None
 
 
 def obs_enable(tracing: bool = True, metrics: bool = True) -> None:

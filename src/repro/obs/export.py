@@ -74,7 +74,7 @@ def chrome_trace(tracer: Tracer) -> dict[str, object]:
                 "ts": (span.start_perf - tracer.start_perf) * 1e6,
                 "dur": span.duration * 1e6,
                 "pid": 0,
-                "tid": span.thread_id,
+                "tid": 0,
                 "args": {key: span.attrs[key] for key in sorted(span.attrs)},
             }
         )
@@ -123,11 +123,11 @@ def write_trace(tracer: Tracer, path: str | Path) -> Path:
 
 
 def write_metrics(snapshot: MetricsSnapshot, path: str | Path) -> Path:
-    """Write a metrics snapshot to ``path`` as JSON."""
+    """Write a metrics snapshot to ``path`` as JSON (version 2: counters only)."""
     path = Path(path)
     payload = {
         "format": "repro.obs.metrics",
-        "version": 1,
+        "version": 2,
         **snapshot.to_dict(),
     }
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")

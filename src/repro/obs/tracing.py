@@ -4,33 +4,29 @@ A :class:`Span` measures one region of work — a game round, a chain
 solve, an executor map — and carries a wall-clock timestamp, a
 perf-counter duration, a CPU-time duration, structured attributes, and a
 bounded list of point events (the simulator's trace events attach here).
-Spans nest through a per-thread stack: entering a span pushes it,
+Spans nest through one module-level stack: entering a span pushes it,
 exiting pops it and attaches it to its parent (or to the
 :class:`Tracer`'s roots when it is outermost), so a traced run yields a
 tree that mirrors the dynamic call structure.
 
-Design constraints inherited from the runtime package:
+Design constraints:
 
-- **Thread affinity** — a span must be entered and exited on the same
-  thread (the with-statement guarantees this).  Spans opened on executor
-  worker threads become roots of their own subtrees; the tracer collects
-  roots from every thread under its lock.
+- **One thread per process** — the pipeline runs single-threaded and
+  parallelises through process pools only, so the span stack is a plain
+  list and the tracer takes no lock.
 - **Determinism** — spans are observers only.  They never feed cache
   fingerprints, never reorder work, and carry no randomness; the *shape*
   of the tree (names, nesting, counts) is a pure function of the traced
   workload, which is what the golden-trace tests pin down.
-- **Process pools** — tracing is per-process.  A tracer deliberately
-  pickles as configuration only (like :class:`repro.runtime.memo.LRUCache`):
-  worker processes do not stream spans back, they contribute *metrics*
-  snapshots instead (see :mod:`repro.obs.metrics`).
+- **Process pools** — tracing is per-process: worker processes do not
+  stream spans back, they contribute *metrics* snapshots instead (see
+  :mod:`repro.obs.metrics`).
 """
 
 from __future__ import annotations
 
-import threading
 import time
 from types import TracebackType
-from typing import Any
 
 from repro._validation import check_positive_int
 
@@ -40,21 +36,13 @@ __all__ = ["NoopSpan", "Span", "Tracer", "current_span"]
 EventTuple = tuple[str, "float | None", tuple[tuple[str, object], ...]]
 
 
-_stack_local = threading.local()
-
-
-def _stack() -> list["Span"]:
-    stack: list[Span] | None = getattr(_stack_local, "spans", None)
-    if stack is None:
-        stack = []
-        _stack_local.spans = stack
-    return stack
+#: The open spans, outermost first.
+_stack: list["Span"] = []
 
 
 def current_span() -> "Span | None":
-    """The innermost open span on this thread, or ``None``."""
-    stack = _stack()
-    return stack[-1] if stack else None
+    """The innermost open span, or ``None``."""
+    return _stack[-1] if _stack else None
 
 
 class Span:
@@ -72,7 +60,6 @@ class Span:
         "children",
         "events",
         "dropped_events",
-        "thread_id",
         "start_wall",
         "start_perf",
         "start_cpu",
@@ -90,7 +77,6 @@ class Span:
         self.children: list[Span] = []
         self.events: list[EventTuple] = []
         self.dropped_events = 0
-        self.thread_id = 0
         self.start_wall = 0.0
         self.start_perf = 0.0
         self.start_cpu = 0.0
@@ -98,8 +84,7 @@ class Span:
         self.cpu_seconds = 0.0
 
     def __enter__(self) -> "Span":
-        _stack().append(self)
-        self.thread_id = threading.get_ident()
+        _stack.append(self)
         self.start_wall = time.time()
         self.start_cpu = time.process_time()
         self.start_perf = time.perf_counter()
@@ -115,10 +100,9 @@ class Span:
         self.cpu_seconds = time.process_time() - self.start_cpu
         if exc_type is not None:
             self.attrs["error"] = exc_type.__name__
-        stack = _stack()
-        if stack and stack[-1] is self:
-            stack.pop()
-        parent = stack[-1] if stack else None
+        if _stack and _stack[-1] is self:
+            _stack.pop()
+        parent = _stack[-1] if _stack else None
         self._tracer._finish(self, parent)
 
     def set(self, **attrs: object) -> None:
@@ -187,7 +171,6 @@ class Tracer:
         self.start_perf = time.perf_counter()
         self.roots: list[Span] = []
         self.span_count = 0
-        self._lock = threading.Lock()
 
     def span(self, name: str, attrs: dict[str, object]) -> Span:
         """Create an (unopened) span; enter it with a ``with`` statement."""
@@ -196,32 +179,10 @@ class Tracer:
     def _finish(self, span: Span, parent: Span | None) -> None:
         """Record a completed span under its parent or as a root."""
         if parent is not None:
-            # Same-thread by construction (the per-thread stack), so the
-            # parent's child list needs no lock.
             parent.children.append(span)
-            with self._lock:
-                self.span_count += 1
-            return
-        with self._lock:
+        else:
             self.roots.append(span)
-            self.span_count += 1
-
-    # -- pickling: ship configuration, not contents -------------------- #
-    #
-    # Tracing is per-process; executors that pickle task payloads holding
-    # a tracer (none do today) must not drag a lock or a span forest
-    # across the boundary.  Workers contribute metrics snapshots instead.
-
-    def __getstate__(self) -> dict[str, Any]:
-        return {"max_span_events": self.max_span_events}
-
-    def __setstate__(self, state: dict[str, Any]) -> None:
-        self.max_span_events = state["max_span_events"]
-        self.start_wall = time.time()
-        self.start_perf = time.perf_counter()
-        self.roots = []
-        self.span_count = 0
-        self._lock = threading.Lock()
+        self.span_count += 1
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Tracer(roots={len(self.roots)}, spans={self.span_count})"

@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import concurrent.futures
 import os
-import time
 from abc import ABC, abstractmethod
 from collections.abc import Callable, Sequence
 from typing import TypeVar
@@ -131,10 +130,7 @@ class SerialExecutor(Executor):
             return [fn(item) for item in items]
         with obs.span("runtime.map", backend="serial", tasks=len(items)):
             _count_batch(len(items))
-            start = time.perf_counter()
-            results = [fn(item) for item in items]
-            obs.observe("runtime.batch_seconds", time.perf_counter() - start)
-            return results
+            return [fn(item) for item in items]
 
 
 class ProcessExecutor(Executor):
@@ -167,7 +163,6 @@ class ProcessExecutor(Executor):
             return [fn(item) for item in items]
         with obs.span("runtime.map", backend="process", tasks=len(items)):
             _count_batch(len(items))
-            start = time.perf_counter()
             metrics = obs.metrics_active()
             task = MetricsTask(fn) if metrics else fn
             with self._pool() as pool:
@@ -176,7 +171,6 @@ class ProcessExecutor(Executor):
                 )
             if metrics:
                 outputs = _merge_worker_metrics(outputs)
-            obs.observe("runtime.batch_seconds", time.perf_counter() - start)
             return outputs
 
 

@@ -2,18 +2,14 @@
 
 from __future__ import annotations
 
+import json
 import pickle
 
 import pytest
 
 from repro import obs
-from repro.exceptions import ConfigurationError
-from repro.obs.metrics import (
-    DEFAULT_BUCKETS,
-    MetricsRegistry,
-    MetricsSnapshot,
-    MetricsTask,
-)
+from repro.obs import export
+from repro.obs.metrics import MetricsRegistry, MetricsSnapshot, MetricsTask
 from repro.runtime.executor import ProcessExecutor, SerialExecutor
 from repro.sim.replications import replicate
 
@@ -30,86 +26,54 @@ class TestRegistry:
         snapshot = registry.snapshot()
         assert dict(snapshot.counters) == {"a": 5}
 
-    def test_gauges_keep_maximum(self):
-        registry = MetricsRegistry()
-        registry.gauge("depth", 3.0)
-        registry.gauge("depth", 1.0)
-        assert dict(registry.snapshot().gauges) == {"depth": 3.0}
-
-    def test_histogram_buckets_and_totals(self):
-        registry = MetricsRegistry()
-        for value in (0.00005, 0.5, 100.0):
-            registry.observe("lat", value)
-        ((name, hist),) = registry.snapshot().histograms
-        assert name == "lat"
-        assert hist.total == 3
-        assert hist.minimum == 0.00005
-        assert hist.maximum == 100.0
-        assert sum(hist.counts) == 3
-        assert hist.counts[-1] == 1  # overflow bucket
-
     def test_snapshot_is_deterministic_and_picklable(self):
         registry = MetricsRegistry()
         registry.inc("b")
         registry.inc("a")
-        registry.observe("h", 0.2)
         snapshot = registry.snapshot()
         assert [name for name, _ in snapshot.counters] == ["a", "b"]
         clone = pickle.loads(pickle.dumps(snapshot))
         assert clone == snapshot
 
-    def test_registry_pickles_empty(self):
-        registry = MetricsRegistry()
-        registry.inc("a")
-        clone = pickle.loads(pickle.dumps(registry))
-        assert clone.snapshot() == MetricsSnapshot.empty()
-
-    def test_merge_requires_matching_boundaries(self):
-        left = MetricsRegistry()
-        right = MetricsRegistry()
-        left.observe("h", 0.1)
-        right.observe("h", 0.1, boundaries=(1.0, 2.0))
-        with pytest.raises(ConfigurationError):
-            left.snapshot().merge(right.snapshot())
-
-    def test_counter_view_includes_histogram_counts(self):
+    def test_counter_view_is_the_counters(self):
         registry = MetricsRegistry()
         registry.inc("n", 2)
-        registry.observe("lat", 0.5)
-        registry.observe("lat", 0.7)
-        assert dict(registry.snapshot().counter_view()) == {
-            "n": 2,
-            "lat.count": 2,
-        }
+        registry.inc("m")
+        assert registry.snapshot().counter_view() == {"m": 1, "n": 2}
 
     def test_recordings_counts_hook_crossings(self):
         registry = MetricsRegistry()
         registry.inc("a")
-        registry.gauge("g", 1.0)
-        registry.observe("h", 0.5)
+        registry.inc("a", 3)
+        registry.inc("b")
         assert registry.recordings() == 3
 
     def test_to_dict_round_trips_the_content(self):
         registry = MetricsRegistry()
         registry.inc("a", 2)
-        registry.gauge("g", 4.0)
-        registry.observe("h", 0.3)
-        payload = registry.snapshot().to_dict()
-        assert payload["counters"] == {"a": 2}
-        assert payload["gauges"] == {"g": 4.0}
-        assert payload["histograms"]["h"]["total"] == 1
-        assert payload["histograms"]["h"]["boundaries"] == list(DEFAULT_BUCKETS)
+        assert registry.snapshot().to_dict() == {"counters": {"a": 2}}
+
+
+class TestWriteMetrics:
+    def test_payload_keys(self, tmp_path):
+        registry = MetricsRegistry()
+        registry.inc("a", 2)
+        path = export.write_metrics(registry.snapshot(), tmp_path / "m.json")
+        payload = json.loads(path.read_text())
+        assert payload == {
+            "format": "repro.obs.metrics",
+            "version": 2,
+            "counters": {"a": 2},
+        }
 
 
 class TestHooks:
     def test_hooks_record_into_ambient_registry(self):
         with obs.capture(tracing=False) as cap:
             obs.inc("calls")
-            obs.gauge("depth", 2.0)
-            obs.observe("lat", 0.25)
+            obs.inc("calls", 2)
         snapshot = cap.snapshot()
-        assert dict(snapshot.counters) == {"calls": 1}
-        assert dict(snapshot.gauges) == {"depth": 2.0}
+        assert dict(snapshot.counters) == {"calls": 3}
 
     def test_metrics_task_returns_result_and_snapshot(self):
         task = MetricsTask(lambda x: x * 2)
@@ -119,7 +83,7 @@ class TestHooks:
         assert isinstance(snapshot, MetricsSnapshot)
 
 
-class TestMapWithMetrics:
+class TestExecutorMapMetrics:
     """``Executor.map`` with metrics on carries worker metrics back: merged
     totals are backend-independent."""
 

@@ -1,4 +1,4 @@
-"""Tests for per-span cProfile opt-in and the block profiler."""
+"""Tests for the block profiler behind ``--profile``."""
 
 from __future__ import annotations
 
@@ -6,73 +6,12 @@ import io
 
 import pytest
 
-from repro import obs
 from repro.exceptions import ConfigurationError
 from repro.obs import profiling
 
 
-@pytest.fixture(autouse=True)
-def _disarm():
-    yield
-    profiling.profile_disable()
-
-
 def _busy() -> int:
     return sum(i * i for i in range(10_000))
-
-
-class TestSpanProfiling:
-    def test_armed_span_gets_profile_rows(self):
-        profiling.profile_enable({"hot"}, top_n=5)
-        with obs.capture(metrics=False) as cap:
-            with obs.span("hot"):
-                _busy()
-        (root,) = cap.tracer.roots
-        rows = root.attrs["profile"]
-        assert 0 < len(rows) <= 5
-        for row in rows:
-            assert set(row) == {
-                "function",
-                "ncalls",
-                "primitive_calls",
-                "tottime",
-                "cumtime",
-            }
-        # Sorted by cumulative time, descending.
-        cumtimes = [row["cumtime"] for row in rows]
-        assert cumtimes == sorted(cumtimes, reverse=True)
-
-    def test_unarmed_span_has_no_profile(self):
-        profiling.profile_enable({"hot"})
-        with obs.capture(metrics=False) as cap:
-            with obs.span("cold"):
-                _busy()
-        (root,) = cap.tracer.roots
-        assert "profile" not in root.attrs
-
-    def test_no_nested_profilers_outermost_wins(self):
-        profiling.profile_enable({"outer", "inner"})
-        with obs.capture(metrics=False) as cap:
-            with obs.span("outer"):
-                with obs.span("inner"):
-                    _busy()
-        (root,) = cap.tracer.roots
-        assert "profile" in root.attrs
-        assert "profile" not in root.children[0].attrs
-
-    def test_disarm_stops_profiling(self):
-        profiling.profile_enable({"hot"})
-        profiling.profile_disable()
-        assert profiling.profiling_names() is None
-        with obs.capture(metrics=False) as cap:
-            with obs.span("hot"):
-                pass
-        (root,) = cap.tracer.roots
-        assert "profile" not in root.attrs
-
-    def test_top_n_validated(self):
-        with pytest.raises(ConfigurationError):
-            profiling.profile_enable({"hot"}, top_n=0)
 
 
 class TestBlockProfiler:
@@ -90,3 +29,8 @@ class TestBlockProfiler:
             with profiling.profiled(stream):
                 raise RuntimeError("boom")
         assert "cumulative" in stream.getvalue()
+
+    def test_top_n_validated(self):
+        with pytest.raises(ConfigurationError):
+            with profiling.profiled(io.StringIO(), top_n=0):
+                pass

@@ -2,9 +2,6 @@
 
 from __future__ import annotations
 
-import pickle
-import threading
-
 import pytest
 
 from repro import obs
@@ -28,8 +25,6 @@ class TestDisabledPath:
 
     def test_hooks_are_noops(self):
         obs.inc("c")
-        obs.gauge("g", 1.0)
-        obs.observe("h", 0.5)
         assert not obs.tracing_active()
         assert not obs.metrics_active()
 
@@ -91,19 +86,6 @@ class TestSpans:
         assert len(root.events) == 2
         assert root.dropped_events == 3
 
-    def test_spans_from_other_threads_become_roots(self):
-        def run():
-            with obs.span("side"):
-                pass
-
-        with obs.capture(metrics=False) as cap:
-            with obs.span("main"):
-                thread = threading.Thread(target=run)
-                thread.start()
-                thread.join()
-        names = sorted(root.name for root in cap.tracer.roots)
-        assert names == ["main", "side"]
-
     def test_capture_restores_previous_state(self):
         assert not obs.tracing_active()
         with obs.capture(metrics=False):
@@ -127,15 +109,6 @@ class TestSpans:
     def test_tracer_validates_event_cap(self):
         with pytest.raises(ConfigurationError):
             Tracer(max_span_events=0)
-
-    def test_tracer_pickles_config_only(self):
-        with obs.capture(metrics=False, max_span_events=7) as cap:
-            with obs.span("work"):
-                pass
-            clone = pickle.loads(pickle.dumps(cap.tracer))
-        assert clone.max_span_events == 7
-        assert clone.roots == []
-        assert clone.span_count == 0
 
 
 class TestExports:
@@ -162,6 +135,7 @@ class TestExports:
         assert names == ["root", "child"]
         for event in chrome["traceEvents"]:
             assert event["ph"] == "X"
+            assert (event["pid"], event["tid"]) == (0, 0)
             assert event["ts"] >= 0.0
             assert event["dur"] >= 0.0
 
