@@ -10,7 +10,8 @@ run:
 - ``obs_overhead`` — prices the :mod:`repro.obs` hooks: the cost of one
   disabled hook call, the hook crossings a real solve performs, and the
   implied disabled-instrumentation overhead fraction (pinned below 2%
-  by ``tests/obs/test_overhead.py``), plus the traced/untraced ratio;
+  by ``tests/obs/test_overhead.py``), plus the traced/untraced ratio of
+  the medians of interleaved timings;
 - ``sim_fifo`` — prices the simulator's FIFO queue discipline: an
   end-to-end deep-backlog federation simulation, plus a steady-state
   FIFO replay at the backlog depth comparing ``list.pop(0)`` (an O(n)
@@ -41,6 +42,7 @@ from __future__ import annotations
 import argparse
 import json
 import platform
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -79,6 +81,11 @@ def bench_fig6(quick: bool) -> dict[str, Any]:
     }
 
 
+#: Untraced and traced timings per side of the overhead probe, taken in
+#: alternation so host-speed drift reaches both medians alike.
+OVERHEAD_REPEATS = 5
+
+
 def bench_obs_overhead(quick: bool) -> dict[str, Any]:
     """Price the observability hooks.
 
@@ -88,11 +95,15 @@ def bench_obs_overhead(quick: bool) -> dict[str, Any]:
       span/inc/add_event calls under :func:`repro.obs.suspended`;
     - the hook crossings one real solve performs (spans started plus
       metric recordings, counted by an enabled run of the same solve);
-    - the traced/untraced wall-clock ratio of that solve.
+    - the traced/untraced wall-clock ratio of that solve: the medians of
+      :data:`OVERHEAD_REPEATS` untraced and as many traced runs, taken
+      in alternation.
 
     The implied disabled overhead — crossings x per-hook cost relative
     to the untraced solve time — is the number the overhead guard test
-    pins below 2%.
+    pins below 2%.  The traced runs record into their own captures; when
+    the probe runs under a metrics capture (as :func:`run_micro` runs
+    it), their counters are folded into that capture's registry.
     """
     calls = 50_000 if quick else 200_000
     with obs.suspended():
@@ -112,11 +123,19 @@ def bench_obs_overhead(quick: bool) -> dict[str, Any]:
         # plain and instrumented runs do identical work.
         return ApproximateModel().evaluate_target(scenario)
 
-    with obs.suspended():
-        plain_seconds, _ = _timed(solve)
-    with obs.capture(tracing=True, metrics=True) as cap:
-        instrumented_seconds, _ = _timed(solve)
+    outer = obs.current_registry() if obs.metrics_active() else None
+    plain: list[float] = []
+    instrumented: list[float] = []
+    for _ in range(OVERHEAD_REPEATS):
+        with obs.suspended():
+            plain.append(_timed(solve)[0])
+        with obs.capture(tracing=True, metrics=True) as cap:
+            instrumented.append(_timed(solve)[0])
         crossings = cap.tracer.span_count + cap.registry.recordings()
+        if outer is not None:
+            outer.merge_snapshot(cap.snapshot())
+    plain_seconds = statistics.median(plain)
+    instrumented_seconds = statistics.median(instrumented)
     disabled_fraction = (
         crossings * per_hook_seconds / plain_seconds if plain_seconds > 0 else 0.0
     )
@@ -125,6 +144,7 @@ def bench_obs_overhead(quick: bool) -> dict[str, Any]:
         "hook_calls": 3 * calls,
         "per_hook_seconds": per_hook_seconds,
         "solve_crossings": crossings,
+        "repeats": OVERHEAD_REPEATS,
         "plain_seconds": plain_seconds,
         "instrumented_seconds": instrumented_seconds,
         "instrumented_ratio": (

@@ -2,8 +2,11 @@
 
 Three strategies, selectable explicitly or via ``method='auto'``:
 
-- ``direct``   — sparse LU on the pinned linear system; exact up to
-  floating point, first choice up to 5,000 states.
+- ``direct``   — LU on the pinned linear system; exact up to floating
+  point, first choice up to 5,000 states.  The factorization follows the
+  system's bandwidth ``bw``: LAPACK's banded LU when ``bw * bw <= n``,
+  SuperLU in the natural order when ``8 bw <= n``, SuperLU with COLAMD
+  otherwise.
 - ``bicgstab`` — Jacobi-preconditioned BiCGSTAB on the system normalized
   by a rank-one term; first choice above 5,000 states, where it beats LU
   several-fold.
@@ -17,8 +20,8 @@ vector renormalized.
 
 :func:`steady_state` records on its ``markov.steady_state`` span which
 solver succeeded (``solver``), the relative ``residual`` of its result,
-the LU column ``ordering`` of a direct solve and the ``iterations`` of a
-BiCGSTAB or power solve.
+the ``ordering`` of a direct solve (``BAND``, ``NATURAL`` or ``COLAMD``)
+and the ``iterations`` of a BiCGSTAB or power solve.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from typing import Callable
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg.lapack import dgbsv as _dgbsv
 
 from repro import obs
 from repro.analysis import sanitize
@@ -71,20 +75,34 @@ def _check_residual(q: sp.spmatrix, pi: np.ndarray, tol: float = 1e-7) -> float:
     return residual
 
 
-#: A matrix whose bandwidth is at most ``1 / _BANDED_FRACTION`` of its
-#: order is LU-factored in its own (natural) order.  The approximate and
-#: pooled chains enumerate ``q`` outermost and an event moves ``q`` by at
-#: most one, so their bandwidth is a few percent of ``n`` and COLAMD's
-#: reordering only costs time; the detailed model's BFS-ordered lattices
-#: sit at 35-63%, where COLAMD cuts the fill several-fold.
+#: A pinned system whose bandwidth ``bw`` satisfies ``bw * bw <= n`` is
+#: solved by LAPACK's banded LU (``dgbsv``), built straight from the
+#: generator's CSR arrays.  The approximate first levels and the pooled
+#: chains enumerate ``q`` outermost and an event moves ``q`` by at most
+#: one, so their bandwidth is 1-21 on 27-1,218 states, and the band LU
+#: skips SuperLU's general factorization and its scipy.sparse wrapping.
+#: The rule caps the band storage at about ``3 n^1.5`` doubles: on the
+#: 17,028- and 20,592-state approximate levels (bandwidth 736 and 869)
+#: the band LU only ties SuperLU (0.53 and 0.92 s against 0.70 and
+#: 0.96 s of CPU) and its band storage takes 285 and 407 MB against 99
+#: and 133 MB for SuperLU's L and U, so they stay on SuperLU.
+#:
+#: Of the systems SuperLU factors, one whose bandwidth is at most
+#: ``1 / _BANDED_FRACTION`` of its order keeps its natural order, where
+#: COLAMD's reordering only costs time; the detailed model's BFS-ordered
+#: lattices sit at 35-63%, where COLAMD cuts the fill several-fold.
 _BANDED_FRACTION = 8
 
 
-def _bandwidth(m: sp.spmatrix) -> int:
-    """Largest ``|i - j|`` over the stored entries of a CSR or CSC
-    matrix, in O(nnz)."""
-    major = np.repeat(np.arange(len(m.indptr) - 1), np.diff(m.indptr))
-    return int(np.abs(m.indices - major).max(initial=0))
+def _pinned_rhs(q: sp.csr_matrix) -> np.ndarray:
+    """The right-hand side ``-Q^T[1:, 0]`` of the pinned system: row 0 of
+    ``Q`` without its column-0 entries, duplicates summed in stored order
+    and the sum negated, as densifying the sliced column would."""
+    first = q.indptr[1]
+    head = q.indices[:first] != 0
+    rhs = np.zeros(q.shape[0] - 1)
+    np.add.at(rhs, q.indices[:first][head] - 1, q.data[:first][head])
+    return -rhs
 
 
 def _pinned_system(q: sp.csr_matrix) -> tuple[sp.csc_matrix, np.ndarray]:
@@ -93,8 +111,6 @@ def _pinned_system(q: sp.csr_matrix) -> tuple[sp.csc_matrix, np.ndarray]:
     Row ``i`` of ``Q`` is column ``i`` of ``Q^T``, so the CSC matrix comes
     straight from ``Q``'s arrays: rows 1.. with the entries of column 0
     removed and every column index shifted down by one, in stored order.
-    Row 0 gives the right-hand side, duplicates summed in stored order and
-    the sum negated, as densifying the sliced column would.
     """
     n = q.shape[0]
     indptr, indices, data = q.indptr, q.indices, q.data
@@ -106,10 +122,39 @@ def _pinned_system(q: sp.csr_matrix) -> tuple[sp.csc_matrix, np.ndarray]:
         (data[first:][keep], tail_indices[keep] - 1, kept[indptr[1:] - first]),
         shape=(n - 1, n - 1),
     )
-    rhs = np.zeros(n - 1)
-    head = indices[:first] != 0
-    np.add.at(rhs, indices[:first][head] - 1, data[:first][head])
-    return a, -rhs
+    return a, _pinned_rhs(q)
+
+
+def _band_solve(
+    q: sp.csr_matrix,
+    columns: np.ndarray,
+    offsets: np.ndarray,
+    values: np.ndarray,
+    lower: int,
+    upper: int,
+) -> np.ndarray:
+    """Solve the pinned system with LAPACK's banded LU.
+
+    ``A[r, c]`` is stored at ``ab[lower + upper + r - c, c]``; the rows
+    ``0 .. lower - 1`` of ``ab`` are workspace for the pivoting's fill.
+    Entry ``Q[i, j]`` lands at ``A[j - 1, i - 1]``, so ``columns`` is
+    ``i - 1`` and ``offsets`` is ``j - i``; duplicates are summed in
+    stored order.
+    """
+    n = q.shape[0] - 1
+    height = 2 * lower + upper + 1
+    ab = np.bincount(
+        columns * height + (lower + upper) + offsets,
+        weights=values,
+        minlength=n * height,
+    ).reshape(n, height).T
+    _lu, _piv, x, info = _dgbsv(
+        lower, upper, ab, _pinned_rhs(q), overwrite_ab=True, overwrite_b=True
+    )
+    if info != 0:
+        # info > 0: an exactly zero pivot, a singular system.
+        raise SolverError(f"band LU failed (dgbsv info={info})")
+    return x.ravel()
 
 
 def _direct(q: sp.csr_matrix) -> tuple[np.ndarray, SolveInfo]:
@@ -117,13 +162,25 @@ def _direct(q: sp.csr_matrix) -> tuple[np.ndarray, SolveInfo]:
     n = q.shape[0]
     if n == 1:
         return np.array([1.0]), {}
-    a, b = _pinned_system(q)
-    ordering = "NATURAL" if _BANDED_FRACTION * _bandwidth(a) <= n else "COLAMD"
-    try:
-        lu = spla.splu(a, permc_spec=ordering)
-        tail = lu.solve(b)
-    except RuntimeError as exc:  # singular factorization
-        raise SolverError(f"sparse LU failed: {exc}") from exc
+    # The pinned system's entries: rows 1.. of Q without column 0.
+    indptr, indices = q.indptr, q.indices
+    first = indptr[1]
+    keep = indices[first:] != 0
+    columns = np.repeat(np.arange(n - 1), np.diff(indptr[1:]))[keep]
+    offsets = indices[first:][keep] - 1 - columns
+    lower = int(offsets.max(initial=0))
+    upper = int(-offsets.min(initial=0))
+    bandwidth = max(lower, upper)
+    if bandwidth * bandwidth <= n:
+        ordering = "BAND"
+        tail = _band_solve(q, columns, offsets, q.data[first:][keep], lower, upper)
+    else:
+        ordering = "NATURAL" if _BANDED_FRACTION * bandwidth <= n else "COLAMD"
+        a, b = _pinned_system(q)
+        try:
+            tail = spla.splu(a, permc_spec=ordering).solve(b)
+        except RuntimeError as exc:  # singular factorization
+            raise SolverError(f"sparse LU failed: {exc}") from exc
     pi = np.concatenate([[1.0], tail])
     pi = _clean(pi)
     residual = _check_residual(q, pi)
@@ -132,7 +189,7 @@ def _direct(q: sp.csr_matrix) -> tuple[np.ndarray, SolveInfo]:
 
 
 def steady_state_direct(q: sp.spmatrix) -> np.ndarray:
-    """Solve ``pi Q = 0, sum(pi)=1`` by sparse LU on the transposed system.
+    """Solve ``pi Q = 0, sum(pi)=1`` by LU on the transposed system.
 
     The singular system is made determinate by *pinning* the first state's
     probability to 1, dropping the (redundant) first balance equation, and
@@ -147,8 +204,10 @@ def steady_state_direct(q: sp.spmatrix) -> np.ndarray:
     :func:`steady_state_bicgstab` normalizes with a rank-one term
     instead.
 
-    A banded system (bandwidth at most ``n / 8``) is factored in its
-    natural order, any other with SuperLU's default COLAMD ordering.
+    A narrow-band system (bandwidth ``bw`` with ``bw * bw <= n``) is
+    solved by LAPACK's banded LU (``dgbsv``); of the others, a banded
+    one (``8 bw <= n``) is factored by SuperLU in its natural order and
+    any other with SuperLU's default COLAMD ordering.
     """
     return _direct(_as_csr(q))[0]
 

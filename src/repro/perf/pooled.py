@@ -127,12 +127,15 @@ class _CloudChain:
     ``q * (pool_size + 1) + o`` and every rate is a whole-array expression
     over the grid.  :meth:`solve` gives the bits of a per-state loop (the
     test suite keeps one as its oracle): it emits each transition under the
-    loop's guards, since a stored zero would change the sparsity pattern
-    and with it the LU ordering; it multiplies each rate's operands in the
-    loop's order; and it sums each moment left to right in state order.
-    The generator's CSR arrays come straight from five band slots per
-    state, byte for byte what a COO build, ``tocsr`` and a ``sp.diags``
-    subtraction give, without their sorting and temporaries.
+    loop's guards, it multiplies each rate's operands in the loop's order,
+    and it sums each moment left to right in state order.  The
+    generator's CSR arrays come straight from five band slots per state,
+    byte for byte what a COO build, ``tocsr`` and a ``sp.diags``
+    subtraction give, without their sorting and temporaries; the oracle
+    test compares those bytes.  The bandwidth is ``pool_size + 1``, so
+    the solver's band LU takes the chain whenever the queue levels
+    outnumber the pool levels (every ``market-fig7`` chain), and its
+    dense band storage makes a stored zero harmless there.
     """
 
     def __init__(self, cloud: SmallCloud, pool_size: int, tail_epsilon: float) -> None:

@@ -46,6 +46,15 @@ class TestProbes:
         assert result["replay_speedup"] > 1.0
         assert result["seconds"] == result["sim_seconds"]
 
+    def test_obs_overhead_counters_reach_the_report(self):
+        # The probe's traced solves record into their own captures; their
+        # counters must still land in the report entry.
+        entry = micro.run_micro(quick=True, only=["obs_overhead"])["results"]["obs_overhead"]
+        counters = entry["metrics"]["counters"]
+        assert any(name.startswith("markov.solve.") for name in counters)
+        assert entry["repeats"] == micro.OVERHEAD_REPEATS
+        assert entry["plain_seconds"] > 0.0 and entry["instrumented_seconds"] > 0.0
+
 
 class TestCli:
     def test_run_and_compare(self, tmp_path, capsys):

@@ -7,11 +7,13 @@ and agree with the others on random ergodic generators.
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as hyp
 
 from repro import obs
 from repro.bench.scenarios import fig6_2sc_scenario
+from repro.core.small_cloud import SmallCloud
 from repro.exceptions import ConvergenceError, SolverError
 from repro.markov import solvers
 from repro.markov.birth_death import BirthDeathChain, mmc_chain
@@ -21,6 +23,7 @@ from repro.markov.solvers import (
     steady_state_direct,
     steady_state_power,
 )
+from repro.perf import pooled
 from repro.perf.detailed import DetailedModel
 
 SOLVERS = [steady_state_direct, steady_state_bicgstab, steady_state_power]
@@ -60,6 +63,27 @@ def cyclic_reset_generator(n: int) -> sp.csr_matrix:
     cols = np.concatenate([(idx + 1) % n, np.zeros(n - 1, dtype=int)])
     q = sp.coo_matrix((np.ones(rows.size), (rows, cols)), shape=(n, n)).tocsr()
     return sp.csr_matrix(q - sp.diags(np.asarray(q.sum(axis=1)).ravel()))
+
+
+def cloud_chain_generator() -> sp.csr_matrix:
+    """The generator of a pooled model's per-SC ``(q, o)`` chain, as
+    ``_CloudChain.solve`` hands it to the solver."""
+    cloud = SmallCloud(name="sc", vms=10, arrival_rate=8.4, service_rate=0.9, shared_vms=3)
+    chain = pooled._CloudChain(cloud, pool_size=6, tail_epsilon=1e-9)
+    seen = []
+    real = pooled.steady_state
+
+    def spy(q):
+        seen.append(q)
+        return real(q)
+
+    pooled.steady_state = spy
+    try:
+        chain.solve(1.3, 0.42)
+    finally:
+        pooled.steady_state = real
+    (q,) = seen
+    return q
 
 
 def traced_solve(q: sp.spmatrix, method: str = "auto") -> tuple[np.ndarray, dict]:
@@ -168,11 +192,12 @@ class TestDispatch:
 
 
 class TestOrdering:
-    """A banded generator is LU-factored in its natural order, any other
-    with COLAMD."""
+    """A narrow-band generator (``bw * bw <= n``) is solved by LAPACK's
+    band LU, a banded one (``8 bw <= n``) is LU-factored by SuperLU in its
+    natural order, any other with COLAMD."""
 
     def test_banded_generator_takes_natural_and_agrees_with_colamd(self, monkeypatch):
-        q = banded_generator(400, 3, seed=1)
+        q = banded_generator(400, 30, seed=1)
         natural, attrs = traced_solve(q, method="direct")
         assert attrs["ordering"] == "NATURAL"
         # Forbid NATURAL for the reference solve.
@@ -187,6 +212,69 @@ class TestOrdering:
         assert traced_solve(banded_generator(80, 10, seed=2), "direct")[1]["ordering"] == "NATURAL"
         assert traced_solve(banded_generator(80, 11, seed=2), "direct")[1]["ordering"] == "COLAMD"
 
+    @pytest.mark.parametrize(
+        "n, half_width, ordering",
+        [(100, 10, "BAND"), (99, 10, "NATURAL"), (81, 9, "BAND"), (80, 9, "NATURAL")],
+    )
+    def test_band_rule_boundary(self, n, half_width, ordering):
+        # bw * bw = n takes the band LU; bw * bw = n + 1 goes to SuperLU.
+        q = banded_generator(n, half_width, seed=2)
+        pi, attrs = traced_solve(q, "direct")
+        assert attrs["ordering"] == ordering
+        np.testing.assert_allclose(pi, 1.0 / n, rtol=1e-12)
+
+    def test_band_rule_reads_the_pinned_system(self):
+        # Every state resets to state 0, so Q's bandwidth is n - 1; the
+        # pinned system drops column 0 and is bidiagonal.
+        pi, attrs = traced_solve(cyclic_reset_generator(50), method="direct")
+        assert attrs["ordering"] == "BAND"
+        assert pi[0] == pytest.approx(0.5)
+
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: banded_generator(400, 10, seed=1), cloud_chain_generator],
+        ids=["banded", "cloud-chain"],
+    )
+    def test_band_lu_agrees_with_colamd(self, make):
+        q = make()
+        band, attrs = traced_solve(q, method="direct")
+        assert attrs["ordering"] == "BAND"
+        a, b = solvers._pinned_system(q)
+        tail = spla.splu(a, permc_spec="COLAMD").solve(b)
+        colamd = solvers._clean(np.concatenate([[1.0], tail]))
+        np.testing.assert_allclose(band, colamd, rtol=0.0, atol=1e-13 * colamd.max())
+
+    def test_band_lu_sums_duplicates_of_unsorted_rows(self):
+        # Every entry stored as two halves, each row shuffled: the band
+        # storage must add the halves back wherever they sit.
+        q = banded_generator(16, 4, seed=6)
+        twice = np.concatenate(
+            [np.r_[start:end, start:end] for start, end in zip(q.indptr[:-1], q.indptr[1:])]
+        )
+        halves = sp.csr_matrix(
+            (q.data[twice] / 2, q.indices[twice], 2 * q.indptr), shape=q.shape
+        )
+        pi, attrs = traced_solve(_unsorted(halves, seed=9), method="direct")
+        assert attrs["ordering"] == "BAND"
+        np.testing.assert_allclose(pi, steady_state_direct(q), rtol=1e-14)
+
+    def test_two_state_chain(self):
+        # Pinned system of one unknown: pi = (b, a) / (a + b).
+        q = sp.csr_matrix(np.array([[-0.3, 0.3], [0.7, -0.7]]))
+        pi, attrs = traced_solve(q, method="direct")
+        assert attrs["ordering"] == "BAND"
+        np.testing.assert_allclose(pi, [0.7, 0.3], rtol=1e-15)
+
+    def test_singular_band_system_falls_through(self):
+        # State 2 is absorbing: its empty row makes the pinned system's
+        # last column zero, an exactly singular band factor.
+        q = sp.csr_matrix(np.array([[-1.0, 1.0, 0.0], [0.0, -1.0, 1.0], [0.0, 0.0, 0.0]]))
+        with pytest.raises(SolverError, match="band LU"):
+            steady_state(q, method="direct")
+        pi, attrs = traced_solve(q)
+        assert attrs["solver"] == "bicgstab"
+        np.testing.assert_allclose(pi, [0.0, 0.0, 1.0], atol=1e-10)
+
     def test_fig6_detailed_chain_keeps_colamd(self):
         _space, ctmc = DetailedModel().build(fig6_2sc_scenario(target_share=1, target_rate=6.0))
         assert ctmc.generator.shape[0] == 8885
@@ -199,7 +287,9 @@ class TestOrdering:
         np.testing.assert_allclose(krylov, pi, rtol=0.0, atol=1e-13)
 
     def test_auto_runs_bicgstab_then_power_then_direct_above_threshold(self, monkeypatch):
-        q = banded_generator(solvers._LARGE_CHAIN_THRESHOLD + 1, 1, seed=3)
+        # Bandwidth 75: too wide for the band LU (75^2 > n), narrow
+        # enough for SuperLU's natural order.
+        q = banded_generator(solvers._LARGE_CHAIN_THRESHOLD + 1, 75, seed=3)
         calls: list[str] = []
         real_direct = solvers._direct
 
@@ -262,7 +352,7 @@ class TestPinnedSystem:
     @pytest.mark.parametrize(
         "make, ordering",
         [
-            (lambda: banded_generator(400, 3, seed=1), "NATURAL"),
+            (lambda: banded_generator(400, 30, seed=1), "NATURAL"),
             (
                 lambda: DetailedModel()
                 .build(fig6_2sc_scenario(target_share=1, target_rate=6.0))[1]
@@ -314,7 +404,7 @@ class TestPinnedSystem:
 
 class TestSpanTelemetry:
     def test_direct_solve_attributes(self):
-        q = banded_generator(200, 2, seed=5)
+        q = banded_generator(200, 20, seed=5)
         pi, attrs = traced_solve(q)
         assert attrs["n"] == 200
         assert attrs["method"] == "auto"
@@ -322,6 +412,20 @@ class TestSpanTelemetry:
         assert attrs["ordering"] == "NATURAL"
         assert 0.0 <= attrs["residual"] < 1e-12
         assert "iterations" not in attrs
+        scale = np.abs(q.diagonal()).max()
+        assert attrs["residual"] == float(np.abs(pi @ q).max()) / scale
+
+    def test_band_solve_attributes(self):
+        q = banded_generator(200, 2, seed=5)
+        with obs.capture() as cap:
+            pi = steady_state(q)
+        (span,) = cap.tracer.roots
+        attrs = span.attrs
+        assert attrs["solver"] == "direct"
+        assert attrs["ordering"] == "BAND"
+        assert 0.0 <= attrs["residual"] < 1e-12
+        assert "iterations" not in attrs
+        assert dict(cap.registry.snapshot().counters)["markov.solve.direct"] == 1
         scale = np.abs(q.diagonal()).max()
         assert attrs["residual"] == float(np.abs(pi @ q).max()) / scale
 
