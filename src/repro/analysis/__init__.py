@@ -11,14 +11,6 @@ invariants mechanical:
   of frozen configuration objects, unvalidated public entry points,
   nondeterministic cache keys).  Each rule has a stable ``RPRxxx`` code
   and a ``# repro: noqa[CODE]`` escape hatch.
-- :mod:`repro.analysis.dataflow` — an interprocedural dataflow/taint
-  checker built on :mod:`repro.analysis.summaries`: cache-key omission
-  against ``# fingerprint-input:`` declarations, unordered-iteration
-  order feeding float sums or digests, environment/thread taint
-  reaching fingerprints and persisted payloads, post-fingerprint
-  mutation, and unversioned payload formats (RPR301–RPR306).  Its
-  mutation self-test seeds fingerprint-omission mutants and demands
-  100% RPR301 recall.
 - :mod:`repro.analysis.sanitize` — a runtime "stochastic sanitizer":
   debug-mode contracts over generators, distributions, interaction
   vectors, performance parameters, and cache payloads, enabled with
@@ -30,10 +22,11 @@ invariants mechanical:
   asserting bitwise-identical game results across
   serial/process execution and caching variants.
 
-``python -m repro.analysis check`` is the one command line over both
-static rule families (RPR1xx/RPR3xx): one pass with a shared
-``--select``, a common JSON report format, and ``--self-test`` for the
-RPR301 recall run (see :mod:`repro.analysis.__main__`).
+``python -m repro.analysis check`` runs the RPR1xx lint (see
+:mod:`repro.analysis.__main__`).  Cache-key soundness is checked at run
+time instead: ``tests/runtime/test_fingerprint_soundness.py`` perturbs
+every scenario field and model setting and demands that each change of
+output changes the cache key.
 
 All layers are dependency-free (stdlib ``ast`` plus numpy) and cheap when disabled: every sanitizer hook is guarded by one
 module-level boolean read.

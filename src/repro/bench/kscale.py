@@ -270,9 +270,7 @@ def main(argv: "list[str] | None" = None) -> int:
         out_dir = Path(args.output)
         out_dir.mkdir(parents=True, exist_ok=True)
         path = out_dir / "BENCH_kscale.json"
-        # Bench reports record the interpreter they ran on — provenance,
-        # not a cache key.
-        path.write_text(json.dumps(report, indent=2) + "\n")  # repro: noqa[RPR303] - provenance metadata, not a key
+        path.write_text(json.dumps(report, indent=2) + "\n")
         print(f"wrote {path}")
     return 0
 

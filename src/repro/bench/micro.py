@@ -12,18 +12,11 @@ run:
   implied disabled-instrumentation overhead fraction (pinned below 2%
   by ``tests/obs/test_overhead.py``), plus the traced/untraced ratio of
   the medians of interleaved timings;
-- ``sim_fifo`` — prices the simulator's FIFO queue discipline: an
-  end-to-end deep-backlog federation simulation, plus a steady-state
-  FIFO replay at the backlog depth comparing ``list.pop(0)`` (an O(n)
-  FIFO the simulator's wait queue once used) against the
-  ``deque.popleft()`` the simulator now uses.  At equilibrium depths
-  the end-to-end delta is within run-to-run noise — the replay is what
-  pins the asymptotic mechanism.
 - ``sim_failures`` — end-to-end cost of the failure-injection welfare
   sweep (healthy + failed runs per scenario, one per failure class;
   every horizon covers every failure window).
 
-The sim probes are additionally extracted into a ``BENCH_sim.json``
+The ``sim_failures`` probe is also extracted into a ``BENCH_sim.json``
 artifact next to ``BENCH_micro.json``.
 
 Every probe runs under a metrics capture, so each report entry carries
@@ -155,87 +148,6 @@ def bench_obs_overhead(quick: bool) -> dict[str, Any]:
     }
 
 
-def bench_sim_fifo(quick: bool) -> dict[str, Any]:
-    """Price the simulator's FIFO queue discipline.
-
-    Two measurements:
-
-    - an end-to-end deep-backlog federation simulation (every cloud
-      overloaded and forwarding, so the wait queues stay populated);
-    - a steady-state FIFO replay at a representative backlog depth:
-      prefill to the depth, then alternate push/pop, timed once with a
-      ``list`` using ``pop(0)`` (the O(n) FIFO
-      ``_CloudState.queue_arrival_times`` used to be) and once with a
-      ``deque`` using ``popleft()`` (what it is now).
-
-    The sim-level numbers are honest — at the depths the Erlang
-    forwarding bound sustains, pop cost is a small fraction of event
-    handling, so the end-to-end delta sits within noise; the replay
-    isolates the O(n)-vs-O(1) mechanism the triage fix removed.
-    """
-    from collections import deque
-
-    from repro.core.small_cloud import FederationScenario, SmallCloud
-    from repro.sim.federation import FederationSimulator
-
-    scenario = FederationScenario(
-        clouds=(
-            SmallCloud(
-                name="sc1",
-                vms=2,
-                arrival_rate=6.0,
-                sla_bound=50.0,
-                federation_price=0.4,
-            ),
-            SmallCloud(
-                name="sc2",
-                vms=2,
-                arrival_rate=5.5,
-                sla_bound=50.0,
-                federation_price=0.4,
-            ),
-        )
-    )
-    horizon = 1000.0 if quick else 4000.0
-    sim_seconds, result = _timed(
-        lambda: FederationSimulator(scenario, seed=7).run(
-            horizon=horizon, warmup=100.0
-        )
-    )
-    total_forwarded = sum(m.forwarded for m in result)
-
-    depth = 512 if quick else 2048
-    ops = 20_000 if quick else 100_000
-
-    def replay(queue: Any, pop: Callable[[], float]) -> float:
-        for i in range(depth):
-            queue.append(float(i))
-        start = time.perf_counter()
-        for i in range(ops):
-            queue.append(float(i))
-            pop()
-        return time.perf_counter() - start
-
-    as_list: list[float] = []
-    list_seconds = replay(as_list, lambda: as_list.pop(0))
-    as_deque: deque[float] = deque()
-    deque_seconds = replay(as_deque, as_deque.popleft)
-    return {
-        "scenario": "deep_backlog_2sc",
-        "horizon": horizon,
-        "sim_seconds": sim_seconds,
-        "jobs_forwarded": total_forwarded,
-        "replay_depth": depth,
-        "replay_ops": ops,
-        "list_pop0_seconds": list_seconds,
-        "deque_popleft_seconds": deque_seconds,
-        "replay_speedup": (
-            list_seconds / deque_seconds if deque_seconds > 0 else float("inf")
-        ),
-        "seconds": sim_seconds,
-    }
-
-
 def bench_sim_failures(quick: bool) -> dict[str, Any]:
     """Price the failure-injection layer end to end.
 
@@ -279,12 +191,11 @@ def bench_sim_failures(quick: bool) -> dict[str, Any]:
 BENCHES: dict[str, Callable[[bool], dict[str, Any]]] = {
     "fig6_evaluate": bench_fig6,
     "obs_overhead": bench_obs_overhead,
-    "sim_fifo": bench_sim_fifo,
     "sim_failures": bench_sim_failures,
 }
 
 #: Probes extracted into the committed ``BENCH_sim.json`` artifact.
-_SIM_PROBES = ("sim_fifo", "sim_failures")
+_SIM_PROBES = ("sim_failures",)
 
 
 def run_micro(quick: bool = False, only: "list[str] | None" = None) -> dict[str, Any]:
@@ -358,9 +269,7 @@ def main(argv: "list[str] | None" = None) -> int:
         out_dir = Path(args.output)
         out_dir.mkdir(parents=True, exist_ok=True)
         path = out_dir / "BENCH_micro.json"
-        # Bench reports deliberately record the interpreter/platform they
-        # ran on — that is provenance, not a cache key.
-        path.write_text(json.dumps(report, indent=2) + "\n")  # repro: noqa[RPR303] - provenance metadata, not a key
+        path.write_text(json.dumps(report, indent=2) + "\n")
         print(f"wrote {path}")
         sim_results = {
             name: report["results"][name]
@@ -370,7 +279,7 @@ def main(argv: "list[str] | None" = None) -> int:
         if sim_results:
             sim_report = {**report, "benchmark": "sim", "results": sim_results}
             sim_path = out_dir / "BENCH_sim.json"
-            sim_path.write_text(json.dumps(sim_report, indent=2) + "\n")  # repro: noqa[RPR303] - provenance metadata, not a key
+            sim_path.write_text(json.dumps(sim_report, indent=2) + "\n")
             print(f"wrote {sim_path}")
     if args.compare is not None:
         try:

@@ -114,7 +114,7 @@ def write_trace(tracer: Tracer, path: str | Path) -> Path:
     elif path.name.endswith(".chrome.json"):
         # The chrome trace_event schema is fixed by the viewer; it has
         # no slot for our own format-version marker.
-        path.write_text(json.dumps(chrome_trace(tracer), indent=2) + "\n")  # repro: noqa[RPR306] - externally-specified format
+        path.write_text(json.dumps(chrome_trace(tracer), indent=2) + "\n")
     else:
         path.write_text(
             json.dumps(tracer_to_dict(tracer), indent=2, sort_keys=True) + "\n"

@@ -285,10 +285,10 @@ class ApproximateModel(PerformanceModel):
         executor: "Executor | None" = None,
         level_cache: bool = True,
     ) -> None:
-        self.tail_epsilon = check_positive(tail_epsilon, "tail_epsilon")  # fingerprint-input: _config_key
-        self.transient_epsilon = check_positive(transient_epsilon, "transient_epsilon")  # fingerprint-input: _config_key
-        self.outcome_threshold = check_positive(outcome_threshold, "outcome_threshold")  # fingerprint-input: _config_key
-        self.max_outcomes = check_positive_int(max_outcomes, "max_outcomes")  # fingerprint-input: _config_key
+        self.tail_epsilon = check_positive(tail_epsilon, "tail_epsilon")
+        self.transient_epsilon = check_positive(transient_epsilon, "transient_epsilon")
+        self.outcome_threshold = check_positive(outcome_threshold, "outcome_threshold")
+        self.max_outcomes = check_positive_int(max_outcomes, "max_outcomes")
         self.executor = executor
         # Private (underscored) so it stays out of the cache fingerprint:
         # memoized and cold levels are bit-identical.

@@ -212,7 +212,7 @@ class CachedModel(PerformanceModel):
             isinstance(model, PerformanceModel),
             f"model must be a PerformanceModel, got {type(model).__name__}",
         )
-        self.model = model  # fingerprint-input: _fingerprint
+        self.model = model
         self.store = cache if isinstance(cache, DiskCache) else DiskCache(cache)
         self.hits = 0
         self.misses = 0

@@ -22,11 +22,10 @@ Design constraints inherited from the runtime package:
   produced; a hit returns the same floats a cold rebuild would, so
   cached and uncached runs are bit-identical.
 - **Key soundness** — entries are only as correct as the keys callers
-  build.  Every key must be a pure function of content: the RPR3xx
-  dataflow lint (:mod:`repro.analysis.dataflow`) statically checks the
-  fingerprint functions feeding this tier for omitted inputs (declared
-  with ``# fingerprint-input:``), environment/thread taint, and
-  unordered-iteration order; run it before trusting a new key shape.
+  build.  Every key must be a pure function of content:
+  ``tests/runtime/test_fingerprint_soundness.py`` perturbs every
+  ``SmallCloud`` field and model setting and demands that a change of
+  output is a change of key; extend it before trusting a new key shape.
 """
 
 from __future__ import annotations

@@ -144,9 +144,9 @@ def observables_digest(observables: dict[str, Any]) -> str:
     """sha256 of the canonical observables rendering.
 
     This digest is what the cross-backend sweep asserts bit-identical,
-    so its inputs must stay pure functions of the outcome: the RPR3xx
-    dataflow lint traces this function for environment or scheduling
-    taint (RPR303/RPR305) and omitted inputs (RPR301).
+    so its inputs must stay pure functions of the outcome;
+    ``tests/runtime/test_fingerprint_soundness.py`` checks that it
+    changes with every observable.
     """
     return hashlib.sha256(
         json.dumps(observables, sort_keys=True).encode("utf-8")

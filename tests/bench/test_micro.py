@@ -34,18 +34,6 @@ class TestProbes:
         assert result["evaluate_seconds"] > 0.0
         assert result["level_cache"]["misses"] > 0
 
-    def test_sim_fifo_probe_quick(self):
-        result = micro.bench_sim_fifo(quick=True)
-        assert result["scenario"] == "deep_backlog_2sc"
-        assert result["sim_seconds"] > 0.0
-        assert result["jobs_forwarded"] > 0  # the backlog actually forwards
-        assert result["list_pop0_seconds"] > 0.0
-        assert result["deque_popleft_seconds"] > 0.0
-        # The replay isolates the O(n)-vs-O(1) mechanism; at depth 512+
-        # the deque must not lose to list.pop(0).
-        assert result["replay_speedup"] > 1.0
-        assert result["seconds"] == result["sim_seconds"]
-
     def test_obs_overhead_counters_reach_the_report(self):
         # The probe's traced solves record into their own captures; their
         # counters must still land in the report entry.

@@ -10,8 +10,6 @@ from repro.queueing.waiting_time import (
 )
 from repro.sim.federation import FederationSimulator
 
-pytestmark = pytest.mark.slow
-
 
 class TestWaitCdf:
     def test_erlang_one_is_exponential(self):
@@ -72,6 +70,7 @@ class TestWaitingTimeAnalysis:
                 summary.mean_wait_delayed * summary.delay_probability
             )
 
+    @pytest.mark.slow
     def test_matches_simulator_violation_rate(self, model):
         """The analytic leakage matches the simulator's sla_violations."""
         scenario = FederationScenario((
@@ -90,6 +89,7 @@ class TestWaitingTimeAnalysis:
         empirical = metrics.sla_violations / served
         assert empirical == pytest.approx(analytic, abs=0.01)
 
+    @pytest.mark.slow
     def test_mean_wait_matches_simulator(self, model):
         scenario = FederationScenario((
             SmallCloud(
