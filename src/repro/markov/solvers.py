@@ -18,6 +18,13 @@ All solvers return a probability row vector ``pi`` with ``pi Q = 0`` and
 ``sum(pi) = 1``; tiny negative entries from round-off are clipped and the
 vector renormalized.
 
+:func:`steady_state` takes a sparse matrix or a :class:`BandGenerator`,
+a generator stored by its diagonals.  The direct solver builds the band
+LU's storage straight from a band generator's diagonals and checks the
+residual on them; every other solver, and a band generator too wide for
+the band LU, works on its :meth:`~BandGenerator.tocsr` matrix, built once
+per solve.
+
 :func:`steady_state` records on its ``markov.steady_state`` span which
 solver succeeded (``solver``), the relative ``residual`` of its result,
 the ``ordering`` of a direct solve (``BAND``, ``NATURAL`` or ``COLAMD``)
@@ -26,8 +33,9 @@ and the ``iterations`` of a BiCGSTAB or power solve.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import partial
-from typing import Callable
+from typing import Callable, TypeAlias
 
 import numpy as np
 import scipy.sparse as sp
@@ -55,6 +63,63 @@ def _clean(pi: np.ndarray, residual_scale: float = 1e-8) -> np.ndarray:
     return pi / total
 
 
+@dataclass(frozen=True, slots=True)
+class BandGenerator:
+    """A CTMC generator stored by its diagonals.
+
+    ``rates[i, s]`` is ``Q[i, i + offsets[s]]`` and is zero wherever the
+    matrix stores no entry, off the grid included; ``offsets`` are
+    distinct, increasing and include the diagonal's 0.  :meth:`tocsr`
+    stores the nonzero rates, each row in column order.
+    """
+
+    rates: np.ndarray
+    offsets: tuple[int, ...]
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        n = self.rates.shape[0]
+        return n, n
+
+    def tocsr(self) -> sp.csr_matrix:
+        """The generator as a CSR matrix of its nonzero rates."""
+        n = self.rates.shape[0]
+        stored = self.rates != 0.0
+        columns = np.arange(n)[:, None] + np.array(self.offsets)
+        return sp.csr_matrix(
+            (
+                self.rates[stored],
+                columns[stored],
+                np.concatenate(([0], np.cumsum(stored.sum(axis=1)))),
+            ),
+            shape=(n, n),
+        )
+
+    def diagonal(self) -> np.ndarray:
+        """The diagonal of ``Q``."""
+        return self.rates[:, self.offsets.index(0)]
+
+    def left_product(self, pi: np.ndarray) -> np.ndarray:
+        """``pi Q``.  Each entry adds its terms in row order from zero, as
+        ``pi @ q`` does on the CSR matrix, so the two agree bit for bit."""
+        n = self.rates.shape[0]
+        flow = np.zeros(n)
+        # Row i = j - offset feeds column j: the largest offset first.
+        for s in reversed(range(len(self.offsets))):
+            offset = self.offsets[s]
+            if abs(offset) >= n:
+                continue
+            if offset >= 0:
+                flow[offset:] += pi[: n - offset] * self.rates[: n - offset, s]
+            else:
+                flow[:offset] += pi[-offset:] * self.rates[-offset:, s]
+        return flow
+
+
+#: A generator :func:`steady_state` accepts.
+Generator: TypeAlias = "sp.spmatrix | BandGenerator"
+
+
 def _as_csr(q: sp.spmatrix) -> sp.csr_matrix:
     """``q`` as a CSR matrix, wrapped afresh only if it is not one (the
     direct solver reads a CSR generator's arrays)."""
@@ -65,11 +130,12 @@ def _as_csr(q: sp.spmatrix) -> sp.csr_matrix:
 SolveInfo = dict[str, object]
 
 
-def _check_residual(q: sp.spmatrix, pi: np.ndarray, tol: float = 1e-7) -> float:
+def _check_residual(q: Generator, pi: np.ndarray, tol: float = 1e-7) -> float:
     """Verify ``pi Q ~ 0`` relative to the generator's magnitude; return
     that relative residual."""
     scale = max(1.0, float(np.abs(q.diagonal()).max(initial=0.0)))
-    residual = float(np.abs(pi @ q).max()) / scale
+    flow = q.left_product(pi) if isinstance(q, BandGenerator) else pi @ q
+    residual = float(np.abs(flow).max()) / scale
     if residual > tol:
         raise SolverError(f"steady-state residual too large: {residual:.3e}")
     return residual
@@ -77,10 +143,11 @@ def _check_residual(q: sp.spmatrix, pi: np.ndarray, tol: float = 1e-7) -> float:
 
 #: A pinned system whose bandwidth ``bw`` satisfies ``bw * bw <= n`` is
 #: solved by LAPACK's banded LU (``dgbsv``), built straight from the
-#: generator's CSR arrays.  The approximate first levels and the pooled
-#: chains enumerate ``q`` outermost and an event moves ``q`` by at most
-#: one, so their bandwidth is 1-21 on 27-1,218 states, and the band LU
-#: skips SuperLU's general factorization and its scipy.sparse wrapping.
+#: generator's CSR arrays or a band generator's diagonals.  The
+#: approximate first levels and the pooled chains enumerate ``q``
+#: outermost and an event moves ``q`` by at most one, so their bandwidth
+#: is 1-21 on 27-1,218 states, and the band LU skips SuperLU's general
+#: factorization and its scipy.sparse wrapping.
 #: The rule caps the band storage at about ``3 n^1.5`` doubles: on the
 #: 17,028- and 20,592-state approximate levels (bandwidth 736 and 869)
 #: the band LU only ties SuperLU (0.53 and 0.92 s against 0.70 and
@@ -125,36 +192,28 @@ def _pinned_system(q: sp.csr_matrix) -> tuple[sp.csc_matrix, np.ndarray]:
     return a, _pinned_rhs(q)
 
 
-def _band_solve(
-    q: sp.csr_matrix,
-    columns: np.ndarray,
-    offsets: np.ndarray,
-    values: np.ndarray,
-    lower: int,
-    upper: int,
-) -> np.ndarray:
+def _band_lu(ab: np.ndarray, lower: int, upper: int, rhs: np.ndarray) -> np.ndarray:
     """Solve the pinned system with LAPACK's banded LU.
 
     ``A[r, c]`` is stored at ``ab[lower + upper + r - c, c]``; the rows
     ``0 .. lower - 1`` of ``ab`` are workspace for the pivoting's fill.
-    Entry ``Q[i, j]`` lands at ``A[j - 1, i - 1]``, so ``columns`` is
-    ``i - 1`` and ``offsets`` is ``j - i``; duplicates are summed in
-    stored order.
+    ``ab`` and ``rhs`` are overwritten.
     """
-    n = q.shape[0] - 1
-    height = 2 * lower + upper + 1
-    ab = np.bincount(
-        columns * height + (lower + upper) + offsets,
-        weights=values,
-        minlength=n * height,
-    ).reshape(n, height).T
-    _lu, _piv, x, info = _dgbsv(
-        lower, upper, ab, _pinned_rhs(q), overwrite_ab=True, overwrite_b=True
-    )
+    _lu, _piv, x, info = _dgbsv(lower, upper, ab, rhs, overwrite_ab=True, overwrite_b=True)
     if info != 0:
         # info > 0: an exactly zero pivot, a singular system.
         raise SolverError(f"band LU failed (dgbsv info={info})")
     return x.ravel()
+
+
+def _pinned_solution(
+    q: Generator, tail: np.ndarray, ordering: str
+) -> tuple[np.ndarray, SolveInfo]:
+    """The distribution of a pinned solve's unknowns ``tail``, checked."""
+    pi = _clean(np.concatenate([[1.0], tail]))
+    residual = _check_residual(q, pi)
+    sanitize.check_distribution(pi, label="steady-state[direct]")
+    return pi, {"ordering": ordering, "residual": residual}
 
 
 def _direct(q: sp.csr_matrix) -> tuple[np.ndarray, SolveInfo]:
@@ -162,7 +221,8 @@ def _direct(q: sp.csr_matrix) -> tuple[np.ndarray, SolveInfo]:
     n = q.shape[0]
     if n == 1:
         return np.array([1.0]), {}
-    # The pinned system's entries: rows 1.. of Q without column 0.
+    # The pinned system's entries: rows 1.. of Q without column 0.  Entry
+    # Q[i, j] is A[j - 1, i - 1], at column i - 1 and offset j - i.
     indptr, indices = q.indptr, q.indices
     first = indptr[1]
     keep = indices[first:] != 0
@@ -172,20 +232,54 @@ def _direct(q: sp.csr_matrix) -> tuple[np.ndarray, SolveInfo]:
     upper = int(-offsets.min(initial=0))
     bandwidth = max(lower, upper)
     if bandwidth * bandwidth <= n:
-        ordering = "BAND"
-        tail = _band_solve(q, columns, offsets, q.data[first:][keep], lower, upper)
-    else:
-        ordering = "NATURAL" if _BANDED_FRACTION * bandwidth <= n else "COLAMD"
-        a, b = _pinned_system(q)
-        try:
-            tail = spla.splu(a, permc_spec=ordering).solve(b)
-        except RuntimeError as exc:  # singular factorization
-            raise SolverError(f"sparse LU failed: {exc}") from exc
-    pi = np.concatenate([[1.0], tail])
-    pi = _clean(pi)
-    residual = _check_residual(q, pi)
-    sanitize.check_distribution(pi, label="steady-state[direct]")
-    return pi, {"ordering": ordering, "residual": residual}
+        # Duplicates are summed in stored order.
+        height = 2 * lower + upper + 1
+        ab = np.bincount(
+            columns * height + (lower + upper) + offsets,
+            weights=q.data[first:][keep],
+            minlength=(n - 1) * height,
+        ).reshape(n - 1, height).T
+        return _pinned_solution(q, _band_lu(ab, lower, upper, _pinned_rhs(q)), "BAND")
+    ordering = "NATURAL" if _BANDED_FRACTION * bandwidth <= n else "COLAMD"
+    a, b = _pinned_system(q)
+    try:
+        tail = spla.splu(a, permc_spec=ordering).solve(b)
+    except RuntimeError as exc:  # singular factorization
+        raise SolverError(f"sparse LU failed: {exc}") from exc
+    return _pinned_solution(q, tail, ordering)
+
+
+def _band_direct(g: BandGenerator) -> tuple[np.ndarray, SolveInfo] | None:
+    """:func:`_direct` on a band generator, straight from its diagonals:
+    the same band storage, right-hand side and residual, bit for bit.
+    ``None`` when the pinned system is too wide for the band LU."""
+    rates, offsets = g.rates, g.offsets
+    n = rates.shape[0]
+    if n == 1:
+        return np.array([1.0]), {}
+    # Slot s holds A's diagonal at offset offsets[s], shifted by one for
+    # the pin.  Rows 1.. of Q are its entries, less the one that lands in
+    # column 0 (row -offset of a negative offset).
+    entries = np.count_nonzero(rates[1:], axis=0)
+    for s, offset in enumerate(offsets):
+        if 0 < -offset < n and rates[-offset, s] != 0.0:
+            entries[s] -= 1
+    lower = max((o for s, o in enumerate(offsets) if o > 0 and entries[s]), default=0)
+    upper = max((-o for s, o in enumerate(offsets) if o < 0 and entries[s]), default=0)
+    bandwidth = max(lower, upper)
+    if bandwidth * bandwidth > n:
+        return None
+    # The transpose of the (n - 1, height) array is the Fortran-ordered
+    # band storage.  A slot's column-0 entry is copied too: it lands above
+    # A's first row, in the corner of the band storage dgbsv never reads.
+    storage = np.zeros((n - 1, 2 * lower + upper + 1))
+    rhs = np.zeros(n - 1)
+    for s, offset in enumerate(offsets):
+        if 0 < offset < n:
+            rhs[offset - 1] = rates[0, s]
+        if entries[s]:
+            storage[:, lower + upper + offset] = rates[1:, s]
+    return _pinned_solution(g, _band_lu(storage.T, lower, upper, -rhs), "BAND")
 
 
 def steady_state_direct(q: sp.spmatrix) -> np.ndarray:
@@ -368,14 +462,18 @@ _SOLVERS: dict[str, Callable[[sp.spmatrix], tuple[np.ndarray, SolveInfo]]] = {
 }
 
 
-def steady_state(q: sp.spmatrix, method: str = "auto") -> np.ndarray:
+def steady_state(q: Generator, method: str = "auto") -> np.ndarray:
     """Solve the CTMC steady state with the requested ``method``.
 
     ``auto`` picks a solver order by chain size (direct LU first for
     small chains, BiCGSTAB first for large ones); the first solver that
-    produces a residual-checked distribution wins.
+    produces a residual-checked distribution wins.  The direct solver
+    takes a :class:`BandGenerator` straight from its diagonals when its
+    pinned system fits the band LU; any other solve of one, a fallback
+    included, runs on its :meth:`~BandGenerator.tocsr` matrix, built once.
     """
-    q = _as_csr(q)
+    band = q if isinstance(q, BandGenerator) else None
+    matrix = None if band is not None else _as_csr(q)
     with obs.span("markov.steady_state", n=q.shape[0], method=method) as span:
         if method in _SOLVERS:
             order = [(method, _SOLVERS[method])]
@@ -392,12 +490,17 @@ def steady_state(q: sp.spmatrix, method: str = "auto") -> np.ndarray:
         errors: list[str] = []
         for name, solver in order:
             try:
-                pi, info = solver(q)
+                solved = _band_direct(band) if band is not None and name == "direct" else None
+                if solved is None:
+                    if matrix is None:
+                        matrix = q.tocsr()
+                    solved = solver(matrix)
             except SolverError as exc:
                 if method != "auto":
                     raise
                 errors.append(f"{name}: {exc}")
             else:
+                pi, info = solved
                 obs.inc(_SOLVE_METRICS[name])
                 span.set(solver=name, **info)
                 return pi

@@ -25,15 +25,15 @@ iteration tolerance.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import TYPE_CHECKING, Any
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro._validation import check_in_range, check_positive, check_positive_int
 from repro.core.small_cloud import FederationScenario, SmallCloud
 from repro.exceptions import ConvergenceError
-from repro.markov.solvers import steady_state
+from repro.markov.solvers import BandGenerator, steady_state
 from repro.perf.base import PerformanceModel
 from repro.perf.params import PerformanceParams
 from repro.queueing.forwarding import queue_truncation_level
@@ -43,15 +43,22 @@ if TYPE_CHECKING:
     from numpy.typing import ArrayLike
 
 
+@lru_cache(maxsize=256)
 def _pnf_table(
     max_waiting: int, max_busy: int, service_rate: float, sla_bound: float
 ) -> np.ndarray:
     """``T[w, b] = prob_no_forward(w, b, service_rate, sla_bound)`` for
-    ``0 <= w <= max_waiting`` and ``0 <= b <= max_busy``."""
+    ``0 <= w <= max_waiting`` and ``0 <= b <= max_busy``.
+
+    Memoized on its arguments, which are all the table depends on: every
+    chain of a cloud with the same truncation and capacity reads one
+    table, so it is returned read-only.
+    """
     table = np.empty((max_waiting + 1, max_busy + 1))
     for w in range(max_waiting + 1):
         for b in range(max_busy + 1):
             table[w, b] = prob_no_forward(w, b, service_rate, sla_bound)
+    table.flags.writeable = False
     return table
 
 
@@ -128,14 +135,16 @@ class _CloudChain:
     over the grid.  :meth:`solve` gives the bits of a per-state loop (the
     test suite keeps one as its oracle): it emits each transition under the
     loop's guards, it multiplies each rate's operands in the loop's order,
-    and it sums each moment left to right in state order.  The
-    generator's CSR arrays come straight from five band slots per state,
+    and it sums each moment left to right in state order.  The generator
+    goes to the solver as a :class:`~repro.markov.solvers.BandGenerator`
+    of five band slots per state (three with no pool), whose ``tocsr`` is
     byte for byte what a COO build, ``tocsr`` and a ``sp.diags``
-    subtraction give, without their sorting and temporaries; the oracle
-    test compares those bytes.  The bandwidth is ``pool_size + 1``, so
-    the solver's band LU takes the chain whenever the queue levels
-    outnumber the pool levels (every ``market-fig7`` chain), and its
-    dense band storage makes a stored zero harmless there.
+    subtraction give; the oracle test compares those bytes.  The
+    bandwidth is ``pool_size + 1``, so whenever the queue levels
+    outnumber the pool levels (every ``market-fig7`` chain) the solver's
+    band LU reads the slots straight into its storage and no sparse
+    matrix is built; a wider chain, or a failed band LU, is solved on
+    the ``tocsr`` matrix.
     """
 
     def __init__(self, cloud: SmallCloud, pool_size: int, tail_epsilon: float) -> None:
@@ -216,7 +225,6 @@ class _CloudChain:
         # entries in column order by ``np.add.reduceat`` as
         # ``csr_matrix.sum(axis=1)`` does (it adds the first entry to the
         # sum of the rest, so a left-to-right sum would round differently).
-        # Exact zeros are dropped, as subtracting ``sp.diags`` of it would.
         slot_rates = slot_rates.reshape(n_states, 5)
         slot_used = slot_used.reshape(n_states, 5)
         off_diagonal = slot_used[:, _OFF_DIAGONAL]
@@ -226,18 +234,11 @@ class _CloudChain:
         exits = np.zeros(n_states)
         exits[nonempty] = np.add.reduceat(slot_rates[:, _OFF_DIAGONAL][off_diagonal], starts)
         slot_rates[:, 2] = -exits
-        slot_used[:, 2] = True
-        stored = slot_used & (slot_rates != 0.0)
-        columns = index.reshape(-1, 1) + np.array([-width, -1, 0, 1, width])
-        q_matrix = sp.csr_matrix(
-            (
-                slot_rates[stored],
-                columns[stored],
-                np.concatenate(([0], np.cumsum(stored.sum(axis=1)))),
-            ),
-            shape=(n_states, n_states),
-        )
-        pi = steady_state(q_matrix)
+        if width > 1:
+            generator = BandGenerator(slot_rates, (-width, -1, 0, 1, width))
+        else:
+            generator = BandGenerator(slot_rates[:, [0, 2, 4]], (-1, 0, 1))
+        pi = steady_state(generator)
 
         forward_rate = float(forward_flow.ravel() @ pi)
         share_room = cloud.shared_vms - ell

@@ -18,6 +18,7 @@ from repro.exceptions import ConvergenceError, SolverError
 from repro.markov import solvers
 from repro.markov.birth_death import BirthDeathChain, mmc_chain
 from repro.markov.solvers import (
+    BandGenerator,
     steady_state,
     steady_state_bicgstab,
     steady_state_direct,
@@ -65,25 +66,49 @@ def cyclic_reset_generator(n: int) -> sp.csr_matrix:
     return sp.csr_matrix(q - sp.diags(np.asarray(q.sum(axis=1)).ravel()))
 
 
-def cloud_chain_generator() -> sp.csr_matrix:
-    """The generator of a pooled model's per-SC ``(q, o)`` chain, as
+def cloud_chain_band(
+    pool_size: int = 6, vms: int = 10, ell: float = 1.3, beta: float = 0.42
+) -> BandGenerator:
+    """The band generator of a pooled model's per-SC ``(q, o)`` chain, as
     ``_CloudChain.solve`` hands it to the solver."""
-    cloud = SmallCloud(name="sc", vms=10, arrival_rate=8.4, service_rate=0.9, shared_vms=3)
-    chain = pooled._CloudChain(cloud, pool_size=6, tail_epsilon=1e-9)
+    cloud = SmallCloud(
+        name="sc", vms=vms, arrival_rate=8.4, service_rate=0.9, shared_vms=min(vms, 3)
+    )
+    chain = pooled._CloudChain(cloud, pool_size=pool_size, tail_epsilon=1e-9)
     seen = []
-    real = pooled.steady_state
 
     def spy(q):
         seen.append(q)
-        return real(q)
+        return np.full(q.shape[0], 1.0 / q.shape[0])
 
+    real = pooled.steady_state
     pooled.steady_state = spy
     try:
-        chain.solve(1.3, 0.42)
+        chain.solve(ell, beta)
     finally:
         pooled.steady_state = real
     (q,) = seen
+    assert isinstance(q, BandGenerator)
     return q
+
+
+def random_band_generator(
+    n: int, offsets: tuple[int, ...], seed: int, sparsity: float = 0.0
+) -> BandGenerator:
+    """A random band generator: every rate off the diagonal is uniform in
+    [0.1, 2), or zero with probability ``sparsity`` outside the +-1
+    diagonals, which keep the chain irreducible.  A slot's rates past the
+    edge of the grid are zero."""
+    rng = np.random.default_rng(seed)
+    rates = rng.uniform(0.1, 2.0, size=(n, len(offsets)))
+    rows = np.arange(n)[:, None] + np.array(offsets)
+    rates[(rows < 0) | (rows >= n)] = 0.0
+    thin = (rng.random(rates.shape) < sparsity) & (np.abs(np.array(offsets)) > 1)
+    rates[thin] = 0.0
+    diagonal = offsets.index(0)
+    rates[:, diagonal] = 0.0
+    rates[:, diagonal] = 0.0 - rates.sum(axis=1)
+    return BandGenerator(rates, offsets)
 
 
 def traced_solve(q: sp.spmatrix, method: str = "auto") -> tuple[np.ndarray, dict]:
@@ -232,7 +257,7 @@ class TestOrdering:
 
     @pytest.mark.parametrize(
         "make",
-        [lambda: banded_generator(400, 10, seed=1), cloud_chain_generator],
+        [lambda: banded_generator(400, 10, seed=1), lambda: cloud_chain_band().tocsr()],
         ids=["banded", "cloud-chain"],
     )
     def test_band_lu_agrees_with_colamd(self, make):
@@ -475,3 +500,188 @@ class TestSpanTelemetry:
         monkeypatch.setattr(solvers, "_SOLVERS", {**solvers._SOLVERS, "direct": failing})
         with pytest.raises(SolverError, match="boom"):
             steady_state(random_ergodic_generator(5, 8), method="direct")
+
+
+def solve_with_metrics(q, method: str = "auto") -> tuple[np.ndarray, dict, dict]:
+    """Solve ``q`` under a tracer with metrics; return the result, the
+    span's attributes and the counters."""
+    with obs.capture() as cap:
+        pi = steady_state(q, method=method)
+    (span,) = cap.tracer.roots
+    return pi, span.attrs, dict(cap.registry.snapshot().counters)
+
+
+class TestBandGenerator:
+    """A band generator takes the band LU straight from its diagonals and
+    gives the CSR path's bits; any other solve runs on one ``tocsr``."""
+
+    BANDS = [
+        pytest.param(lambda: cloud_chain_band(), id="cloud-chain"),
+        pytest.param(lambda: cloud_chain_band(pool_size=0), id="cloud-chain-no-pool"),
+        pytest.param(lambda: cloud_chain_band(ell=0.0, beta=0.0), id="cloud-chain-beta-0"),
+        *(
+            pytest.param(
+                lambda seed=seed, sparsity=sparsity: random_band_generator(
+                    120, (-9, -1, 0, 1, 9), seed, sparsity
+                ),
+                id=f"random-{seed}-{sparsity}",
+            )
+            for seed in (0, 1, 2)
+            for sparsity in (0.0, 0.5, 1.0)
+        ),
+        pytest.param(
+            lambda: random_band_generator(50, (-3, -2, -1, 0, 1, 4), 3, 0.3), id="random-skew"
+        ),
+        # Empty +-10 slots: the bandwidth is 1, not 10 (10 * 10 > 50).
+        pytest.param(
+            lambda: random_band_generator(50, (-10, -1, 0, 1, 10), 4, 1.0), id="random-empty-far"
+        ),
+    ]
+
+    @staticmethod
+    def _forbid_tocsr(monkeypatch):
+        def tocsr(_self):
+            raise AssertionError("tocsr called on the band path")
+
+        monkeypatch.setattr(BandGenerator, "tocsr", tocsr)
+
+    @staticmethod
+    def _count_tocsr(monkeypatch) -> list:
+        """Record every band generator converted from here on."""
+        real = BandGenerator.tocsr
+        converted = []
+
+        def tocsr(self):
+            converted.append(self)
+            return real(self)
+
+        monkeypatch.setattr(BandGenerator, "tocsr", tocsr)
+        return converted
+
+    @pytest.mark.parametrize("make", BANDS)
+    def test_tocsr_stores_the_nonzero_rates(self, make):
+        g = make()
+        q = g.tocsr()
+        dense = q.toarray()
+        n = g.shape[0]
+        assert q.shape == g.shape == (n, n)
+        assert q.has_sorted_indices
+        for s, offset in enumerate(g.offsets):
+            rows = np.arange(max(0, -offset), min(n, n - offset))
+            np.testing.assert_array_equal(dense[rows, rows + offset], g.rates[rows, s])
+        assert q.nnz == np.count_nonzero(g.rates)
+        np.testing.assert_array_equal(g.diagonal(), q.diagonal())
+
+    @pytest.mark.parametrize("make", BANDS)
+    def test_band_direct_matches_the_csr_path(self, make, monkeypatch):
+        g = make()
+        want_pi, want_attrs, want_counters = solve_with_metrics(g.tocsr())
+        self._forbid_tocsr(monkeypatch)
+        pi, attrs, counters = solve_with_metrics(g)
+        assert pi.tobytes() == want_pi.tobytes()
+        # n, method, solver, ordering and residual, bit for bit.
+        assert attrs == want_attrs
+        assert attrs["solver"] == "direct" and attrs["ordering"] == "BAND"
+        assert counters == want_counters
+        assert counters["markov.solve.direct"] == 1
+
+    @pytest.mark.parametrize("make", BANDS)
+    def test_residual_from_the_diagonals(self, make):
+        g = make()
+        q = g.tocsr()
+        pi = solvers._direct(q)[0]
+        assert g.left_product(pi).tobytes() == np.asarray(pi @ q).tobytes()
+        assert solvers._check_residual(g, pi) == pytest.approx(
+            solvers._check_residual(q, pi), rel=1e-15, abs=0.0
+        )
+
+    @pytest.mark.parametrize(
+        "n, half_width, ordering",
+        [(100, 10, "BAND"), (99, 10, "NATURAL"), (81, 9, "BAND"), (80, 9, "NATURAL")],
+    )
+    def test_band_rule_boundary(self, n, half_width, ordering, monkeypatch):
+        # bw * bw = n is read straight from the diagonals; bw * bw = n + 1
+        # goes to SuperLU on the CSR matrix.
+        g = random_band_generator(n, (-half_width, -1, 0, 1, half_width), seed=2)
+        want = steady_state(g.tocsr(), method="direct")
+        if ordering == "BAND":
+            self._forbid_tocsr(monkeypatch)
+        pi, attrs = traced_solve(g, method="direct")
+        assert attrs["ordering"] == ordering
+        assert pi.tobytes() == want.tobytes()
+
+    def test_band_rule_reads_the_pinned_system(self, monkeypatch):
+        # Only state 40 steps down 40, to state 0: the pinned system drops
+        # that entry with column 0 and is tridiagonal.
+        g = random_band_generator(50, (-40, -1, 0, 1), seed=3)
+        g.rates[:, 0] = 0.0
+        g.rates[40, 0] = 0.5
+        g.rates[:, 2] = 0.0
+        g.rates[:, 2] = 0.0 - g.rates.sum(axis=1)
+        want = steady_state(g.tocsr(), method="direct")
+        self._forbid_tocsr(monkeypatch)
+        pi, attrs = traced_solve(g, method="direct")
+        assert attrs["ordering"] == "BAND"
+        assert pi.tobytes() == want.tobytes()
+
+    def test_residual_check_raises_on_the_diagonals(self):
+        g = random_band_generator(40, (-4, -1, 0, 1, 4), seed=5)
+        with pytest.raises(SolverError, match="residual"):
+            solvers._check_residual(g, np.full(40, 1.0 / 40))
+
+    def test_single_state(self, monkeypatch):
+        self._forbid_tocsr(monkeypatch)
+        g = BandGenerator(np.zeros((1, 3)), (-1, 0, 1))
+        assert steady_state(g).tolist() == [1.0]
+
+    @pytest.mark.parametrize("pool_size", [0, 6])
+    def test_singular_band_system_falls_through_once(self, pool_size, monkeypatch):
+        # With both of the 2-VM cloud's VMs lent no state can serve: the
+        # band LU meets an exactly zero pivot and auto falls through.
+        g = cloud_chain_band(pool_size=pool_size, vms=2, ell=2.0, beta=0.42)
+        with pytest.raises(SolverError, match="band LU"):
+            steady_state(g, method="direct")
+        want, want_attrs = traced_solve(g.tocsr())
+        converted = self._count_tocsr(monkeypatch)
+        pi, attrs = traced_solve(g)
+        assert converted == [g]
+        assert attrs["solver"] in ("bicgstab", "power")
+        assert attrs == want_attrs
+        assert pi.tobytes() == want.tobytes()
+
+    def test_wide_band_generator_takes_superlu_on_its_csr(self):
+        # Bandwidth 30 on 400 states: too wide for the band LU.
+        g = random_band_generator(400, (-30, -1, 0, 1, 30), seed=4)
+        pi, attrs = traced_solve(g)
+        assert attrs["ordering"] == "NATURAL"
+        assert pi.tobytes() == steady_state(g.tocsr()).tobytes()
+
+    def test_auto_keeps_bicgstab_first_above_threshold(self, monkeypatch):
+        n = solvers._LARGE_CHAIN_THRESHOLD + 1
+        g = random_band_generator(n, (-2, -1, 0, 1, 2), seed=6)
+        calls: list[tuple[str, type]] = []
+
+        def failing(name):
+            def solver(m, **_kw):
+                calls.append((name, type(m)))
+                raise SolverError("no convergence")
+
+            return solver
+
+        want = solvers._direct(g.tocsr())[0]
+        converted = self._count_tocsr(monkeypatch)
+        monkeypatch.setattr(solvers, "_bicgstab", failing("bicgstab"))
+        monkeypatch.setattr(solvers, "_power", failing("power"))
+        pi, attrs = traced_solve(g)
+        assert calls == [("bicgstab", sp.csr_matrix), ("power", sp.csr_matrix)]
+        assert converted == [g]
+        assert attrs["solver"] == "direct"
+        assert attrs["ordering"] == "BAND"
+        assert pi.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("method", ["bicgstab", "power"])
+    def test_explicit_method_runs_on_the_csr(self, method):
+        g = cloud_chain_band()
+        pi, attrs = traced_solve(g, method=method)
+        assert attrs["solver"] == method
+        assert pi.tobytes() == steady_state(g.tocsr(), method=method).tobytes()

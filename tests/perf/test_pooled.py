@@ -5,10 +5,12 @@ import dataclasses
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse._compressed
 
+from repro.analysis import sanitize
 from repro.bench.scenarios import fig7_scenario
 from repro.core.small_cloud import FederationScenario, SmallCloud
-from repro.markov.solvers import steady_state
+from repro.markov.solvers import BandGenerator, steady_state
 from repro.perf import pooled
 from repro.perf.pooled import PooledModel, _CloudChain, _fractional_prob_no_forward
 from repro.queueing.forwarding import NoSharingModel
@@ -51,6 +53,27 @@ class TestFractionalPnf:
     def test_edge_cases(self):
         assert _fractional_prob_no_forward(-0.5, 5.0, 1.0, 0.2) == 1.0
         assert _fractional_prob_no_forward(1.0, 0.0, 1.0, 0.2) == 0.0
+
+
+class TestPnfTable:
+    CLOUD = SmallCloud(name="sc", vms=10, arrival_rate=8.4, service_rate=0.9, shared_vms=3)
+
+    def test_chains_of_one_cloud_share_one_read_only_table(self):
+        first = _CloudChain(self.CLOUD, pool_size=6, tail_epsilon=1e-9)
+        second = _CloudChain(self.CLOUD, pool_size=6, tail_epsilon=1e-9)
+        assert second.pnf_table is first.pnf_table
+        with pytest.raises(ValueError, match="read-only"):
+            first.pnf_table[0, 0] = 0.5
+
+    def test_memoized_bits_are_the_scalar_calls(self):
+        chain = _CloudChain(self.CLOUD, pool_size=6, tail_epsilon=1e-9)
+        rows, cols = chain.pnf_table.shape
+        assert (rows, cols) == (chain.q_max + 2, self.CLOUD.vms + 6 + 2)
+        for w in range(rows):
+            for b in range(cols):
+                assert chain.pnf_table[w, b].hex() == float(
+                    prob_no_forward(w, b, self.CLOUD.service_rate, self.CLOUD.sla_bound)
+                ).hex()
 
 
 class TestDegenerateCases:
@@ -272,8 +295,9 @@ class TestVectorizedChainMatchesOracle:
         ids=["10vm-none", "10vm-fractional", "10vm-shared", "2vm-fractional", "2vm-all-lent"],
     )
     def test_generator_bytes(self, cloud, ell, beta, pool_size, monkeypatch):
-        """The band-built CSR arrays are the COO build's, byte for byte:
-        same duplicate sums, same diagonal rounding, same dropped zeros."""
+        """The solver receives a band generator whose ``tocsr`` arrays are
+        the COO build's, byte for byte: same duplicate sums, same diagonal
+        rounding, same dropped zeros."""
         chain = _CloudChain(cloud, pool_size=pool_size, tail_epsilon=1e-9)
         solved = []
         # The bytes are the point, not the solve (an all-lent chain has
@@ -286,8 +310,11 @@ class TestVectorizedChainMatchesOracle:
         chain.solve(ell, beta)
         expected, _ = scalar_generator(chain, ell, beta)
         (generator,) = solved
+        assert isinstance(generator, BandGenerator)
+        matrix = generator.tocsr()
+        assert matrix.shape == expected.shape
         for name in ("indptr", "indices", "data"):
-            got, want = getattr(generator, name), getattr(expected, name)
+            got, want = getattr(matrix, name), getattr(expected, name)
             assert got.dtype == want.dtype
             assert got.tobytes() == want.tobytes()
 
@@ -309,3 +336,41 @@ class TestVectorizedChainMatchesOracle:
         fast = fields(PooledModel().evaluate(scenario))
         monkeypatch.setattr(_CloudChain, "solve", scalar_chain_solve)
         assert fields(PooledModel().evaluate(scenario)) == fast
+
+
+class TestNoSparseMatrixOnTheMarketLoop:
+    SCENARIO = fig7_scenario("spread").with_sharing((5, 5, 5))
+
+    def test_evaluate_builds_no_sparse_matrix(self, monkeypatch):
+        built = []
+        real = scipy.sparse._compressed._cs_matrix.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(type(self).__name__)
+            real(self, *args, **kwargs)
+
+        monkeypatch.setattr(scipy.sparse._compressed._cs_matrix, "__init__", counting)
+        PooledModel().evaluate(self.SCENARIO)
+        assert built == []
+        # The probe sees a CSR build.
+        BandGenerator(np.zeros((2, 1)), (0,)).tocsr()
+        assert built == ["csr_matrix"]
+
+    def test_sanitized_evaluate_checks_every_band_solve(self, monkeypatch):
+        labels = []
+        real = sanitize.check_distribution
+
+        def spy(pi, label="pi", tol=1e-6):
+            if sanitize.sanitize_enabled():
+                labels.append(label)
+            real(pi, label=label, tol=tol)
+
+        monkeypatch.setattr(sanitize, "check_distribution", spy)
+        with sanitize.sanitized(False):
+            plain = PooledModel().evaluate(self.SCENARIO)
+        assert labels == []
+        with sanitize.sanitized():
+            checked = PooledModel().evaluate(self.SCENARIO)
+        assert checked == plain
+        # One check per chain solve, every one on the band LU.
+        assert len(labels) > 3 and set(labels) == {"steady-state[direct]"}
