@@ -30,6 +30,7 @@ from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
+from repro import obs
 from repro._validation import check_in_range, check_positive, check_positive_int
 from repro.core.small_cloud import FederationScenario, SmallCloud
 from repro.exceptions import ConvergenceError
@@ -76,75 +77,58 @@ def _fractional_prob_no_forward(
     matters: the fixed point perturbs the effective capacity continuously,
     and any jump in the chain's rates as capacity crosses an integer turns
     the coupling map discontinuous (producing limit cycles instead of a
-    fixed point).  An integer argument takes the tabulated value itself,
-    not an interpolation that could round differently.
+    fixed point).  An integer argument takes the tabulated value itself:
+    its weights are exactly 1 and 0, and ``1 * lo + 0 * hi`` is ``lo``.
 
-    ``table`` is a :func:`_pnf_table` of the same rate and bound covering
-    the ceiling of every argument; without one, a large enough table is
-    built.
+    ``table`` is a :func:`_pnf_table` of the same rate and bound with a
+    row and a column beyond the floor of every argument; without one, a
+    large enough table is built.
     """
     waiting = np.asarray(waiting, dtype=float)
     busy = np.asarray(busy, dtype=float)
     w_lo = np.floor(waiting)
-    w_hi = np.ceil(waiting)
     b_lo = np.floor(busy)
-    b_hi = np.ceil(busy)
     # Negative arguments are answered by the guards at the end; clamp their
     # indices so that the lookups stay inside the table.
-    w_lo_i, w_hi_i, b_lo_i, b_hi_i = (
-        np.maximum(x, 0.0).astype(np.intp) for x in (w_lo, w_hi, b_lo, b_hi)
-    )
+    w_i = np.maximum(w_lo, 0.0).astype(np.intp)
+    b_i = np.maximum(b_lo, 0.0).astype(np.intp)
     if table is None:
         table = _pnf_table(
-            int(w_hi_i.max(initial=0)), int(b_hi_i.max(initial=0)), service_rate, sla_bound
+            int(w_i.max(initial=0)) + 1, int(b_i.max(initial=0)) + 1, service_rate, sla_bound
         )
+    # ``take`` reads the table flat: (w, b) is at w * stride + b.
+    stride = table.shape[1]
+    corner = w_i * stride + b_i
     frac_w = waiting - w_lo
-    whole_w = w_hi == w_lo
-
-    def at_busy(b: np.ndarray) -> np.ndarray:
-        lo = table[w_lo_i, b]
-        hi = table[w_hi_i, b]
-        return np.where(whole_w, lo, (1.0 - frac_w) * lo + frac_w * hi)
-
-    low_val = at_busy(b_lo_i)
-    high_val = at_busy(b_hi_i)
     frac_b = busy - b_lo
-    value = np.where(b_hi == b_lo, low_val, (1.0 - frac_b) * low_val + frac_b * high_val)
+    keep_w = 1.0 - frac_w
+    low_val = keep_w * table.take(corner) + frac_w * table.take(corner + stride)
+    corner += 1
+    high_val = keep_w * table.take(corner) + frac_w * table.take(corner + stride)
+    value = (1.0 - frac_b) * low_val + frac_b * high_val
     value = np.where(busy <= 0.0, 0.0, value)
     value = np.where(waiting < 0.0, 1.0, value)
     return float(value) if value.ndim == 0 else value
-
-
-#: The slots of the generator's band that lie off its diagonal.
-_OFF_DIAGONAL = [0, 1, 3, 4]
-
-
-def _running_sum(terms: np.ndarray) -> float:
-    """``0.0 + t[0] + t[1] + ...`` summed left to right, as a loop would.
-
-    ``np.sum`` and ``dot`` add pairwise and round differently.
-    """
-    return float(np.cumsum(np.concatenate(([0.0], terms.ravel())))[-1])
 
 
 class _CloudChain:
     """The per-SC (q, o) chain solved inside each fixed-point sweep.
 
     The (q, o) grid is rectangular: state ``(q, o)`` has index
-    ``q * (pool_size + 1) + o`` and every rate is a whole-array expression
-    over the grid.  :meth:`solve` gives the bits of a per-state loop (the
-    test suite keeps one as its oracle): it emits each transition under the
-    loop's guards, it multiplies each rate's operands in the loop's order,
-    and it sums each moment left to right in state order.  The generator
-    goes to the solver as a :class:`~repro.markov.solvers.BandGenerator`
-    of five band slots per state (three with no pool), whose ``tocsr`` is
-    byte for byte what a COO build, ``tocsr`` and a ``sp.diags``
-    subtraction give; the oracle test compares those bytes.  The
-    bandwidth is ``pool_size + 1``, so whenever the queue levels
-    outnumber the pool levels (every ``market-fig7`` chain) the solver's
-    band LU reads the slots straight into its storage and no sparse
-    matrix is built; a wider chain, or a failed band LU, is solved on
-    the ``tocsr`` matrix.
+    ``q * (pool_size + 1) + o``.  Everything that does not depend on the
+    lending level and the pool availability (the ``q`` column, the ``o``
+    row and their masks) is built once, read-only, and every rate of a
+    solve is a whole-array expression over the grid.  :meth:`solve` gives
+    the bits of a per-state loop (the test suite keeps one as its oracle).
+    The generator goes to the solver as a
+    :class:`~repro.markov.solvers.BandGenerator` of five band slots per
+    state (three with no pool), whose ``tocsr`` is byte for byte what a
+    COO build, ``tocsr`` and a ``sp.diags`` subtraction give; the oracle
+    test compares those bytes.  The bandwidth is ``pool_size + 1``, so
+    whenever the queue levels outnumber the pool levels (every
+    ``market-fig7`` chain) the solver's band LU reads the slots straight
+    into its storage and no sparse matrix is built; a wider chain, or a
+    failed band LU, is solved on the ``tocsr`` matrix.
     """
 
     def __init__(self, cloud: SmallCloud, pool_size: int, tail_epsilon: float) -> None:
@@ -157,7 +141,14 @@ class _CloudChain:
         #: Own requests down the grid (a column) and borrowed VMs across it.
         self.q = np.arange(self.q_max + 1, dtype=float)[:, None]
         self.o = np.arange(pool_size + 1, dtype=float)
-        self.index = np.arange(self.q.size * self.o.size).reshape(self.q.size, self.o.size)
+        self.arrives = self.q < self.q_max  # at q_max every arrival is forwarded
+        self.can_borrow = self.o < pool_size
+        self.has_remote = self.o > 0.0
+        self.remote_rate = self.o * cloud.service_rate
+        # Every solve reads these, so none may write to them.
+        grids = (self.q, self.o, self.arrives, self.can_borrow, self.has_remote, self.remote_rate)
+        for grid in grids:
+            grid.flags.writeable = False
         #: Waiting stays within ``q_max`` and busy within ``capacity``; the
         #: spare row and column cover a lent mean a rounding error below 0.
         self.pnf_table = _pnf_table(
@@ -168,95 +159,101 @@ class _CloudChain:
         """Solve the chain for given lending level and pool availability.
 
         This runs once per SC per fixed-point iteration and dominates the
-        pooled model's cost.
+        pooled model's cost.  Each band slot is written once, in the
+        loop's arithmetic: a transition stored under the loop's guards,
+        its operands multiplied in the loop's order, and two transitions
+        into one slot added in emission order, as a COO build sums its
+        duplicates.  The diagonal is minus the row's first stored entry
+        plus the left-to-right sum of the rest, the order in which
+        ``csr_matrix.sum(axis=1)`` adds a row; an entry not stored is a
+        zero, which adds nothing.  Every moment is a left-to-right sum in
+        state order.
         """
         cloud = self.cloud
-        mu = cloud.service_rate
-        lam = cloud.arrival_rate
-        pool = self.pool_size
-        q, o, index = self.q, self.o, self.index
-        width = o.size
-        n_states = index.size
-        capacity = cloud.vms - ell  # fractional effective own capacity
+        q, o = self.q, self.o
+        n_states = q.size * o.size
+        with obs.span("perf.chain", n=n_states, width=o.size):
+            mu = cloud.service_rate
+            lam = cloud.arrival_rate
+            shape = (q.size, o.size)
+            capacity = cloud.vms - ell  # fractional effective own capacity
 
-        # Columns: each depends on q only and broadcasts across o.
-        own_running = np.where(q < capacity, q, capacity)
-        waiting = q - capacity
-        waiting = np.where(waiting < 0.0, 0.0, waiting)
-        w_local = capacity - q
-        w_local = np.where(w_local > 1.0, 1.0, np.where(w_local < 0.0, 0.0, w_local))
-        saturated = 1.0 - w_local
-        w_keep = np.where(waiting < 1.0, waiting, 1.0)
-        arrives = q < self.q_max  # at q_max every arrival is forwarded
-        spills = arrives & (saturated > 0.0)
+            # Columns: each depends on q only and broadcasts across o.
+            own_running = np.minimum(q, capacity)
+            waiting = np.maximum(q - capacity, 0.0)
+            idle = np.maximum(capacity - q, 0.0)
+            w_local = np.minimum(idle, 1.0)  # the free fraction of a local VM
+            saturated = 1.0 - w_local
+            w_keep = np.minimum(waiting, 1.0)
+            spills = self.arrives & (saturated > 0.0)
 
-        # One slot per band of the generator: -width, -1, the diagonal, +1
-        # and +width, in column order (at width 1 the +-1 slots stay empty:
-        # with no pool nothing is borrowed or returned).
-        slot_rates = np.zeros(index.shape + (5,))
-        slot_used = np.zeros(index.shape + (5,), dtype=bool)
+            # Arrivals (split continuously at the fractional capacity): the
+            # blocked share queues or is forwarded.
+            blocked = saturated * np.where(self.can_borrow, 1.0 - beta, 1.0)
+            blocked_flow = lam * blocked
+            p_queue = _fractional_prob_no_forward(
+                waiting, own_running + o, mu, cloud.sla_bound, table=self.pnf_table
+            )
+            queue_or_forward = spills & (blocked > 0.0)
+            forward_flow = np.where(queue_or_forward, blocked_flow * (1.0 - p_queue), 0.0)
+            forward_flow[-1] = lam
+            local = self.arrives & (w_local > 0.0)
+            queued = queue_or_forward & (p_queue > 0.0)
+            borrows = spills & self.can_borrow & (beta > 0.0)
+            # Local departures, and remote ones (continuous keep/return split).
+            keeps = (w_keep > 0.0) & self.has_remote
+            returns = (w_keep < 1.0) & self.has_remote
+            departs = (own_running > 0.0) | keeps
 
-        def emit(slot: int, mask: np.ndarray, grid_rates: np.ndarray) -> None:
-            # A second emission into a slot adds to the first, as the
-            # duplicate entries of a COO build are summed.
-            slot_rates[..., slot] += np.where(mask, grid_rates, 0.0)
-            slot_used[..., slot] |= mask
+            # One slot per band of the generator: -width, -1, the diagonal, +1
+            # and +width, in column order (at width 1 the +-1 slots stay empty:
+            # with no pool nothing is borrowed or returned).
+            slots = np.empty((5,) + shape)
+            down, back, diagonal, borrow, up = slots
+            up[...] = np.where(local, lam * w_local, 0.0) + np.where(
+                queued, blocked_flow * p_queue, 0.0
+            )
+            borrow[...] = np.where(borrows, (lam * saturated) * beta, 0.0)
+            down[...] = np.where(own_running > 0.0, own_running * mu, 0.0) + np.where(
+                keeps, self.remote_rate * w_keep, 0.0
+            )
+            back[...] = np.where(returns, self.remote_rate * (1.0 - w_keep), 0.0)
+            # The diagonal is minus the row's exit rate, added as
+            # ``csr_matrix.sum(axis=1)`` adds a row: its first stored entry
+            # plus the left-to-right sum of the rest.  An entry not stored
+            # is a zero and adds nothing, so only whether the first stored
+            # entry is in slot 0 or further right changes the order.
+            diagonal[...] = -np.where(
+                departs, down + ((back + borrow) + up), back + (borrow + up)
+            )
+            if o.size > 1:
+                offsets = (-o.size, -1, 0, 1, o.size)
+                generator = BandGenerator(slots.reshape(5, n_states).T, offsets)
+            else:
+                generator = BandGenerator(slots[::2].reshape(3, n_states).T, (-1, 0, 1))
+            pi = steady_state(generator)
 
-        # Arrivals (split continuously at the fractional capacity).
-        emit(4, arrives & (w_local > 0.0), lam * w_local)
-        if beta > 0.0:
-            emit(3, spills & (o < pool), (lam * saturated) * beta)
-        blocked = saturated * np.where(o < pool, 1.0 - beta, 1.0)
-        blocked_flow = lam * blocked
-        p_queue = _fractional_prob_no_forward(
-            waiting, own_running + o, mu, cloud.sla_bound, table=self.pnf_table
-        )
-        queue_or_forward = spills & (blocked > 0.0)
-        emit(4, queue_or_forward & (p_queue > 0.0), blocked_flow * p_queue)
-        forward_flow = np.where(queue_or_forward, blocked_flow * (1.0 - p_queue), 0.0)
-        forward_flow[-1] = lam
-        # Local departures.
-        emit(0, own_running > 0.0, own_running * mu)
-        # Remote departures (continuous keep/return split).
-        emit(0, (w_keep > 0.0) & (o > 0.0), (o * mu) * w_keep)
-        emit(1, (w_keep < 1.0) & (o > 0.0), (o * mu) * (1.0 - w_keep))
-
-        # The diagonal is minus each row's exit rate, summed over the row's
-        # entries in column order by ``np.add.reduceat`` as
-        # ``csr_matrix.sum(axis=1)`` does (it adds the first entry to the
-        # sum of the rest, so a left-to-right sum would round differently).
-        slot_rates = slot_rates.reshape(n_states, 5)
-        slot_used = slot_used.reshape(n_states, 5)
-        off_diagonal = slot_used[:, _OFF_DIAGONAL]
-        row_entries = off_diagonal.sum(axis=1)
-        nonempty = np.flatnonzero(row_entries)
-        starts = np.concatenate(([0], np.cumsum(row_entries)[:-1]))[nonempty]
-        exits = np.zeros(n_states)
-        exits[nonempty] = np.add.reduceat(slot_rates[:, _OFF_DIAGONAL][off_diagonal], starts)
-        slot_rates[:, 2] = -exits
-        if width > 1:
-            generator = BandGenerator(slot_rates, (-width, -1, 0, 1, width))
-        else:
-            generator = BandGenerator(slot_rates[:, [0, 2, 4]], (-1, 0, 1))
-        pi = steady_state(generator)
-
-        forward_rate = float(forward_flow.ravel() @ pi)
-        share_room = cloud.shared_vms - ell
-        if share_room < 0.0:
-            share_room = 0.0
-        idle = capacity - q
-        idle = np.where(idle < 0.0, 0.0, idle)
-        sharable = np.where(idle < share_room, idle, share_room)
-        free_frac = np.where(idle < 1.0, idle, 1.0)
-        grid_pi = pi.reshape(index.shape)
-        headroom = share_room if share_room < 1.0 else 1.0
-        return {
-            "borrowed": _running_sum(o * grid_pi),
-            "busy_own": _running_sum(own_running * grid_pi),
-            "idle_sharable": _running_sum(sharable * grid_pi),
-            "forward_rate": forward_rate,
-            "avail_prob": _running_sum(free_frac * grid_pi) * headroom,
-        }
+            forward_rate = float(forward_flow.ravel() @ pi)
+            share_room = max(cloud.shared_vms - ell, 0.0)
+            headroom = min(share_room, 1.0)
+            grid_pi = pi.reshape(shape)
+            moments = np.empty((4,) + shape)
+            np.multiply(o, grid_pi, out=moments[0])
+            np.multiply(own_running, grid_pi, out=moments[1])
+            np.multiply(np.minimum(idle, share_room), grid_pi, out=moments[2])
+            np.multiply(w_local, grid_pi, out=moments[3])
+            # ``cumsum`` adds left to right (``np.sum`` and ``dot`` add
+            # pairwise and round differently).
+            borrowed, busy_own, idle_sharable, free_prob = np.cumsum(
+                moments.reshape(4, n_states), axis=1
+            )[:, -1].tolist()
+            return {
+                "borrowed": borrowed,
+                "busy_own": busy_own,
+                "idle_sharable": idle_sharable,
+                "forward_rate": forward_rate,
+                "avail_prob": free_prob * headroom,
+            }
 
 
 class PooledModel(PerformanceModel):
@@ -284,31 +281,32 @@ class PooledModel(PerformanceModel):
     def evaluate(self, scenario: FederationScenario) -> list[PerformanceParams]:
         """Solve the coupling fixed point and project per-SC parameters."""
         k = len(scenario)
-        shares = np.array([c.shared_vms for c in scenario], dtype=float)
-        if shares.sum() == 0.0 or k == 1:
-            return self._no_sharing(scenario)
-        chains = [
-            _CloudChain(
-                scenario[i],
-                pool_size=scenario.shared_by_others(i),
-                tail_epsilon=self.tail_epsilon,
-            )
-            for i in range(k)
-        ]
-        ell, beta = self._fixed_point(chains, shares)
-        stats = [chains[i].solve(ell[i], beta[i]) for i in range(k)]
-        results = []
-        for i, cloud in enumerate(scenario):
-            busy = stats[i]["busy_own"] + ell[i]
-            results.append(
-                PerformanceParams(
-                    lent_mean=float(ell[i]),
-                    borrowed_mean=float(stats[i]["borrowed"]),
-                    forward_rate=float(stats[i]["forward_rate"]),
-                    utilization=min(busy / cloud.vms, 1.0),
+        with obs.span("perf.evaluate", model="pooled", k=k):
+            shares = np.array([c.shared_vms for c in scenario], dtype=float)
+            if shares.sum() == 0.0 or k == 1:
+                return self._no_sharing(scenario)
+            chains = [
+                _CloudChain(
+                    scenario[i],
+                    pool_size=scenario.shared_by_others(i),
+                    tail_epsilon=self.tail_epsilon,
                 )
-            )
-        return results
+                for i in range(k)
+            ]
+            ell, beta = self._fixed_point(chains, shares)
+            stats = [chains[i].solve(ell[i], beta[i]) for i in range(k)]
+            results = []
+            for i, cloud in enumerate(scenario):
+                busy = stats[i]["busy_own"] + ell[i]
+                results.append(
+                    PerformanceParams(
+                        lent_mean=float(ell[i]),
+                        borrowed_mean=float(stats[i]["borrowed"]),
+                        forward_rate=float(stats[i]["forward_rate"]),
+                        utilization=min(busy / cloud.vms, 1.0),
+                    )
+                )
+            return results
 
     def _apply_map(
         self, chains: list[_CloudChain], shares: np.ndarray, ell: np.ndarray, beta: np.ndarray

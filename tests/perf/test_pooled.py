@@ -7,10 +7,12 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse._compressed
 
+from repro import obs
 from repro.analysis import sanitize
 from repro.bench.scenarios import fig7_scenario
 from repro.core.small_cloud import FederationScenario, SmallCloud
 from repro.markov.solvers import BandGenerator, steady_state
+from repro.obs import goldens
 from repro.perf import pooled
 from repro.perf.pooled import PooledModel, _CloudChain, _fractional_prob_no_forward
 from repro.queueing.forwarding import NoSharingModel
@@ -267,32 +269,54 @@ class TestVectorizedChainMatchesOracle:
 
     TEN = SmallCloud(name="sc", vms=10, arrival_rate=8.4, service_rate=0.9, shared_vms=3)
     TWO = SmallCloud(name="sc", vms=2, arrival_rate=1.7, service_rate=0.9, shared_vms=2)
+    # Pool 1 is the narrowest pooled grid (width 2).
+    POOL_SIZES = [0, 1, 6]
+    # At 5e-324 a borrow rate below 0.5 ulp of it rounds to 0.0 (in row 0
+    # of 2vm-underflow, where lam * saturated = 0.34): the entry is stored
+    # but zero.
+    BETAS = [0.0, 5e-324, 0.42, 1.0]
 
-    @pytest.mark.parametrize("pool_size", [0, 6])
-    @pytest.mark.parametrize("beta", [0.0, 0.42, 1.0])
+    @pytest.mark.parametrize("pool_size", POOL_SIZES)
+    @pytest.mark.parametrize("beta", BETAS)
     # A fractional ell leaves a fractional capacity (8.7 or 0.63): its row
     # splits arrivals between a free local VM and the blocked
     # (queue-or-forward) branch, and at 0.63 the blocked branch meets a
-    # state with no busy VM.  ell = shared_vms leaves no room to lend.
+    # state with no busy VM.  ell = 2 leaves an integer capacity after
+    # partial lending; ell = shared_vms leaves no room to lend.
     @pytest.mark.parametrize(
         "cloud, ell",
-        [(TEN, 0.0), (TEN, 1.3), (TEN, 3.0), (TWO, 1.37)],
-        ids=["10vm-none", "10vm-fractional", "10vm-shared", "2vm-fractional"],
+        [(TEN, 0.0), (TEN, 1.3), (TEN, 2.0), (TEN, 3.0), (TWO, 1.37), (TWO, 1.2)],
+        ids=[
+            "10vm-none",
+            "10vm-fractional",
+            "10vm-integer",
+            "10vm-shared",
+            "2vm-fractional",
+            "2vm-underflow",
+        ],
     )
     def test_bitwise(self, cloud, ell, beta, pool_size):
         chain = _CloudChain(cloud, pool_size=pool_size, tail_epsilon=1e-9)
         expected = scalar_chain_solve(chain, ell, beta)
         assert _hex(chain.solve(ell, beta)) == _hex(expected)
 
-    @pytest.mark.parametrize("pool_size", [0, 6])
-    @pytest.mark.parametrize("beta", [0.0, 0.42, 1.0])
+    @pytest.mark.parametrize("pool_size", POOL_SIZES)
+    @pytest.mark.parametrize("beta", BETAS)
     # With every VM lent (2vm-all-lent) no state can serve: at pool 0 every
     # row is empty, and at pool 6 the rows of the states that can neither
     # borrow nor queue are, so their zero diagonals must not be stored.
     @pytest.mark.parametrize(
         "cloud, ell",
-        [(TEN, 0.0), (TEN, 1.3), (TEN, 3.0), (TWO, 1.37), (TWO, 2.0)],
-        ids=["10vm-none", "10vm-fractional", "10vm-shared", "2vm-fractional", "2vm-all-lent"],
+        [(TEN, 0.0), (TEN, 1.3), (TEN, 2.0), (TEN, 3.0), (TWO, 1.37), (TWO, 1.2), (TWO, 2.0)],
+        ids=[
+            "10vm-none",
+            "10vm-fractional",
+            "10vm-integer",
+            "10vm-shared",
+            "2vm-fractional",
+            "2vm-underflow",
+            "2vm-all-lent",
+        ],
     )
     def test_generator_bytes(self, cloud, ell, beta, pool_size, monkeypatch):
         """The solver receives a band generator whose ``tocsr`` arrays are
@@ -323,8 +347,10 @@ class TestVectorizedChainMatchesOracle:
         [
             scenario_3sc(),
             fig7_scenario("spread").with_sharing((5, 5, 5)),
+            # Its pool-20 chain (1,218 states) is the widest of market-fig7.
+            fig7_scenario("spread").with_sharing((10, 2, 10)),
         ],
-        ids=["3sc", "fig7-spread-555"],
+        ids=["3sc", "fig7-spread-555", "fig7-spread-10-2-10"],
     )
     def test_evaluate_bitwise(self, scenario, monkeypatch):
         def fields(params):
@@ -336,6 +362,64 @@ class TestVectorizedChainMatchesOracle:
         fast = fields(PooledModel().evaluate(scenario))
         monkeypatch.setattr(_CloudChain, "solve", scalar_chain_solve)
         assert fields(PooledModel().evaluate(scenario)) == fast
+
+
+class TestSolvesShareOnlyTheReadOnlyGrid:
+    CLOUD = TestVectorizedChainMatchesOracle.TEN
+
+    @pytest.mark.parametrize(
+        "name", ["q", "o", "arrives", "can_borrow", "has_remote", "remote_rate"]
+    )
+    def test_hoisted_grid_is_read_only(self, name):
+        chain = _CloudChain(self.CLOUD, pool_size=6, tail_epsilon=1e-9)
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(chain, name)[0] = 1
+
+    def test_successive_solves_each_match_the_oracle(self):
+        chain = _CloudChain(self.CLOUD, pool_size=6, tail_epsilon=1e-9)
+        for ell, beta in [(1.3, 0.42), (0.0, 1.0), (3.0, 0.0), (1.3, 0.42)]:
+            expected = scalar_chain_solve(chain, ell, beta)
+            assert _hex(chain.solve(ell, beta)) == _hex(expected)
+
+
+class TestPooledSpans:
+    def test_traced_evaluate_tree(self):
+        """One ``perf.evaluate`` root; one ``perf.chain`` per chain solve,
+        each with its ``markov.steady_state`` solve as its only child."""
+        scenario = scenario_3sc()
+        with obs.capture() as cap:
+            traced = PooledModel().evaluate(scenario)
+        assert traced == PooledModel().evaluate(scenario)
+        solves = cap.registry.snapshot().counter_view()["markov.solve.direct"]
+        assert solves % 3 == 0 and solves > 3
+        (root,) = cap.tracer.roots
+        assert root.attrs == {"model": "pooled", "k": 3}
+        assert goldens.span_shape(root) == {
+            "name": "perf.evaluate",
+            "children": [
+                {
+                    "name": "perf.chain",
+                    "count": solves,
+                    "children": [{"name": "markov.steady_state", "count": 1, "children": []}],
+                }
+            ],
+        }
+        # The fixed point sweeps the SCs in order.
+        for i, chain in enumerate(root.children):
+            width = scenario.shared_by_others(i % 3) + 1
+            assert chain.attrs["width"] == width
+            (solve,) = chain.children
+            assert chain.attrs["n"] == solve.attrs["n"] and chain.attrs["n"] % width == 0
+
+    def test_no_sharing_evaluate_has_no_chain(self):
+        with obs.capture(metrics=False) as cap:
+            PooledModel().evaluate(scenario_3sc(shares=(0, 0, 0)))
+        (root,) = cap.tracer.roots
+        assert (root.name, root.attrs, root.children) == (
+            "perf.evaluate",
+            {"model": "pooled", "k": 3},
+            [],
+        )
 
 
 class TestNoSparseMatrixOnTheMarketLoop:
