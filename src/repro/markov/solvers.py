@@ -48,19 +48,22 @@ from repro.exceptions import ConvergenceError, SolverError
 
 
 def _clean(pi: np.ndarray, residual_scale: float = 1e-8) -> np.ndarray:
-    """Clip round-off negatives and renormalize a candidate distribution."""
+    """Clip round-off negatives and renormalize a candidate distribution,
+    in place when ``pi`` is a contiguous float array."""
     pi = np.asarray(pi, dtype=float).ravel()
-    scale = max(float(np.abs(pi).max(initial=0.0)), 1.0)
     min_val = pi.min(initial=0.0)
+    # The largest magnitude, as ``np.abs(pi).max(initial=0.0)`` finds it.
+    scale = max(float(pi.max(initial=0.0)), float(-min_val), 1.0)
     if min_val < -residual_scale * scale:
         raise SolverError(
             f"steady-state solution has significant negative mass ({min_val:.3e})"
         )
-    pi = np.clip(pi, 0.0, None)
+    np.maximum(pi, 0.0, out=pi)  # what ``np.clip(pi, 0.0, None)`` computes
     total = pi.sum()
     if total <= 0.0:
         raise SolverError("steady-state solution has zero total mass")
-    return pi / total
+    pi /= total
+    return pi
 
 
 @dataclass(frozen=True, slots=True)

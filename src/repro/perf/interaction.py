@@ -25,8 +25,9 @@ remote departure.  This module implements that coupling:
    predecessor state's queue.
 
 The reduction from predecessor-state distributions to outcome
-distributions is linear, so it is materialized once as a sparse matrix
-and applied to every transient result.
+distributions is linear, so it is materialized once as a sparse matrix,
+in whole-array steps with one pmf per distinct usage, and applied to
+every transient result.
 """
 
 from __future__ import annotations
@@ -51,16 +52,10 @@ Outcome = tuple[int, int, bool]
 
 @dataclass(frozen=True)
 class OutcomeTable:
-    """Index of all interaction outcomes with positive probability."""
+    """Index of all interaction outcomes with positive probability, sorted."""
 
     outcomes: tuple[Outcome, ...]
     index: dict[Outcome, int]
-
-    @classmethod
-    def from_outcomes(cls, outcomes: set[Outcome]) -> "OutcomeTable":
-        """Build a sorted, indexed table from an outcome set."""
-        ordered = tuple(sorted(outcomes))
-        return cls(outcomes=ordered, index={o: i for i, o in enumerate(ordered)})
 
     def __len__(self) -> int:
         return len(self.outcomes)
@@ -124,35 +119,31 @@ def reduction_matrix(
     Returns:
         ``(matrix, table)`` where ``matrix`` has shape
         ``(n_states, n_outcomes)`` and rows summing to 1.
+
+    Each distinct usage draws one pmf.  An outcome's integer key sorts as
+    its tuple, so the sorted distinct keys are the table, and a state's
+    columns rise with ``a_loc``: the CSR arrays are canonical as built.
     """
-    n_states = len(usage)
-    entries: dict[tuple[int, Outcome], float] = {}
-    outcome_set: set[Outcome] = set()
-    pmf_cache: dict[int, np.ndarray] = {}
-    for j in range(n_states):
-        u = int(usage[j])
-        if u not in pmf_cache:
-            pmf_cache[u] = hypergeometric_pmf(u, cap_loc, cap_rem)
-        pmf = pmf_cache[u]
-        flag = bool(backlog[j] > 0)
-        extra_rem = int(own_lent[j])
-        for a_loc, p in enumerate(pmf):
-            if p <= 0.0:
-                continue
-            outcome = (a_loc, u - a_loc + extra_rem, flag)
-            outcome_set.add(outcome)
-            key = (j, outcome)
-            entries[key] = entries.get(key, 0.0) + float(p)
-    table = OutcomeTable.from_outcomes(outcome_set)
-    rows = np.fromiter((j for j, _ in entries), dtype=np.int64, count=len(entries))
-    cols = np.fromiter(
-        (table.index[o] for _, o in entries), dtype=np.int64, count=len(entries)
+    usage = np.asarray(usage).astype(np.int64)
+    distinct, usage_row = np.unique(usage, return_inverse=True)
+    pmfs = np.zeros((distinct.size, cap_loc + 1))
+    for row, draws in enumerate(distinct.tolist()):
+        pmf = hypergeometric_pmf(draws, cap_loc, cap_rem)
+        pmfs[row, : pmf.size] = pmf
+    probs = pmfs[usage_row]
+    state, a_loc = np.nonzero(probs > 0.0)  # row-major: by state, then a_loc
+    a_rem = usage[state] - a_loc + np.asarray(own_lent).astype(np.int64)[state]
+    low = int(a_rem.min(initial=0))
+    span = int(a_rem.max(initial=0)) - low + 1
+    flag = np.asarray(backlog)[state] > 0
+    keys, columns = np.unique((a_loc * span + a_rem - low) * 2 + flag, return_inverse=True)
+    a_locs, rest = np.divmod(keys, 2 * span)
+    outcomes = tuple(zip(a_locs.tolist(), (rest // 2 + low).tolist(), (rest % 2 == 1).tolist()))
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(state, minlength=usage.size))))
+    matrix = sp.csr_matrix(
+        (probs[state, a_loc], columns, indptr), shape=(usage.size, len(outcomes))
     )
-    vals = np.fromiter(entries.values(), dtype=float, count=len(entries))
-    matrix = sp.coo_matrix(
-        (vals, (rows, cols)), shape=(n_states, len(table))
-    ).tocsr()
-    return matrix, table
+    return matrix, OutcomeTable(outcomes, {o: i for i, o in enumerate(outcomes)})
 
 
 def conditional_initials(

@@ -19,6 +19,8 @@ damped fixed-point iteration:
 - supply weights — expected idle-and-sharable VMs of each SC, used to
   split the total borrowing demand into per-SC lending ``ell``.
 
+Each sweep of the fixed point solves all k chains in one array pass
+(:class:`_Sweep`), bit for bit what a per-state loop over each chain gives.
 The fixed point conserves flow: ``sum_i Obar_i = sum_j Ibar_j`` up to the
 iteration tolerance.
 """
@@ -66,9 +68,11 @@ def _pnf_table(
 def _fractional_prob_no_forward(
     waiting: ArrayLike,
     busy: ArrayLike,
-    service_rate: float,
-    sla_bound: float,
+    service_rate: float | None = None,
+    sla_bound: float | None = None,
     table: np.ndarray | None = None,
+    base: ArrayLike = 0,
+    stride: ArrayLike | None = None,
 ) -> Any:
     """``P^NF`` allowing fractional waiting and busy-server counts.
 
@@ -82,7 +86,9 @@ def _fractional_prob_no_forward(
 
     ``table`` is a :func:`_pnf_table` of the same rate and bound with a
     row and a column beyond the floor of every argument; without one, a
-    large enough table is built.
+    large enough table is built.  Several tables may be read at once from
+    their flat concatenation: an argument pair then reads its own table,
+    which starts at ``base`` and has rows of ``stride`` (both per element).
     """
     waiting = np.asarray(waiting, dtype=float)
     busy = np.asarray(busy, dtype=float)
@@ -96,9 +102,10 @@ def _fractional_prob_no_forward(
         table = _pnf_table(
             int(w_i.max(initial=0)) + 1, int(b_i.max(initial=0)) + 1, service_rate, sla_bound
         )
-    # ``take`` reads the table flat: (w, b) is at w * stride + b.
-    stride = table.shape[1]
-    corner = w_i * stride + b_i
+    if stride is None:
+        stride = table.shape[1]
+    # ``take`` reads the table flat: (w, b) is at base + w * stride + b.
+    corner = base + w_i * stride + b_i
     frac_w = waiting - w_lo
     frac_b = busy - b_lo
     keep_w = 1.0 - frac_w
@@ -112,23 +119,13 @@ def _fractional_prob_no_forward(
 
 
 class _CloudChain:
-    """The per-SC (q, o) chain solved inside each fixed-point sweep.
+    """The per-SC (q, o) chain of the fixed point, and its read-only grid.
 
     The (q, o) grid is rectangular: state ``(q, o)`` has index
     ``q * (pool_size + 1) + o``.  Everything that does not depend on the
     lending level and the pool availability (the ``q`` column, the ``o``
-    row and their masks) is built once, read-only, and every rate of a
-    solve is a whole-array expression over the grid.  :meth:`solve` gives
-    the bits of a per-state loop (the test suite keeps one as its oracle).
-    The generator goes to the solver as a
-    :class:`~repro.markov.solvers.BandGenerator` of five band slots per
-    state (three with no pool), whose ``tocsr`` is byte for byte what a
-    COO build, ``tocsr`` and a ``sp.diags`` subtraction give; the oracle
-    test compares those bytes.  The bandwidth is ``pool_size + 1``, so
-    whenever the queue levels outnumber the pool levels (every
-    ``market-fig7`` chain) the solver's band LU reads the slots straight
-    into its storage and no sparse matrix is built; a wider chain, or a
-    failed band LU, is solved on the ``tocsr`` matrix.
+    row, their masks and the ``P^NF`` table) is built once and read-only;
+    :class:`_Sweep` solves the chains of one sweep together.
     """
 
     def __init__(self, cloud: SmallCloud, pool_size: int, tail_epsilon: float) -> None:
@@ -142,118 +139,170 @@ class _CloudChain:
         self.q = np.arange(self.q_max + 1, dtype=float)[:, None]
         self.o = np.arange(pool_size + 1, dtype=float)
         self.arrives = self.q < self.q_max  # at q_max every arrival is forwarded
+        self.at_max = self.q == self.q_max
         self.can_borrow = self.o < pool_size
         self.has_remote = self.o > 0.0
         self.remote_rate = self.o * cloud.service_rate
         # Every solve reads these, so none may write to them.
-        grids = (self.q, self.o, self.arrives, self.can_borrow, self.has_remote, self.remote_rate)
-        for grid in grids:
-            grid.flags.writeable = False
+        for name in _Sweep.GRIDS:
+            getattr(self, name).flags.writeable = False
         #: Waiting stays within ``q_max`` and busy within ``capacity``; the
         #: spare row and column cover a lent mean a rounding error below 0.
         self.pnf_table = _pnf_table(
             self.q_max + 1, capacity + 1, cloud.service_rate, cloud.sla_bound
         )
 
-    def solve(self, ell: float, beta: float) -> dict[str, float]:
-        """Solve the chain for given lending level and pool availability.
 
-        This runs once per SC per fixed-point iteration and dominates the
-        pooled model's cost.  Each band slot is written once, in the
-        loop's arithmetic: a transition stored under the loop's guards,
-        its operands multiplied in the loop's order, and two transitions
-        into one slot added in emission order, as a COO build sums its
-        duplicates.  The diagonal is minus the row's first stored entry
-        plus the left-to-right sum of the rest, the order in which
-        ``csr_matrix.sum(axis=1)`` adds a row; an entry not stored is a
-        zero, which adds nothing.  Every moment is a left-to-right sum in
-        state order.
+class _Sweep:
+    """The k chains of one fixed-point sweep, solved in one array pass.
+
+    Every chain's grid is laid out flat, one chain after another, with the
+    chain's own rates per state; the ``P^NF`` tables are concatenated too,
+    and each state reads its chain's table at that table's offset and row
+    stride.  All of it is read-only.  A solve evaluates each rate
+    expression once over all k chains; only the steady-state solve and the
+    forwarded-flow dot run per chain.
+
+    Each band slot is written in the arithmetic of a per-state loop (the
+    test suite keeps one as its oracle): a transition stored under the
+    loop's guards, its operands multiplied in the loop's order, and two
+    transitions into one slot added in emission order, as a COO build
+    sums its duplicates.  The diagonal is minus the row's first stored
+    entry plus the left-to-right sum of the rest, the order in which
+    ``csr_matrix.sum(axis=1)`` adds a row; an entry not stored is a zero,
+    which adds nothing.  A chain's generator is a
+    :class:`~repro.markov.solvers.BandGenerator` view of its columns of the
+    slots (three slots with no pool), whose ``tocsr`` is byte for byte what
+    a COO build, ``tocsr`` and a ``sp.diags`` subtraction give.  The
+    bandwidth is ``pool_size + 1``, so whenever the queue levels outnumber
+    the pool levels (every ``market-fig7`` chain) the band LU reads the
+    slots straight into its storage.
+    """
+
+    #: The chains' hoisted grids, laid out flat here.
+    GRIDS = ("q", "o", "arrives", "at_max", "can_borrow", "has_remote", "remote_rate")
+
+    def __init__(self, chains: list[_CloudChain]) -> None:
+        self.chains = chains
+        sizes = [c.q.size * c.o.size for c in chains]
+        self.bounds = np.cumsum([0, *sizes]).tolist()
+        self.chain = np.repeat(np.arange(len(chains)), sizes)  # each state's chain
+        grids = [np.broadcast_arrays(*(getattr(c, name) for name in self.GRIDS)) for c in chains]
+        for j, name in enumerate(self.GRIDS):
+            setattr(self, name, np.concatenate([grid[j].ravel() for grid in grids]))
+        clouds = [c.cloud for c in chains]
+        self.vms = np.array([c.vms for c in clouds], dtype=float)
+        self.shared = np.array([c.shared_vms for c in clouds], dtype=float)
+        self.lam = np.repeat(np.array([c.arrival_rate for c in clouds], dtype=float), sizes)
+        self.mu = np.repeat(np.array([c.service_rate for c in clouds], dtype=float), sizes)
+        tables = [c.pnf_table for c in chains]
+        self.pnf_table = np.concatenate([t.ravel() for t in tables])
+        self.pnf_base = np.repeat(np.cumsum([0, *(t.size for t in tables[:-1])]), sizes)
+        self.pnf_stride = np.repeat([t.shape[1] for t in tables], sizes)
+        self.last = np.array(sizes) - 1  # each chain's last state
+        for array in vars(self).values():
+            if isinstance(array, np.ndarray):
+                array.flags.writeable = False
+
+    def solve(self, ell: np.ndarray, beta: np.ndarray) -> list[dict[str, float]]:
+        """One stat dict per chain i, solved at lending level ``ell[i]`` and
+        pool availability ``beta[i]``.
+
+        This runs once per fixed-point sweep and dominates the pooled
+        model's cost.
         """
-        cloud = self.cloud
-        q, o = self.q, self.o
-        n_states = q.size * o.size
-        with obs.span("perf.chain", n=n_states, width=o.size):
-            mu = cloud.service_rate
-            lam = cloud.arrival_rate
-            shape = (q.size, o.size)
-            capacity = cloud.vms - ell  # fractional effective own capacity
+        k = len(self.chains)
+        with obs.span("perf.sweep", k=k, n=self.q.size):
+            ell = np.asarray(ell, dtype=float)
+            slots, factors, forward_flow = self._rates(ell, np.asarray(beta, dtype=float))
+            forward_rate = []
+            moments = np.zeros((4, k, int(self.last.max()) + 1))
+            for i, chain in enumerate(self.chains):
+                lo, hi = self.bounds[i : i + 2]
+                width = chain.o.size
+                if width > 1:
+                    generator = BandGenerator(slots[:, lo:hi].T, (-width, -1, 0, 1, width))
+                else:
+                    generator = BandGenerator(slots[::2, lo:hi].T, (-1, 0, 1))
+                pi = steady_state(generator)
+                forward_rate.append(float(forward_flow[lo:hi] @ pi))
+                np.multiply(factors[:, lo:hi], pi, out=moments[:, i, : hi - lo])
+            # Every moment is a left-to-right sum in state order: ``cumsum``
+            # adds that way (``np.sum`` and ``dot`` add pairwise and round
+            # differently), and a chain's sum is its partial sum at its last
+            # state, before the zero padding.
+            sums = np.cumsum(moments, axis=2)[:, np.arange(k), self.last]
+            sums[3] *= np.minimum(np.maximum(self.shared - ell, 0.0), 1.0)  # the headroom
+            borrowed, busy_own, idle_sharable, avail_prob = sums.tolist()
+            return [
+                {"borrowed": b, "busy_own": u, "idle_sharable": s, "forward_rate": f,
+                 "avail_prob": a}
+                for b, u, s, f, a in zip(borrowed, busy_own, idle_sharable, forward_rate,
+                                         avail_prob)
+            ]
 
-            # Columns: each depends on q only and broadcasts across o.
-            own_running = np.minimum(q, capacity)
-            waiting = np.maximum(q - capacity, 0.0)
-            idle = np.maximum(capacity - q, 0.0)
-            w_local = np.minimum(idle, 1.0)  # the free fraction of a local VM
-            saturated = 1.0 - w_local
-            w_keep = np.minimum(waiting, 1.0)
-            spills = self.arrives & (saturated > 0.0)
+    def _rates(
+        self, ell: np.ndarray, beta: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every state's five band slots, four moment factors and forwarded
+        flow; the temporaries are freed before the chains are solved."""
+        at = self.chain
+        q, o, lam, mu = self.q, self.o, self.lam, self.mu
+        capacity = (self.vms - ell)[at]  # fractional effective own capacity
 
-            # Arrivals (split continuously at the fractional capacity): the
-            # blocked share queues or is forwarded.
-            blocked = saturated * np.where(self.can_borrow, 1.0 - beta, 1.0)
-            blocked_flow = lam * blocked
-            p_queue = _fractional_prob_no_forward(
-                waiting, own_running + o, mu, cloud.sla_bound, table=self.pnf_table
-            )
-            queue_or_forward = spills & (blocked > 0.0)
-            forward_flow = np.where(queue_or_forward, blocked_flow * (1.0 - p_queue), 0.0)
-            forward_flow[-1] = lam
-            local = self.arrives & (w_local > 0.0)
-            queued = queue_or_forward & (p_queue > 0.0)
-            borrows = spills & self.can_borrow & (beta > 0.0)
-            # Local departures, and remote ones (continuous keep/return split).
-            keeps = (w_keep > 0.0) & self.has_remote
-            returns = (w_keep < 1.0) & self.has_remote
-            departs = (own_running > 0.0) | keeps
+        # The moments' factors: borrowed, own busy, idle sharable and the
+        # free fraction of a local VM.
+        factors = np.empty((4, q.size))
+        factors[0] = o
+        own_running = np.minimum(q, capacity, out=factors[1])
+        waiting = np.maximum(q - capacity, 0.0)
+        idle = np.maximum(capacity - q, 0.0)
+        np.minimum(idle, np.maximum(self.shared - ell, 0.0)[at], out=factors[2])
+        w_local = np.minimum(idle, 1.0, out=factors[3])
+        saturated = 1.0 - w_local
+        w_keep = np.minimum(waiting, 1.0)
+        spills = self.arrives & (saturated > 0.0)
 
-            # One slot per band of the generator: -width, -1, the diagonal, +1
-            # and +width, in column order (at width 1 the +-1 slots stay empty:
-            # with no pool nothing is borrowed or returned).
-            slots = np.empty((5,) + shape)
-            down, back, diagonal, borrow, up = slots
-            up[...] = np.where(local, lam * w_local, 0.0) + np.where(
-                queued, blocked_flow * p_queue, 0.0
-            )
-            borrow[...] = np.where(borrows, (lam * saturated) * beta, 0.0)
-            down[...] = np.where(own_running > 0.0, own_running * mu, 0.0) + np.where(
-                keeps, self.remote_rate * w_keep, 0.0
-            )
-            back[...] = np.where(returns, self.remote_rate * (1.0 - w_keep), 0.0)
-            # The diagonal is minus the row's exit rate, added as
-            # ``csr_matrix.sum(axis=1)`` adds a row: its first stored entry
-            # plus the left-to-right sum of the rest.  An entry not stored
-            # is a zero and adds nothing, so only whether the first stored
-            # entry is in slot 0 or further right changes the order.
-            diagonal[...] = -np.where(
-                departs, down + ((back + borrow) + up), back + (borrow + up)
-            )
-            if o.size > 1:
-                offsets = (-o.size, -1, 0, 1, o.size)
-                generator = BandGenerator(slots.reshape(5, n_states).T, offsets)
-            else:
-                generator = BandGenerator(slots[::2].reshape(3, n_states).T, (-1, 0, 1))
-            pi = steady_state(generator)
+        # Arrivals (split continuously at the fractional capacity): the
+        # blocked share queues or is forwarded.
+        blocked = saturated * np.where(self.can_borrow, (1.0 - beta)[at], 1.0)
+        blocked_flow = lam * blocked
+        p_queue = _fractional_prob_no_forward(
+            waiting, own_running + o, table=self.pnf_table, base=self.pnf_base,
+            stride=self.pnf_stride,
+        )
+        queue_or_forward = spills & (blocked > 0.0)
+        forward_flow = np.where(
+            self.at_max, lam, np.where(queue_or_forward, blocked_flow * (1.0 - p_queue), 0.0)
+        )
+        local = self.arrives & (w_local > 0.0)
+        queued = queue_or_forward & (p_queue > 0.0)
+        borrows = spills & self.can_borrow & (beta > 0.0)[at]
+        # Local departures, and remote ones (continuous keep/return split).
+        keeps = (w_keep > 0.0) & self.has_remote
+        returns = (w_keep < 1.0) & self.has_remote
+        departs = (own_running > 0.0) | keeps
 
-            forward_rate = float(forward_flow.ravel() @ pi)
-            share_room = max(cloud.shared_vms - ell, 0.0)
-            headroom = min(share_room, 1.0)
-            grid_pi = pi.reshape(shape)
-            moments = np.empty((4,) + shape)
-            np.multiply(o, grid_pi, out=moments[0])
-            np.multiply(own_running, grid_pi, out=moments[1])
-            np.multiply(np.minimum(idle, share_room), grid_pi, out=moments[2])
-            np.multiply(w_local, grid_pi, out=moments[3])
-            # ``cumsum`` adds left to right (``np.sum`` and ``dot`` add
-            # pairwise and round differently).
-            borrowed, busy_own, idle_sharable, free_prob = np.cumsum(
-                moments.reshape(4, n_states), axis=1
-            )[:, -1].tolist()
-            return {
-                "borrowed": borrowed,
-                "busy_own": busy_own,
-                "idle_sharable": idle_sharable,
-                "forward_rate": forward_rate,
-                "avail_prob": free_prob * headroom,
-            }
+        # One slot per band of the generator: -width, -1, the diagonal, +1
+        # and +width, in column order (at width 1 the +-1 slots stay empty:
+        # with no pool nothing is borrowed or returned).
+        slots = np.empty((5, q.size))
+        down, back, diagonal, borrow, up = slots
+        up[...] = np.where(local, lam * w_local, 0.0) + np.where(
+            queued, blocked_flow * p_queue, 0.0
+        )
+        borrow[...] = np.where(borrows, (lam * saturated) * beta[at], 0.0)
+        down[...] = np.where(own_running > 0.0, own_running * mu, 0.0) + np.where(
+            keeps, self.remote_rate * w_keep, 0.0
+        )
+        back[...] = np.where(returns, self.remote_rate * (1.0 - w_keep), 0.0)
+        # The diagonal is minus the row's exit rate, added as
+        # ``csr_matrix.sum(axis=1)`` adds a row: its first stored entry
+        # plus the left-to-right sum of the rest.  An entry not stored is
+        # a zero and adds nothing, so only whether the first stored entry
+        # is in slot 0 or further right changes the order.
+        diagonal[...] = -np.where(departs, down + ((back + borrow) + up), back + (borrow + up))
+        return slots, factors, forward_flow
 
 
 class PooledModel(PerformanceModel):
@@ -285,16 +334,12 @@ class PooledModel(PerformanceModel):
             shares = np.array([c.shared_vms for c in scenario], dtype=float)
             if shares.sum() == 0.0 or k == 1:
                 return self._no_sharing(scenario)
-            chains = [
-                _CloudChain(
-                    scenario[i],
-                    pool_size=scenario.shared_by_others(i),
-                    tail_epsilon=self.tail_epsilon,
-                )
-                for i in range(k)
-            ]
-            ell, beta = self._fixed_point(chains, shares)
-            stats = [chains[i].solve(ell[i], beta[i]) for i in range(k)]
+            sweep = _Sweep(
+                [_CloudChain(c, scenario.shared_by_others(i), self.tail_epsilon)
+                 for i, c in enumerate(scenario)]
+            )
+            ell, beta = self._fixed_point(sweep, shares)
+            stats = sweep.solve(ell, beta)
             results = []
             for i, cloud in enumerate(scenario):
                 busy = stats[i]["busy_own"] + ell[i]
@@ -309,11 +354,11 @@ class PooledModel(PerformanceModel):
             return results
 
     def _apply_map(
-        self, chains: list[_CloudChain], shares: np.ndarray, ell: np.ndarray, beta: np.ndarray
+        self, sweep: _Sweep, shares: np.ndarray, ell: np.ndarray, beta: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
         """One sweep of the coupling map ``(ell, beta) -> (ell', beta')``."""
-        k = len(chains)
-        stats = [chains[i].solve(ell[i], beta[i]) for i in range(k)]
+        k = len(sweep.chains)
+        stats = sweep.solve(ell, beta)
         borrowed = np.array([s["borrowed"] for s in stats])
         supply = np.array([s["idle_sharable"] for s in stats])
         # Split total borrowing demand into per-SC lending proportional to
@@ -339,7 +384,7 @@ class PooledModel(PerformanceModel):
         return new_ell, new_beta
 
     def _fixed_point(
-        self, chains: list[_CloudChain], shares: np.ndarray
+        self, sweep: _Sweep, shares: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
         """Solve the coupling fixed point.
 
@@ -349,14 +394,14 @@ class PooledModel(PerformanceModel):
         ``map(x) - x``, which lands on the fixed point at the cycle's
         center.
         """
-        k = len(chains)
+        k = len(sweep.chains)
         ell = np.zeros(k)
         beta = np.ones(k) * np.where(shares.sum() - shares > 0, 1.0, 0.0)
         damping = self.damping
         best_step = np.inf
         stalled = 0
         for _ in range(self.max_iterations):
-            new_ell, new_beta = self._apply_map(chains, shares, ell, beta)
+            new_ell, new_beta = self._apply_map(sweep, shares, ell, beta)
             step = np.abs(new_ell - ell).max(initial=0.0) + np.abs(
                 new_beta - beta
             ).max(initial=0.0)
@@ -374,11 +419,11 @@ class PooledModel(PerformanceModel):
                 if stalled >= 5:
                     damping = max(damping * 0.5, 0.05)
                     stalled = 0
-        return self._root_solve(chains, shares, ell, beta)
+        return self._root_solve(sweep, shares, ell, beta)
 
     def _root_solve(
         self,
-        chains: list[_CloudChain],
+        sweep: _Sweep,
         shares: np.ndarray,
         ell: np.ndarray,
         beta: np.ndarray,
@@ -386,7 +431,7 @@ class PooledModel(PerformanceModel):
         """Fallback: solve ``map(x) = x`` with a quasi-Newton root finder."""
         import scipy.optimize
 
-        k = len(chains)
+        k = len(sweep.chains)
 
         def clip(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             e = np.clip(x[:k], 0.0, shares)
@@ -395,7 +440,7 @@ class PooledModel(PerformanceModel):
 
         def residual(x: np.ndarray) -> np.ndarray:
             e, b = clip(x)
-            new_e, new_b = self._apply_map(chains, shares, e, b)
+            new_e, new_b = self._apply_map(sweep, shares, e, b)
             return np.concatenate([new_e - e, new_b - b])
 
         start = np.concatenate([ell, beta])

@@ -70,7 +70,7 @@ def cloud_chain_band(
     pool_size: int = 6, vms: int = 10, ell: float = 1.3, beta: float = 0.42
 ) -> BandGenerator:
     """The band generator of a pooled model's per-SC ``(q, o)`` chain, as
-    ``_CloudChain.solve`` hands it to the solver."""
+    ``_Sweep.solve`` hands it to the solver."""
     cloud = SmallCloud(
         name="sc", vms=vms, arrival_rate=8.4, service_rate=0.9, shared_vms=min(vms, 3)
     )
@@ -84,7 +84,7 @@ def cloud_chain_band(
     real = pooled.steady_state
     pooled.steady_state = spy
     try:
-        chain.solve(ell, beta)
+        pooled._Sweep([chain]).solve(np.array([ell]), np.array([beta]))
     finally:
         pooled.steady_state = real
     (q,) = seen

@@ -2,13 +2,16 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as hyp
 
 from repro.exceptions import SolverError
 from repro.markov.ctmc import CTMC
 from repro.markov.state_space import StateSpace
+from repro.perf.approximate import _state_arrays
 from repro.perf.interaction import (
+    OutcomeTable,
     conditional_initials,
     hypergeometric_pmf,
     reduction_matrix,
@@ -76,6 +79,83 @@ class TestReductionMatrix:
         )
         flags = {o[2] for o in table.outcomes}
         assert flags == {True}
+
+
+def scalar_reduction_matrix(usage, own_lent, backlog, cap_loc, cap_rem):
+    """Bytewise oracle for :func:`reduction_matrix`: one state at a time,
+    through a sorted outcome set and a COO build."""
+    entries = {}
+    outcome_set = set()
+    pmf_cache = {}
+    for j in range(len(usage)):
+        u = int(usage[j])
+        if u not in pmf_cache:
+            pmf_cache[u] = hypergeometric_pmf(u, cap_loc, cap_rem)
+        flag = bool(backlog[j] > 0)
+        for a_loc, p in enumerate(pmf_cache[u]):
+            if p <= 0.0:
+                continue
+            outcome = (a_loc, u - a_loc + int(own_lent[j]), flag)
+            outcome_set.add(outcome)
+            entries[(j, outcome)] = entries.get((j, outcome), 0.0) + float(p)
+    ordered = tuple(sorted(outcome_set))
+    table = OutcomeTable(ordered, {o: i for i, o in enumerate(ordered)})
+    rows = np.fromiter((j for j, _ in entries), dtype=np.int64, count=len(entries))
+    cols = np.fromiter((table.index[o] for _, o in entries), dtype=np.int64, count=len(entries))
+    vals = np.fromiter(entries.values(), dtype=float, count=len(entries))
+    matrix = sp.coo_matrix((vals, (rows, cols)), shape=(len(usage), len(table))).tocsr()
+    return matrix, table
+
+
+def first_level(q_max, n, pool):
+    """A first level's inputs: its (q, o) grid."""
+    q = np.repeat(np.arange(q_max + 1, dtype=np.int64), pool + 1)
+    o = np.tile(np.arange(pool + 1, dtype=np.int64), q_max + 1)
+    return o, np.zeros(o.size, dtype=int), np.maximum(q - n, 0)
+
+
+def later_level(q_max, n, shares, pool):
+    """A later level's inputs: its (q, s, o, a) grid."""
+    q, s, o, a = _state_arrays(q_max, shares, pool)
+    return o + a, s, np.maximum(q - (n - s), 0)
+
+
+class TestReductionMatrixMatchesOracle:
+    """The array build gives the per-state loop's CSR arrays byte for byte
+    and its outcome table, tuple types included."""
+
+    CASES = {
+        # The predecessor levels of the tabu-fig7 workload's Fig. 7 "spread"
+        # vectors, with their (cap_loc, cap_rem).
+        "tabu-first-473": (first_level(42, 10, 10), 5, 5),
+        "tabu-first-528": (first_level(43, 10, 11), 6, 5),
+        "tabu-17028": (later_level(42, 10, 5, 10), 5, 5),
+        "tabu-19866": (later_level(42, 10, 6, 10), 5, 5),
+        "tabu-20592": (later_level(43, 10, 5, 11), 5, 6),
+        "cap-loc-0": ((np.array([0, 2, 4]), np.array([0, 1, 0]), np.array([0, 0, 3])), 0, 4),
+        "cap-rem-0": ((np.array([0, 2, 4]), np.array([0, 1, 0]), np.array([0, 0, 3])), 4, 0),
+        "all-zero-usage": ((np.zeros(7, dtype=int), np.arange(7), np.arange(7) % 3), 3, 4),
+        "no-states": ((np.array([], dtype=int),) * 3, 3, 4),
+    }
+
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_bytes(self, name):
+        (usage, own_lent, backlog), cap_loc, cap_rem = self.CASES[name]
+        matrix, table = reduction_matrix(usage, own_lent, backlog, cap_loc, cap_rem)
+        want, want_table = scalar_reduction_matrix(usage, own_lent, backlog, cap_loc, cap_rem)
+        assert matrix.shape == want.shape
+        for field in ("indptr", "indices", "data"):
+            got, expected = getattr(matrix, field), getattr(want, field)
+            assert got.dtype == expected.dtype
+            assert got.tobytes() == expected.tobytes()
+        assert table == want_table
+        assert [tuple(map(type, o)) for o in table.outcomes] == [
+            tuple(map(type, o)) for o in want_table.outcomes
+        ]
+
+    def test_draws_beyond_the_pool_raise(self):
+        with pytest.raises(SolverError, match="pool has only"):
+            reduction_matrix(np.array([1, 9]), np.zeros(2), np.zeros(2), cap_loc=3, cap_rem=4)
 
 
 class TestConditionalInitials:

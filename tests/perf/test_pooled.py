@@ -14,7 +14,7 @@ from repro.core.small_cloud import FederationScenario, SmallCloud
 from repro.markov.solvers import BandGenerator, steady_state
 from repro.obs import goldens
 from repro.perf import pooled
-from repro.perf.pooled import PooledModel, _CloudChain, _fractional_prob_no_forward
+from repro.perf.pooled import PooledModel, _CloudChain, _fractional_prob_no_forward, _Sweep
 from repro.queueing.forwarding import NoSharingModel
 from repro.queueing.sla import prob_no_forward
 
@@ -224,8 +224,8 @@ def scalar_generator(chain, ell, beta):
 
 
 def scalar_chain_solve(chain, ell, beta):
-    """Bitwise oracle for ``_CloudChain.solve``: the chain assembled and
-    reduced one state at a time."""
+    """Bitwise oracle for one chain of ``_Sweep.solve``: the chain
+    assembled and reduced one state at a time."""
     cloud = chain.cloud
     capacity = cloud.vms - ell
     width = chain.pool_size + 1
@@ -264,8 +264,15 @@ def _hex(stats):
     return {key: float(value).hex() for key, value in stats.items()}
 
 
+def solve_one(chain, ell, beta):
+    """The stats of ``chain`` solved alone, as a one-chain sweep."""
+    (stats,) = _Sweep([chain]).solve(np.array([ell]), np.array([beta]))
+    return stats
+
+
 class TestVectorizedChainMatchesOracle:
-    """``_CloudChain.solve`` gives the scalar loop's bits on every key."""
+    """A chain solved by ``_Sweep.solve`` gives the scalar loop's bits on
+    every key."""
 
     TEN = SmallCloud(name="sc", vms=10, arrival_rate=8.4, service_rate=0.9, shared_vms=3)
     TWO = SmallCloud(name="sc", vms=2, arrival_rate=1.7, service_rate=0.9, shared_vms=2)
@@ -298,7 +305,7 @@ class TestVectorizedChainMatchesOracle:
     def test_bitwise(self, cloud, ell, beta, pool_size):
         chain = _CloudChain(cloud, pool_size=pool_size, tail_epsilon=1e-9)
         expected = scalar_chain_solve(chain, ell, beta)
-        assert _hex(chain.solve(ell, beta)) == _hex(expected)
+        assert _hex(solve_one(chain, ell, beta)) == _hex(expected)
 
     @pytest.mark.parametrize("pool_size", POOL_SIZES)
     @pytest.mark.parametrize("beta", BETAS)
@@ -331,7 +338,7 @@ class TestVectorizedChainMatchesOracle:
             "steady_state",
             lambda q: solved.append(q) or np.full(q.shape[0], 1.0 / q.shape[0]),
         )
-        chain.solve(ell, beta)
+        solve_one(chain, ell, beta)
         expected, _ = scalar_generator(chain, ell, beta)
         (generator,) = solved
         assert isinstance(generator, BandGenerator)
@@ -359,34 +366,99 @@ class TestVectorizedChainMatchesOracle:
                 for p in params
             ]
 
+        def oracle(sweep, ell, beta):
+            return [scalar_chain_solve(c, e, b) for c, e, b in zip(sweep.chains, ell, beta)]
+
         fast = fields(PooledModel().evaluate(scenario))
-        monkeypatch.setattr(_CloudChain, "solve", scalar_chain_solve)
+        monkeypatch.setattr(_Sweep, "solve", oracle)
         assert fields(PooledModel().evaluate(scenario)) == fast
 
 
 class TestSolvesShareOnlyTheReadOnlyGrid:
     CLOUD = TestVectorizedChainMatchesOracle.TEN
 
-    @pytest.mark.parametrize(
-        "name", ["q", "o", "arrives", "can_borrow", "has_remote", "remote_rate"]
-    )
+    @pytest.mark.parametrize("name", _Sweep.GRIDS)
     def test_hoisted_grid_is_read_only(self, name):
         chain = _CloudChain(self.CLOUD, pool_size=6, tail_epsilon=1e-9)
         with pytest.raises(ValueError, match="read-only"):
             getattr(chain, name)[0] = 1
 
+    @pytest.mark.parametrize(
+        "name",
+        [*_Sweep.GRIDS, "chain", "vms", "shared", "lam", "mu", "pnf_table", "pnf_base",
+         "pnf_stride", "last"],
+    )
+    def test_flat_arrays_are_read_only(self, name):
+        chains = [_CloudChain(self.CLOUD, pool_size=p, tail_epsilon=1e-9) for p in (6, 0)]
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(_Sweep(chains), name)[0] = 1
+
     def test_successive_solves_each_match_the_oracle(self):
         chain = _CloudChain(self.CLOUD, pool_size=6, tail_epsilon=1e-9)
+        sweep = _Sweep([chain])
         for ell, beta in [(1.3, 0.42), (0.0, 1.0), (3.0, 0.0), (1.3, 0.42)]:
             expected = scalar_chain_solve(chain, ell, beta)
-            assert _hex(chain.solve(ell, beta)) == _hex(expected)
+            (stats,) = sweep.solve(np.array([ell]), np.array([beta]))
+            assert _hex(stats) == _hex(expected)
+
+
+class TestSweepMatchesOracle:
+    """Every chain of a k-chain sweep gives the scalar loop's bits, with
+    chains of different sizes, widths, clouds and tables side by side."""
+
+    TEN = TestVectorizedChainMatchesOracle.TEN
+    TWO = TestVectorizedChainMatchesOracle.TWO
+    FOUR = SmallCloud(name="four", vms=4, arrival_rate=3.1, service_rate=1.3, shared_vms=4)
+
+    def chains(self, specs):
+        return [_CloudChain(cloud, pool_size=pool, tail_epsilon=1e-9) for cloud, pool in specs]
+
+    SWEEPS = {
+        # A pool-0 (width-1) chain beside a pool-20 chain.
+        "k2-width1-pool20": [(TEN, 0), (FOUR, 20)],
+        "k3-mixed": [(TEN, 6), (TWO, 1), (FOUR, 0)],
+        "k4-mixed": [(FOUR, 20), (TEN, 0), (TWO, 6), (TEN, 1)],
+    }
+    DRAWS = [
+        ([1.3, 0.0, 2.0, 4.0], [0.42, 1.0, 0.0, 5e-324]),
+        ([0.0, 4.0, 1.37, 0.5], [1.0, 0.0, 0.42, 0.9]),
+        ([3.0, 2.5, 1.2, 0.0], [0.0, 0.42, 1.0, 0.3]),
+    ]
+
+    @pytest.mark.parametrize("name", list(SWEEPS))
+    def test_successive_sweeps_match_the_oracle(self, name):
+        chains = self.chains(self.SWEEPS[name])
+        k = len(chains)
+        sweep = _Sweep(chains)
+        for ell, beta in self.DRAWS:
+            # Lend no more than a cloud shares.
+            ell = np.minimum(ell[:k], [c.cloud.shared_vms for c in chains])
+            beta = np.array(beta[:k])
+            got = sweep.solve(ell, beta)
+            assert len(got) == k
+            for chain, e, b, stats in zip(chains, ell, beta, got):
+                assert _hex(stats) == _hex(scalar_chain_solve(chain, e, b))
+
+    def test_random_sweeps_of_fig7_chains(self):
+        scenario = fig7_scenario("spread").with_sharing((10, 2, 10))
+        chains = [
+            _CloudChain(scenario[i], scenario.shared_by_others(i), tail_epsilon=1e-9)
+            for i in range(3)
+        ]
+        sweep = _Sweep(chains)
+        rng = np.random.default_rng(0)
+        shares = np.array([10.0, 2.0, 10.0])
+        for _ in range(3):
+            ell, beta = rng.uniform(0, 1, 3) * shares, rng.uniform(0, 1, 3)
+            for chain, e, b, stats in zip(chains, ell, beta, sweep.solve(ell, beta)):
+                assert _hex(stats) == _hex(scalar_chain_solve(chain, e, b))
 
 
 class TestPooledSpans:
     def test_traced_evaluate_tree(self):
-        """One ``perf.evaluate`` root; one ``perf.chain`` per chain solve,
-        each with its ``markov.steady_state`` solve as its only child."""
-        scenario = scenario_3sc()
+        """One ``perf.evaluate`` root; one ``perf.sweep`` per sweep, whose
+        k children are the chains' ``markov.steady_state`` solves."""
+        scenario = scenario_3sc(shares=(1, 2, 3))
         with obs.capture() as cap:
             traced = PooledModel().evaluate(scenario)
         assert traced == PooledModel().evaluate(scenario)
@@ -398,20 +470,20 @@ class TestPooledSpans:
             "name": "perf.evaluate",
             "children": [
                 {
-                    "name": "perf.chain",
-                    "count": solves,
-                    "children": [{"name": "markov.steady_state", "count": 1, "children": []}],
+                    "name": "perf.sweep",
+                    "count": solves // 3,
+                    "children": [{"name": "markov.steady_state", "count": 3, "children": []}],
                 }
             ],
         }
-        # The fixed point sweeps the SCs in order.
-        for i, chain in enumerate(root.children):
-            width = scenario.shared_by_others(i % 3) + 1
-            assert chain.attrs["width"] == width
-            (solve,) = chain.children
-            assert chain.attrs["n"] == solve.attrs["n"] and chain.attrs["n"] % width == 0
+        widths = [scenario.shared_by_others(i) + 1 for i in range(3)]
+        for sweep in root.children:
+            ns = [solve.attrs["n"] for solve in sweep.children]
+            assert sweep.attrs == {"k": 3, "n": sum(ns)}
+            # The chains are solved in SC order.
+            assert all(n % width == 0 for n, width in zip(ns, widths))
 
-    def test_no_sharing_evaluate_has_no_chain(self):
+    def test_no_sharing_evaluate_has_no_sweep(self):
         with obs.capture(metrics=False) as cap:
             PooledModel().evaluate(scenario_3sc(shares=(0, 0, 0)))
         (root,) = cap.tracer.roots
