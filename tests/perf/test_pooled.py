@@ -439,20 +439,6 @@ class TestSweepMatchesOracle:
             for chain, e, b, stats in zip(chains, ell, beta, got):
                 assert _hex(stats) == _hex(scalar_chain_solve(chain, e, b))
 
-    def test_random_sweeps_of_fig7_chains(self):
-        scenario = fig7_scenario("spread").with_sharing((10, 2, 10))
-        chains = [
-            _CloudChain(scenario[i], scenario.shared_by_others(i), tail_epsilon=1e-9)
-            for i in range(3)
-        ]
-        sweep = _Sweep(chains)
-        rng = np.random.default_rng(0)
-        shares = np.array([10.0, 2.0, 10.0])
-        for _ in range(3):
-            ell, beta = rng.uniform(0, 1, 3) * shares, rng.uniform(0, 1, 3)
-            for chain, e, b, stats in zip(chains, ell, beta, sweep.solve(ell, beta)):
-                assert _hex(stats) == _hex(scalar_chain_solve(chain, e, b))
-
 
 class TestPooledSpans:
     def test_traced_evaluate_tree(self):
